@@ -33,7 +33,10 @@ def main() -> int:
     results = []
     for suite in SUITES:
         t0 = time.perf_counter()
-        code = cmd_verify(_Args(suite, opts.dmax, opts.precision_max, opts.jobs))
+        try:
+            code = cmd_verify(_Args(suite, opts.dmax, opts.precision_max, opts.jobs))
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"{suite}: {exc}")
         results.append((suite, code, time.perf_counter() - t0))
 
     print()

@@ -2,7 +2,10 @@
 classical coefficient tables, or run the verification suites.
 
 Exit codes for ``verify``: 0 all verified, 1 any falsified, 2 any unresolved
-(interval ceiling reached without separation).  ``compute`` rejects invalid
+(interval ceiling reached without separation).  Input that would check
+nothing or cannot be read (an empty modulus range, ``--jobs`` below 1, a
+malformed ``$KRAITCHIK_PRECISION_MAX``) is an argparse usage error: a message
+on stderr, nothing on stdout, exit code 2.  ``compute`` rejects invalid
 moduli with a diagnostic naming the violated condition and exit code 1.
 """
 
@@ -12,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -299,8 +303,14 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Run one suite; raises ArgumentTypeError for input it cannot use or that checks nothing."""
     suite = args.suite
-    precision_max = args.precision_max if args.precision_max else default_max_precision()
+    if args.jobs < 1:
+        raise argparse.ArgumentTypeError(f"--jobs must be at least 1, got {args.jobs}")
+    try:
+        precision_max = args.precision_max if args.precision_max else default_max_precision()
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     total = SuiteOutcome()
     if suite == "symfunc":
         outcomes = [_suite_symfunc(args.dmax or 20)]
@@ -308,9 +318,13 @@ def cmd_verify(args) -> int:
         fn, default_dmax = _PER_D_SUITES[suite]
         dmax = args.dmax or default_dmax
         ds = odd_squarefree_range(5, dmax)
-        if args.jobs and args.jobs > 1:
+        if not ds:
+            raise argparse.ArgumentTypeError(f"--dmax {dmax} leaves no odd squarefree modulus >= 5 to check")
+        # never more workers than cores or moduli: fork starts all of them at once
+        jobs = min(args.jobs, os.cpu_count() or 1, len(ds))
+        if jobs > 1:
             worker = partial(_run_suite_for_d, suite=suite, precision_max=precision_max)
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
                 outcomes = list(pool.map(worker, ds))
         else:
             outcomes = [fn(d, precision_max) for d in ds]
@@ -382,15 +396,19 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"interval precision ceiling in bits (default: ${PRECISION_ENV_VAR} or 4096)",
     )
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=int, default=1, help="worker processes (at most one per core and modulus)")
     p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_verify.set_defaults(fn=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -6,11 +6,12 @@ the inputs is always contained in the output.  The transcendental kernels
 (sqrt, exp, ln, pi, e) run on scaled integers with directed rounding and
 explicit tail bounds -- no floating point anywhere.
 
-Refinement protocol: expressions are re-evaluated at doubled precision via
-``Refinable``/``resolve_compare``, and each refinement intersects with the
-previous enclosure, so intervals can only shrink.  Comparisons that fail to
-separate by the precision ceiling come back ``unresolved`` -- callers treat
-that as failure-to-verify, never as verification.
+``decide`` is the one precision-ladder driver: it re-evaluates both sides of
+a strict inequality at each rung of a doubling precision ladder until the
+enclosures separate.  Each rung's enclosures are valid by themselves, so a
+verdict rests on a single rung.  Inequalities that fail to separate by the
+precision ceiling come back ``unresolved`` -- callers treat that as
+failure-to-verify, never as verification.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Callable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 GUARD_BITS = 32
 DEFAULT_MAX_PRECISION = 4096
@@ -36,7 +37,10 @@ def default_max_precision() -> int:
     raw = os.environ.get(PRECISION_ENV_VAR)
     if raw is None:
         return DEFAULT_MAX_PRECISION
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{PRECISION_ENV_VAR} must be an integer, got {raw!r}") from None
     if value < 16:
         raise ValueError(f"{PRECISION_ENV_VAR} too small: {value}")
     return value
@@ -67,13 +71,6 @@ class DyadicInterval:
 
     def __repr__(self) -> str:
         return f"DyadicInterval({float(self.lo)!r}, {float(self.hi)!r}, prec={self.prec})"
-
-
-def intersect(x: DyadicInterval, y: DyadicInterval) -> DyadicInterval:
-    lo, hi = max(x.lo, y.lo), min(x.hi, y.hi)
-    if lo > hi:
-        raise ArithmeticError("disjoint refinement: containment bug upstream")
-    return DyadicInterval(lo, hi, max(x.prec, y.prec))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +218,8 @@ def _ln_point_bounds(t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
         raise IntervalDomainError(f"log of nonpositive value {t}")
     k = _ilog2_floor(t)
     m = t / Fraction(2) ** k  # in [1, 2)
-    assert 1 <= m < 2
+    if not 1 <= m < 2:
+        raise ArithmeticError(f"mantissa {m} of {t} outside [1, 2)")
     ws = bits + 48
     # square-root reduction: ln m = 2^j ln(m^(1/2^j)); keeps the series short
     j = 0 if bits <= 128 else (8 if bits <= 512 else (16 if bits <= 2048 else 32))
@@ -427,29 +425,11 @@ def _int_pow(x: DyadicInterval, n: int, prec: int) -> DyadicInterval:
 
 
 # ---------------------------------------------------------------------------
-# refinement and validated comparison
+# the precision ladder and validated comparison
 
-IntervalFn = Callable[[int], DyadicInterval]
-
-
-class Refinable:
-    """A re-evaluable interval expression whose enclosures only shrink.
-
-    Each call intersects the freshly computed interval with the best one so
-    far, so callers get monotone refinement regardless of how the underlying
-    series behave between precisions.
-    """
-
-    def __init__(self, fn: IntervalFn):
-        self._fn = fn
-        self._best: Optional[DyadicInterval] = None
-
-    def enclose(self, prec: int) -> DyadicInterval:
-        cur = self._fn(prec)
-        if self._best is not None:
-            cur = intersect(cur, self._best)
-        self._best = cur
-        return cur
+VERIFIED = "verified"
+FALSIFIED = "falsified"
+UNRESOLVED = "unresolved"
 
 
 def precision_ladder(max_precision: Optional[int] = None, start: int = 64):
@@ -460,27 +440,34 @@ def precision_ladder(max_precision: Optional[int] = None, start: int = 64):
         p *= 2
 
 
-def resolve_compare(
-    lhs: IntervalFn | Refinable,
-    rhs: IntervalFn | Refinable,
-    max_precision: Optional[int] = None,
-    exact_equal: Optional[Callable[[], bool]] = None,
-) -> str:
-    """Order two re-evaluable expressions: '<', '>', '=' or 'unresolved'.
+class Decision(NamedTuple):
+    """A verdict with the enclosures of the last rung evaluated (None if none was)."""
 
-    Doubles the working precision until the enclosures separate.  Exact
-    equality can only be concluded through the ``exact_equal`` hook (both
-    sides algebraic in one field, say); intervals alone never prove '='.
+    verdict: str
+    lhs: Optional[DyadicInterval]
+    rhs: Optional[DyadicInterval]
+
+
+def decide(
+    lhs: Callable[[int], DyadicInterval],
+    rhs: Callable[[int], DyadicInterval],
+    rungs: Iterable[int],
+) -> Decision:
+    """Decide the strict inequality lhs < rhs, one precision rung at a time.
+
+    ``verified`` once lhs.hi < rhs.lo, ``falsified`` once lhs.lo >= rhs.hi,
+    ``unresolved`` when the rungs run out.  A rung at which either side
+    raises IntervalDomainError (an enclosure still too wide for some
+    operation's domain) is skipped.
     """
-    if exact_equal is not None and exact_equal():
-        return "="
-    left = lhs if isinstance(lhs, Refinable) else Refinable(lhs)
-    right = rhs if isinstance(rhs, Refinable) else Refinable(rhs)
-    for prec in precision_ladder(max_precision):
-        li = left.enclose(prec)
-        ri = right.enclose(prec)
+    li = ri = None
+    for prec in rungs:
+        try:
+            li, ri = lhs(prec), rhs(prec)
+        except IntervalDomainError:
+            continue
         if li.hi < ri.lo:
-            return "<"
-        if li.lo > ri.hi:
-            return ">"
-    return "unresolved"
+            return Decision(VERIFIED, li, ri)
+        if li.lo >= ri.hi:
+            return Decision(FALSIFIED, li, ri)
+    return Decision(UNRESOLVED, li, ri)

@@ -32,10 +32,6 @@ class DensePoly:
     def x(cls) -> "DensePoly":
         return cls((0, 1))
 
-    @classmethod
-    def monomial(cls, coeff, power: int) -> "DensePoly":
-        return cls([0] * power + [coeff])
-
     @property
     def degree(self) -> int:
         """Degree; the zero polynomial has degree -1."""
@@ -111,7 +107,8 @@ class DensePoly:
             quo[k] = q
             for i, d in enumerate(other.coeffs):
                 rem[k + i] = rem[k + i] - q * d
-            assert rem[-1] == 0
+            if rem[-1] != 0:
+                raise ArithmeticError(f"leading term {rem[-1]} survived a division step")
             rem.pop()
             while rem and rem[-1] == 0:
                 rem.pop()
@@ -123,9 +120,6 @@ class DensePoly:
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * x + c
         return 0 if acc is None else acc
-
-    def map_coeffs(self, fn) -> "DensePoly":
-        return DensePoly([fn(c) for c in self.coeffs])
 
     def __repr__(self) -> str:
         return f"DensePoly({format_poly(self.coeffs)})"

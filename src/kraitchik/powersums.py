@@ -74,7 +74,8 @@ def ramanujan_h(d: int, k: int) -> int:
     if mu == 0:
         return 0
     q, r = divmod(euler_phi(d), euler_phi(cofactor))
-    assert r == 0
+    if r:
+        raise ArithmeticError(f"phi({cofactor}) does not divide phi({d})")
     return mu * q
 
 

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bounds import FALSIFIED, UNRESOLVED, VERIFIED, BoundValue, l1_bound_base
+from .bounds import BoundValue, l1_bound_base
 from .construct import KraitchikPair
 from .interval import (
     DyadicInterval,
-    Refinable,
+    decide,
     iv_div,
     iv_from_rat,
     iv_mul,
@@ -69,7 +69,8 @@ def _ceil_exact(v: Fraction | QuadElem) -> int:
     if isinstance(v, Fraction):
         return -((-v.numerator) // v.denominator)
     a, b, r = v.a, v.b, v.r
-    assert b > 0
+    if b <= 0:
+        raise ValueError(f"need a positive surd part, got {v}")
     c = math.floor(a + b * math.isqrt(r))  # at most b below the true value
     while cmp_surd(a, b, r, c) > 0:  # value > c: c too small
         c += 1
@@ -113,7 +114,8 @@ def check_ratio_approx(
     mu = mobius(ctx.d)
     psi_x = pair.psi.evaluate(x)
     xi_x = pair.xi.evaluate(x)
-    assert psi_x > 0, "positivity of Psi at admissible x is part of the contract"
+    if psi_x <= 0:
+        raise ArithmeticError(f"Psi_{ctx.d}({x}) = {psi_x} is not positive at an admissible x")
     lhs = abs(Fraction(xi_x) / psi_x - Fraction(1, 2 * x - mu))
 
     def rhs_fn(prec: int) -> DyadicInterval:
@@ -135,15 +137,9 @@ def check_ratio_approx(
         )
         return iv_mul(pref, inner, prec)
 
-    rhs = Refinable(rhs_fn)
-    enclosure = None
-    for prec in precision_ladder(max_precision):
-        enclosure = rhs.enclose(prec)
-        if lhs < enclosure.lo:
-            return RatioReport(ctx.d, x, lhs, enclosure, VERIFIED)
-        if lhs >= enclosure.hi:
-            return RatioReport(ctx.d, x, lhs, enclosure, FALSIFIED)
-    return RatioReport(ctx.d, x, lhs, enclosure, UNRESOLVED)
+    # the exact left side enters as a point interval, so its comparison stays exact
+    decision = decide(lambda p: DyadicInterval(lhs, lhs, p), rhs_fn, precision_ladder(max_precision))
+    return RatioReport(ctx.d, x, lhs, decision.rhs, decision.verdict)
 
 
 def ratio_table(

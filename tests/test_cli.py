@@ -161,3 +161,74 @@ def test_verify_parallel_jobs_preserve_order(capsys):
     assert code == 0
     ds = [int(l.split()[1].split("=")[1]) for l in out.splitlines() if l.startswith("identity")]
     assert ds == sorted(ds) == odd_squarefree_range(5, 35)
+
+
+def run_usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_verify_empty_range_is_usage_error(capsys):
+    # no odd squarefree d in 5..3: a run that checks nothing must not pass
+    code, out, err = run_usage_error(capsys, "verify", "identity", "--dmax", "3")
+    assert code == 2
+    assert out == ""
+    assert "--dmax 3" in err
+
+
+def test_verify_malformed_precision_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("KRAITCHIK_PRECISION_MAX", "abc")
+    code, out, err = run_usage_error(capsys, "verify", "identity", "--dmax", "7")
+    assert code == 2
+    assert out == ""
+    assert "KRAITCHIK_PRECISION_MAX" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_jobs_below_one_is_usage_error(capsys, jobs):
+    code, out, err = run_usage_error(capsys, "verify", "identity", "--dmax", "7", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert "--jobs" in err
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "dmax,cores,want",
+    [
+        ("35", 4, [4]),  # 11 moduli: the cores bind
+        ("7", 4, [2]),  # 2 moduli: the moduli bind
+        ("5", 4, []),  # 1 modulus: no pool at all
+        ("35", 1, []),  # 1 core: no pool at all
+    ],
+)
+def test_verify_jobs_capped_at_cores_and_moduli(capsys, monkeypatch, dmax, cores, want):
+    import kraitchik.cli as cli
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    code, out, _ = run(capsys, "verify", "identity", "--dmax", dmax, "--jobs", "100000")
+    assert code == 0
+    assert RecordingPool.sizes == want
+    ds = [int(l.split()[1].split("=")[1]) for l in out.splitlines() if l.startswith("identity")]
+    assert ds == odd_squarefree_range(5, int(dmax))

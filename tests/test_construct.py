@@ -151,25 +151,25 @@ def test_symmetry_examples():
 
 def test_root_sets_split_by_character():
     # the two half polynomials vanish exactly on the residue/non-residue roots
-    mpmath.mp.dps = 40
-    for d in odd_squarefree_range(5, 49):
-        pair = psi_xi(d)
-        plus, minus = half_polys(pair)
+    with mpmath.workdps(40):
+        for d in odd_squarefree_range(5, 49):
+            pair = psi_xi(d)
+            plus, minus = half_polys(pair)
 
-        def value_at_root(poly, k):
-            z = mpmath.e ** (2j * mpmath.pi * k / d)
-            acc = mpmath.mpc(0)
-            sqrt_D = mpmath.sqrt(pair.ctx.D)
-            for c in reversed(poly.coeffs):
-                cv = mpmath.mpf(c.a.numerator) / c.a.denominator + (
-                    mpmath.mpf(c.b.numerator) / c.b.denominator
-                ) * sqrt_D
-                acc = acc * z + cv
-            return abs(acc)
+            def value_at_root(poly, k):
+                z = mpmath.e ** (2j * mpmath.pi * k / d)
+                acc = mpmath.mpc(0)
+                sqrt_D = mpmath.sqrt(pair.ctx.D)
+                for c in reversed(poly.coeffs):
+                    cv = mpmath.mpf(c.a.numerator) / c.a.denominator + (
+                        mpmath.mpf(c.b.numerator) / c.b.denominator
+                    ) * sqrt_D
+                    acc = acc * z + cv
+                return abs(acc)
 
-        for k in range(1, d):
-            sym = jacobi(k, d)
-            if sym == 1:
-                assert value_at_root(plus, k) < 1e-8, (d, k)
-            elif sym == -1:
-                assert value_at_root(minus, k) < 1e-8, (d, k)
+            for k in range(1, d):
+                sym = jacobi(k, d)
+                if sym == 1:
+                    assert value_at_root(plus, k) < 1e-8, (d, k)
+                elif sym == -1:
+                    assert value_at_root(minus, k) < 1e-8, (d, k)

@@ -129,20 +129,20 @@ def test_pow_matches_repeated_multiplication():
 def test_cmp_surd_against_highprec_decimal():
     # 10^3 random instances against 100-digit evaluation
     rng = random.Random(1093)
-    mpmath.mp.dps = 100
-    nonsquares = [2, 3, 5, 6, 7, 10, 13, 15, 21, 105, 255]
-    for _ in range(1000):
-        x = F(rng.randint(-50, 50), rng.randint(1, 20))
-        y = F(rng.randint(-50, 50), rng.randint(1, 20))
-        d = rng.choice(nonsquares)
-        qq = F(rng.randint(-200, 200), rng.randint(1, 20))
-        got = cmp_surd(x, y, d, qq)
-        lhs = mpmath.mpf(x.numerator) / x.denominator + (
-            mpmath.mpf(y.numerator) / y.denominator
-        ) * mpmath.sqrt(d)
-        rhs = mpmath.mpf(qq.numerator) / qq.denominator
-        want = 0 if mpmath.almosteq(lhs, rhs, abs_eps=mpmath.mpf(10) ** -90) else (1 if lhs > rhs else -1)
-        assert got == want, (x, y, d, qq)
+    with mpmath.workdps(100):
+        nonsquares = [2, 3, 5, 6, 7, 10, 13, 15, 21, 105, 255]
+        for _ in range(1000):
+            x = F(rng.randint(-50, 50), rng.randint(1, 20))
+            y = F(rng.randint(-50, 50), rng.randint(1, 20))
+            d = rng.choice(nonsquares)
+            qq = F(rng.randint(-200, 200), rng.randint(1, 20))
+            got = cmp_surd(x, y, d, qq)
+            lhs = mpmath.mpf(x.numerator) / x.denominator + (
+                mpmath.mpf(y.numerator) / y.denominator
+            ) * mpmath.sqrt(d)
+            rhs = mpmath.mpf(qq.numerator) / qq.denominator
+            want = 0 if mpmath.almosteq(lhs, rhs, abs_eps=mpmath.mpf(10) ** -90) else (1 if lhs > rhs else -1)
+            assert got == want, (x, y, d, qq)
 
 
 def test_sign_helpers():
