@@ -1,12 +1,19 @@
 """Command-line front end: compute one decomposition, regenerate the
 classical coefficient tables, or run the verification suites.
 
+``verify all`` builds each modulus's pair once and prints every suite's
+output in turn, as the single ``verify <suite>`` runs with the same flags
+would.  ``--dmax`` bounds the moduli; it does not reach symfunc under
+``all``, which checks its default collapse degrees m <= 20, while
+``verify symfunc --dmax M`` accepts 1 <= M <= 32 only.
+
 Exit codes for ``verify``: 0 all verified, 1 any falsified, 2 any unresolved
 (interval ceiling reached without separation).  Input that would check
 nothing or cannot be read (an empty modulus range, ``--jobs`` below 1, a
-malformed ``$KRAITCHIK_PRECISION_MAX``) is an argparse usage error: a message
-on stderr, nothing on stdout, exit code 2.  ``compute`` rejects invalid
-moduli with a diagnostic naming the violated condition and exit code 1.
+precision ceiling below 16 bits, a malformed ``$KRAITCHIK_PRECISION_MAX``) is
+an argparse usage error: a message on stderr, nothing on stdout, exit code 2.
+``compute`` rejects invalid moduli with a diagnostic naming the violated
+condition and exit code 1.
 """
 
 from __future__ import annotations
@@ -19,15 +26,13 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Optional
 
 from .bounds import FALSIFIED, UNRESOLVED, VERIFIED, check_coefficient_bounds, check_explicit_bound
 from .construct import KraitchikPair, check_symmetry, psi_xi, verify_identity
-from .interval import PRECISION_ENV_VAR, default_max_precision
-from .numtheory import is_squarefree, odd_squarefree_range
+from .interval import PRECISION_ENV_VAR, checked_precision, default_max_precision
+from .numtheory import odd_squarefree_range
 from .poly import DensePoly, format_poly
 from .powersums import DiscriminantContext, power_sum_s, quad_in_enclosure, residue_sum_enclosure
 from .ratio import REJECTED, default_sample_points, ratio_table
@@ -109,91 +114,64 @@ def _compute_text(pair: KraitchikPair) -> str:
 
 
 # ---------------------------------------------------------------------------
-# verify suites
+# verify suites: each returns its rows, (case label, verdict, note)
 
-@dataclass
-class SuiteOutcome:
-    rows: list[tuple[str, str, str]] = field(default_factory=list)  # (label, verdict, note)
-    verified: int = 0
-    falsified: int = 0
-    unresolved: int = 0
-
-    def add(self, label: str, verdict: str, note: str = "") -> None:
-        self.rows.append((label, verdict, note))
-        if verdict == VERIFIED:
-            self.verified += 1
-        elif verdict == UNRESOLVED:
-            self.unresolved += 1
-        else:
-            self.falsified += 1
+Row = tuple[str, str, str]
 
 
-def _suite_identity(d: int, precision_max: int) -> SuiteOutcome:
-    out = SuiteOutcome()
-    rep = verify_identity(psi_xi(d))
+def _suite_identity(pair: KraitchikPair, precision_max: int) -> list[Row]:
+    rep = verify_identity(pair)
     if rep.ok:
-        out.add(f"d={d}", VERIFIED)
-    else:
-        out.add(f"d={d}", FALSIFIED, f"(first mismatch at degree {rep.mismatch_index})")
-    return out
+        return [(f"d={pair.ctx.d}", VERIFIED, "")]
+    return [(f"d={pair.ctx.d}", FALSIFIED, f"(first mismatch at degree {rep.mismatch_index})")]
 
 
-def _suite_symmetry(d: int, precision_max: int) -> SuiteOutcome:
-    out = SuiteOutcome()
-    rep = check_symmetry(psi_xi(d))
+def _suite_symmetry(pair: KraitchikPair, precision_max: int) -> list[Row]:
+    rep = check_symmetry(pair)
     sign = "+1" if rep.b_plus_holds else ("-1" if rep.b_minus_holds else "none")
     note = f"(b-sign {sign}, predicted {rep.b_sign_predicted:+d})"
     if not rep.b_matches_prediction:
         note += " note: b-sign deviates from the stated rule"
     if rep.ok:
-        out.add(f"d={d}", VERIFIED, note)
-    else:
-        out.add(f"d={d}", FALSIFIED, f"(a-rule witness n={rep.a_witness}) {note}")
-    return out
+        return [(f"d={pair.ctx.d}", VERIFIED, note)]
+    return [(f"d={pair.ctx.d}", FALSIFIED, f"(a-rule witness n={rep.a_witness}) {note}")]
 
 
-def _suite_bounds(d: int, precision_max: int) -> SuiteOutcome:
-    out = SuiteOutcome()
-    pair = psi_xi(d)
-    bad = [n for n in range(pair.ctx.dprime + 1) if check_coefficient_bounds(pair, n).verdict != VERIFIED]
+def _suite_bounds(pair: KraitchikPair, precision_max: int) -> list[Row]:
+    dp = pair.ctx.dprime
+    bad = [n for n in range(dp + 1) if check_coefficient_bounds(pair, n).verdict != VERIFIED]
     if bad:
-        out.add(f"d={d}", FALSIFIED, f"(at n={bad})")
-    else:
-        out.add(f"d={d}", VERIFIED, f"(n=0..{pair.ctx.dprime})")
-    return out
+        return [(f"d={pair.ctx.d}", FALSIFIED, f"(at n={bad})")]
+    return [(f"d={pair.ctx.d}", VERIFIED, f"(n=0..{dp})")]
 
 
-def _suite_corollary(d: int, precision_max: int) -> SuiteOutcome:
-    out = SuiteOutcome()
-    pair = psi_xi(d)
-    verdicts = [check_explicit_bound(pair, n, precision_max) for n in range(1, pair.ctx.dprime + 1)]
+def _suite_corollary(pair: KraitchikPair, precision_max: int) -> list[Row]:
+    dp = pair.ctx.dprime
+    verdicts = [check_explicit_bound(pair, n, precision_max) for n in range(1, dp + 1)]
     bad = [r.n for r in verdicts if r.verdict == FALSIFIED]
     open_ = [r.n for r in verdicts if r.verdict == UNRESOLVED]
     disc_bad = [r.n for r in verdicts if r.verdict_disc_radicand != VERIFIED]
     note = f" note: sqrt(D)-variant differs at n={disc_bad}" if disc_bad else ""
     if bad:
-        out.add(f"d={d}", FALSIFIED, f"(at n={bad}){note}")
-    elif open_:
-        out.add(f"d={d}", UNRESOLVED, f"(at n={open_}){note}")
-    else:
-        out.add(f"d={d}", VERIFIED, f"(n=1..{pair.ctx.dprime}){note}")
-    return out
+        return [(f"d={pair.ctx.d}", FALSIFIED, f"(at n={bad}){note}")]
+    if open_:
+        return [(f"d={pair.ctx.d}", UNRESOLVED, f"(at n={open_}){note}")]
+    return [(f"d={pair.ctx.d}", VERIFIED, f"(n=1..{dp}){note}")]
 
 
-def _suite_ratio(d: int, precision_max: int) -> SuiteOutcome:
-    out = SuiteOutcome()
-    pair = psi_xi(d)
-    reports = ratio_table(pair, default_sample_points(pair), precision_max)
-    for rep in reports:
+def _suite_ratio(pair: KraitchikPair, precision_max: int) -> list[Row]:
+    rows = []
+    for rep in ratio_table(pair, default_sample_points(pair), precision_max):
+        label = f"d={pair.ctx.d} x={rep.x}"
         if rep.verdict == REJECTED:
-            out.add(f"d={d} x={rep.x}", FALSIFIED, "(rejected below the gate)")
+            rows.append((label, FALSIFIED, "(rejected below the gate)"))
         else:
-            out.add(f"d={d} x={rep.x}", rep.verdict)
-    return out
+            rows.append((label, rep.verdict, ""))
+    return rows
 
 
-def _suite_gauss_oracle(d: int, precision_max: int) -> SuiteOutcome:
-    out = SuiteOutcome()
+def _suite_gauss_oracle(d: int) -> list[Row]:
+    """Closed-form power sums against mpmath enclosures; needs no pair."""
     ctx = DiscriminantContext.for_modulus(d)
     bad = []
     for k in range(1, d + 1):
@@ -201,22 +179,19 @@ def _suite_gauss_oracle(d: int, precision_max: int) -> SuiteOutcome:
         if box.width() > 1e-9 or not quad_in_enclosure(power_sum_s(ctx, k), box):
             bad.append(k)
     if bad:
-        out.add(f"d={d}", FALSIFIED, f"(at k={bad})")
-    else:
-        out.add(f"d={d}", VERIFIED, f"(k=1..{d})")
-    return out
+        return [(f"d={d}", FALSIFIED, f"(at k={bad})")]
+    return [(f"d={d}", VERIFIED, f"(k=1..{d})")]
 
 
-def _suite_symfunc(mmax: int) -> SuiteOutcome:
-    out = SuiteOutcome()
+def _suite_symfunc(mmax: int) -> list[Row]:
+    rows = []
     for m in range(1, mmax + 1):
         # independent expansion of X(X-1)...(X-m+1)/m!
         expect = DensePoly([Fraction(1)])
         for i in range(m):
             expect = expect * DensePoly([Fraction(-i), Fraction(1)])
         expect = expect * Fraction(1, math.factorial(m))
-        verdict = VERIFIED if pm_polynomial(m) == expect else FALSIFIED
-        out.add(f"m={m}", verdict)
+        rows.append((f"m={m}", VERIFIED if pm_polynomial(m) == expect else FALSIFIED, ""))
     rng = random.Random(20250809)
     mismatches = 0
     for _ in range(50):
@@ -225,26 +200,66 @@ def _suite_symfunc(mmax: int) -> SuiteOutcome:
         for m in range(len(values) + 1):
             if es[m] != elementary_brute(values, m):
                 mismatches += 1
-    verdict = VERIFIED if mismatches == 0 else FALSIFIED
-    out.add("newton-vs-brute", verdict, "(50 random multisets)")
+    rows.append(("newton-vs-brute", VERIFIED if mismatches == 0 else FALSIFIED, "(50 random multisets)"))
+    return rows
+
+
+_PAIR_SUITES = {
+    "identity": _suite_identity,
+    "symmetry": _suite_symmetry,
+    "bounds": _suite_bounds,
+    "corollary": _suite_corollary,
+    "ratio": _suite_ratio,
+}
+
+# the per-modulus suites in output order, with their default largest modulus
+_DEFAULT_DMAX = {"identity": 255, "symmetry": 255, "bounds": 255, "corollary": 255, "ratio": 149, "gauss-oracle": 101}
+
+SUITES = tuple(_DEFAULT_DMAX) + ("symfunc",)
+
+SYMFUNC_DEFAULT_M = 20
+# pm_polynomial(m) enumerates all p(m) partitions; m = 36 already takes seconds
+SYMFUNC_MAX_M = 32
+
+
+def _rows_for_d(d: int, plan: tuple[tuple[str, int], ...], precision_max: int) -> list[list[Row]]:
+    """Each planned (suite, dmax)'s rows for one modulus, none past its dmax; builds the pair at most once."""
+    pair = None
+    out = []
+    for suite, dmax in plan:
+        if d > dmax:
+            out.append([])
+        elif suite == "gauss-oracle":
+            out.append(_suite_gauss_oracle(d))
+        else:
+            if pair is None:
+                pair = psi_xi(d)
+            out.append(_PAIR_SUITES[suite](pair, precision_max))
     return out
 
 
-_PER_D_SUITES = {
-    "identity": (_suite_identity, 255),
-    "symmetry": (_suite_symmetry, 255),
-    "bounds": (_suite_bounds, 255),
-    "corollary": (_suite_corollary, 255),
-    "ratio": (_suite_ratio, 149),
-    "gauss-oracle": (_suite_gauss_oracle, 101),
-}
-
-SUITES = tuple(_PER_D_SUITES) + ("symfunc",)
-
-
-def _run_suite_for_d(d: int, suite: str, precision_max: int) -> SuiteOutcome:
-    fn, _ = _PER_D_SUITES[suite]
-    return fn(d, precision_max)
+def _print_rows(suite: str, rows: list[Row], fmt: str) -> None:
+    """One suite's output; the summary is its last line (json and text)."""
+    verified = sum(verdict == VERIFIED for _, verdict, _ in rows)
+    unresolved = sum(verdict == UNRESOLVED for _, verdict, _ in rows)
+    falsified = len(rows) - verified - unresolved
+    if fmt == "json":
+        for label, verdict, note in rows:
+            obj = {"suite": suite, "case": label, "verdict": verdict}
+            if note:
+                obj["note"] = note
+            print(json.dumps(obj, separators=(",", ":")))
+        summary = {"suite": suite, "verified": verified, "falsified": falsified, "unresolved": unresolved}
+        print(json.dumps(summary, separators=(",", ":")))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(["suite", "case", "verdict", "note"])
+        for label, verdict, note in rows:
+            writer.writerow([suite, label, verdict, note])
+    else:
+        for label, verdict, note in rows:
+            print(f"{suite} {label} {verdict}" + (f" {note}" if note else ""))
+        print(f"summary: verified={verified} falsified={falsified} unresolved={unresolved}")
 
 
 # ---------------------------------------------------------------------------
@@ -261,22 +276,13 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _reject_modulus_reason(d: int) -> Optional[str]:
-    if d < 3:
-        return f"invalid d={d}: too small (need d >= 3)"
-    if d % 2 == 0:
-        return f"invalid d={d}: even"
-    if not is_squarefree(d):
-        return f"invalid d={d}: not squarefree"
-    return None
-
-
 def cmd_compute(args) -> int:
-    reason = _reject_modulus_reason(args.d)
-    if reason is not None:
-        print(reason, file=sys.stderr)
+    try:
+        ctx = DiscriminantContext.for_modulus(args.d)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 1
-    pair = psi_xi(args.d)
+    pair = psi_xi(ctx)
     rep = verify_identity(pair)
     if not rep.ok:
         print(f"internal error: identity fails at d={args.d}", file=sys.stderr)
@@ -303,66 +309,48 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Run one suite; raises ArgumentTypeError for input it cannot use or that checks nothing."""
-    suite = args.suite
+    """Run one suite or all of them, building each pair at most once.
+
+    Raises ArgumentTypeError for input it cannot use or that checks nothing.
+    """
     if args.jobs < 1:
         raise argparse.ArgumentTypeError(f"--jobs must be at least 1, got {args.jobs}")
     try:
-        precision_max = args.precision_max if args.precision_max else default_max_precision()
+        if args.precision_max is None:
+            precision_max = default_max_precision()
+        else:
+            precision_max = checked_precision(args.precision_max, "--precision-max")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    total = SuiteOutcome()
-    if suite == "symfunc":
-        outcomes = [_suite_symfunc(args.dmax or 20)]
+    if args.suite == "symfunc":
+        mmax = SYMFUNC_DEFAULT_M if args.dmax is None else args.dmax
+        if not 1 <= mmax <= SYMFUNC_MAX_M:
+            raise argparse.ArgumentTypeError(f"--dmax for symfunc must be in 1..{SYMFUNC_MAX_M}, got {mmax}")
+        results = [("symfunc", _suite_symfunc(mmax))]
     else:
-        fn, default_dmax = _PER_D_SUITES[suite]
-        dmax = args.dmax or default_dmax
+        suites = tuple(_DEFAULT_DMAX) if args.suite == "all" else (args.suite,)
+        plan = tuple((s, _DEFAULT_DMAX[s] if args.dmax is None else args.dmax) for s in suites)
+        dmax = max(dmax for _, dmax in plan)
         ds = odd_squarefree_range(5, dmax)
         if not ds:
             raise argparse.ArgumentTypeError(f"--dmax {dmax} leaves no odd squarefree modulus >= 5 to check")
+        worker = partial(_rows_for_d, plan=plan, precision_max=precision_max)
         # never more workers than cores or moduli: fork starts all of them at once
         jobs = min(args.jobs, os.cpu_count() or 1, len(ds))
         if jobs > 1:
-            worker = partial(_run_suite_for_d, suite=suite, precision_max=precision_max)
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(worker, ds))
+                by_d = list(pool.map(worker, ds))
         else:
-            outcomes = [fn(d, precision_max) for d in ds]
-    for o in outcomes:
-        total.rows.extend(o.rows)
-        total.verified += o.verified
-        total.falsified += o.falsified
-        total.unresolved += o.unresolved
-    summary = {
-        "suite": suite,
-        "verified": total.verified,
-        "falsified": total.falsified,
-        "unresolved": total.unresolved,
-    }
-    if args.format == "json":
-        for label, verdict, note in total.rows:
-            obj = {"suite": suite, "case": label, "verdict": verdict}
-            if note:
-                obj["note"] = note
-            print(json.dumps(obj, separators=(",", ":")))
-        print(json.dumps(summary, separators=(",", ":")))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["suite", "case", "verdict", "note"])
-        for label, verdict, note in total.rows:
-            writer.writerow([suite, label, verdict, note])
-    else:
-        for label, verdict, note in total.rows:
-            print(f"{suite} {label} {verdict}" + (f" {note}" if note else ""))
-        print(
-            f"summary: verified={total.verified} falsified={total.falsified} "
-            f"unresolved={total.unresolved}"
-        )
-    if total.falsified:
+            by_d = [worker(d) for d in ds]
+        results = [(s, [row for rows in by_d for row in rows[i]]) for i, (s, _) in enumerate(plan)]
+        if args.suite == "all":
+            results.append(("symfunc", _suite_symfunc(SYMFUNC_DEFAULT_M)))
+    for suite, rows in results:
+        _print_rows(suite, rows, args.format)
+    verdicts = [verdict for _, rows in results for _, verdict, _ in rows]
+    if any(v not in (VERIFIED, UNRESOLVED) for v in verdicts):
         return 1
-    if total.unresolved:
-        return 2
-    return 0
+    return 2 if UNRESOLVED in verdicts else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,19 +370,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_table.set_defaults(fn=cmd_table)
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=SUITES)
+    p_verify = sub.add_parser("verify", help="run a verification suite, or all of them")
+    p_verify.add_argument("suite", choices=SUITES + ("all",))
     p_verify.add_argument(
         "--dmax",
         type=int,
         default=None,
-        help="largest modulus to check (for symfunc: largest collapse degree, default 20)",
+        help=(
+            "largest modulus to check (for symfunc: largest collapse degree, "
+            f"1..{SYMFUNC_MAX_M}, default {SYMFUNC_DEFAULT_M}; under all, symfunc keeps its default)"
+        ),
     )
     p_verify.add_argument(
         "--precision-max",
         type=int,
         default=None,
-        help=f"interval precision ceiling in bits (default: ${PRECISION_ENV_VAR} or 4096)",
+        help=f"interval precision ceiling in bits, at least 16 (default: ${PRECISION_ENV_VAR} or 4096)",
     )
     p_verify.add_argument("--jobs", type=int, default=1, help="worker processes (at most one per core and modulus)")
     p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text")

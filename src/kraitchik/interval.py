@@ -33,6 +33,13 @@ class IntervalDomainError(ValueError):
     interval, log of a nonpositive interval, and so on)."""
 
 
+def checked_precision(value: int, name: str) -> int:
+    """``value`` as a precision ceiling; ValueError naming its source ``name`` below 16 bits."""
+    if value < 16:
+        raise ValueError(f"{name} too small: {value}")
+    return value
+
+
 def default_max_precision() -> int:
     raw = os.environ.get(PRECISION_ENV_VAR)
     if raw is None:
@@ -41,9 +48,7 @@ def default_max_precision() -> int:
         value = int(raw)
     except ValueError:
         raise ValueError(f"{PRECISION_ENV_VAR} must be an integer, got {raw!r}") from None
-    if value < 16:
-        raise ValueError(f"{PRECISION_ENV_VAR} too small: {value}")
-    return value
+    return checked_precision(value, PRECISION_ENV_VAR)
 
 
 @dataclass(frozen=True)

@@ -39,11 +39,11 @@ class DiscriminantContext:
     @classmethod
     def for_modulus(cls, d: int) -> "DiscriminantContext":
         if d < 3:
-            raise ValueError(f"modulus too small: {d} (need odd squarefree d >= 3)")
+            raise ValueError(f"invalid d={d}: too small (need d >= 3)")
         if d % 2 == 0:
-            raise ValueError(f"modulus is even: {d}")
+            raise ValueError(f"invalid d={d}: even")
         if not is_squarefree(d):
-            raise ValueError(f"modulus is not squarefree: {d}")
+            raise ValueError(f"invalid d={d}: not squarefree")
         D = d if d % 4 == 1 else -d
         return cls(d, D, euler_phi(d) // 2)
 

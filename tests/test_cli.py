@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from kraitchik.cli import main, parse_row, row_dict, row_json
+import kraitchik.cli as cli
+from kraitchik.cli import SUITES, main, parse_row, row_dict, row_json
 from kraitchik.numtheory import odd_squarefree_range
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden" / "table_5_13.txt"
@@ -43,7 +44,7 @@ def test_compute_json(capsys):
 def test_compute_rejects_invalid(capsys, d, diag):
     code, out, err = run(capsys, "compute", d)
     assert code == 1
-    assert diag in err
+    assert err.startswith(f"invalid d={d}: {diag}")
     assert out == ""
 
 
@@ -222,8 +223,6 @@ class RecordingPool:
     ],
 )
 def test_verify_jobs_capped_at_cores_and_moduli(capsys, monkeypatch, dmax, cores, want):
-    import kraitchik.cli as cli
-
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
     monkeypatch.setattr(RecordingPool, "sizes", [])
@@ -232,3 +231,75 @@ def test_verify_jobs_capped_at_cores_and_moduli(capsys, monkeypatch, dmax, cores
     assert RecordingPool.sizes == want
     ds = [int(l.split()[1].split("=")[1]) for l in out.splitlines() if l.startswith("identity")]
     assert ds == odd_squarefree_range(5, int(dmax))
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("identity", "--dmax", "0"), "--dmax 0"),
+        (("all", "--dmax", "3"), "--dmax 3"),
+        (("corollary", "--dmax", "7", "--precision-max", "0"), "--precision-max"),
+        (("corollary", "--dmax", "7", "--precision-max", "-5"), "--precision-max"),
+        (("symfunc", "--dmax", "0"), "--dmax"),
+    ],
+)
+def test_verify_out_of_range_flags_are_usage_errors(capsys, argv, flag):
+    code, out, err = run_usage_error(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert flag in err and "Traceback" not in err
+
+
+def test_verify_symfunc_degree_is_capped(capsys, monkeypatch):
+    # p(m) partitions per degree: the cap must refuse before any is enumerated
+    def refuse(m):
+        raise AssertionError(f"pm_polynomial({m}) called")
+
+    monkeypatch.setattr(cli, "pm_polynomial", refuse)
+    code, out, err = run_usage_error(capsys, "verify", "symfunc", "--dmax", "33")
+    assert code == 2
+    assert out == ""
+    assert "--dmax" in err and "32" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_all_is_the_single_suites_joined(capsys, fmt):
+    code, out, err = run(capsys, "verify", "all", "--dmax", "35", "--format", fmt)
+    assert code == 1  # ratio d=7 x=100
+    assert err == ""
+    singles = [run(capsys, "verify", suite, "--dmax", "35", "--format", fmt)[1] for suite in SUITES[:-1]]
+    singles.append(run(capsys, "verify", "symfunc", "--format", fmt)[1])  # --dmax bounds moduli, not m
+    assert out == "".join(singles)
+
+
+def test_verify_all_builds_each_pair_once(capsys, monkeypatch):
+    built = []
+    psi_xi = cli.psi_xi
+
+    def counting_psi_xi(d):
+        built.append(d)
+        return psi_xi(d)
+
+    monkeypatch.setattr(cli, "psi_xi", counting_psi_xi)
+    run(capsys, "verify", "all", "--dmax", "21")
+    assert built == odd_squarefree_range(5, 21)
+    built.clear()
+    code, _, _ = run(capsys, "verify", "gauss-oracle", "--dmax", "21")
+    assert code == 0
+    assert built == []
+
+
+def test_verify_all_jobs_print_the_same_bytes(capsys, monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    serial = run(capsys, "verify", "all", "--dmax", "21", "--jobs", "1")
+    assert run(capsys, "verify", "all", "--dmax", "21", "--jobs", "2") == serial
+
+
+def test_verify_all_falsified_outranks_unresolved(capsys, monkeypatch):
+    # a 32-bit ceiling leaves corollary unresolved; one falsified row must still give exit 1
+    code, out, _ = run(capsys, "verify", "all", "--dmax", "5", "--precision-max", "32")
+    assert code == 2 and "falsified=1" not in out
+    monkeypatch.setitem(cli._PAIR_SUITES, "identity", lambda pair, precision_max: [("d=5", "falsified", "")])
+    code, out, _ = run(capsys, "verify", "all", "--dmax", "5", "--precision-max", "32")
+    assert code == 1
+    assert "identity d=5 falsified" in out and "corollary d=5 unresolved" in out
