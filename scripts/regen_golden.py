@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Regenerate the golden text table for the byte-exact CLI test.
 
-Refuses to overwrite unless the freshly computed rows still match the
-classical coefficient lists, so a construction regression cannot silently
-rewrite the reference.
+Refuses to overwrite unless every freshly computed row passes
+``verify_identity`` and still matches the classical coefficient lists, so a
+construction regression cannot silently rewrite the reference.
 """
 
 import sys
 from pathlib import Path
 
 from kraitchik.cli import _table_text
-from kraitchik.construct import psi_xi
+from kraitchik.construct import psi_xi, verify_identity
 
 CLASSICAL = {
     5: ([2, 1, 2], [1, 0]),
@@ -24,6 +24,9 @@ def main() -> int:
     pairs = []
     for d, (a, b) in CLASSICAL.items():
         pair = psi_xi(d)
+        if not verify_identity(pair).ok:
+            print(f"refusing: identity 4*Phi_d = Psi_d^2 - D*Xi_d^2 fails at d={d}", file=sys.stderr)
+            return 1
         if list(pair.a) != a or list(pair.b) != b:
             print(f"refusing: computed row for d={d} deviates from the classical table", file=sys.stderr)
             return 1

@@ -13,7 +13,8 @@ nothing or cannot be read (an empty modulus range, ``--jobs`` below 1, a
 precision ceiling below 16 bits, a malformed ``$KRAITCHIK_PRECISION_MAX``) is
 an argparse usage error: a message on stderr, nothing on stdout, exit code 2.
 ``compute`` rejects invalid moduli with a diagnostic naming the violated
-condition and exit code 1.
+condition and exit code 1; ``compute`` and ``table`` take moduli up to
+``MAX_MODULUS`` only, and print no row that fails ``verify_identity``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ from .symfunc import (
 )
 
 DEFAULT_TABLE_RANGE_NOTE = "range syntax is lo..hi, e.g. 5..149"
+
+# largest modulus compute/table accept: compute 6997 (prime, d' = 3498) takes
+# about 8 s on a 2-core host, most of it in verify_identity
+MAX_MODULUS = 7000
 
 
 # ---------------------------------------------------------------------------
@@ -273,19 +278,31 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"bad range {text!r}; {DEFAULT_TABLE_RANGE_NOTE}") from exc
     if lo < 3 or hi < lo:
         raise argparse.ArgumentTypeError(f"range bounds must satisfy 3 <= lo <= hi, got {text!r}")
+    if hi > MAX_MODULUS:
+        raise argparse.ArgumentTypeError(f"range bound {hi} is too large (need hi <= {MAX_MODULUS})")
     return lo, hi
 
 
+def _gated_pair(d_or_ctx: int | DiscriminantContext) -> KraitchikPair | None:
+    """The pair for one modulus, or None (with a diagnostic) if the identity fails."""
+    pair = psi_xi(d_or_ctx)
+    if verify_identity(pair).ok:
+        return pair
+    print(f"internal error: identity fails at d={pair.d}", file=sys.stderr)
+    return None
+
+
 def cmd_compute(args) -> int:
+    if args.d > MAX_MODULUS:
+        print(f"invalid d={args.d}: too large (need d <= {MAX_MODULUS})", file=sys.stderr)
+        return 1
     try:
         ctx = DiscriminantContext.for_modulus(args.d)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 1
-    pair = psi_xi(ctx)
-    rep = verify_identity(pair)
-    if not rep.ok:
-        print(f"internal error: identity fails at d={args.d}", file=sys.stderr)
+    pair = _gated_pair(ctx)
+    if pair is None:
         return 1
     if args.format == "json":
         print(row_json(pair))
@@ -296,8 +313,12 @@ def cmd_compute(args) -> int:
 
 def cmd_table(args) -> int:
     lo, hi = args.range
-    ds = odd_squarefree_range(max(lo, 3), hi)
-    pairs = [psi_xi(d) for d in ds]
+    pairs = []
+    for d in odd_squarefree_range(max(lo, 3), hi):
+        pair = _gated_pair(d)
+        if pair is None:
+            return 1
+        pairs.append(pair)
     if args.format == "json":
         for p in pairs:
             print(row_json(p))

@@ -3,24 +3,36 @@
 The half polynomials U+ and U- split the primitive d-th roots of unity by
 quadratic character.  Their coefficients u_{d,n} = (-1)^n e_n come straight
 from the Girard-Newton recursion fed with the closed-form power sums, so no
-root of unity is ever constructed here; then
+root of unity is ever constructed here.  ``psi_xi`` runs the recursion on
+integers only: the doubled power sums sigma_j = 2*s_{d,j} and the doubled
+elementary values E_m = 2*e_m are integer pairs (A, B) meaning A + B*sqrt(D),
+E_0 = (2, 0), and
 
-    a_{d,n} = u + conj(u)   (an integer),
-    b_{d,n} = -2 * (surd part of u)   (an integer),
+    2m * E_m = sum_{j=1..m} (-1)^(j-1) E_{m-j} * sigma_j,
 
-assemble Psi_d and Xi_d.  ``cyclotomic`` provides the independent Mobius
-product oracle against which ``verify_identity`` checks the pair exactly.
+with (a, b)*(p, q) = (a*p + b*q*D, a*q + b*p).  Each step ends with an exact
+division by 2m; a remainder raises ArithmeticError.  Then
+
+    a_{d,n} = u + conj(u) = (-1)^n A_n          (an integer),
+    b_{d,n} = -2 * (surd part of u) = (-1)^(n+1) B_n   (an integer),
+
+assemble Psi_d and Xi_d.  ``u_coefficients`` is the slow exact path over
+Fraction and QuadElem that the tests compare against.  ``cyclotomic``
+provides the independent Mobius product oracle against which
+``verify_identity`` checks the pair exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from operator import mul
+from typing import Optional, Sequence
 
 from .numtheory import divisors, is_prime, mobius
 from .poly import DensePoly
-from .powersums import DiscriminantContext, power_sum_s
+from .powersums import DiscriminantContext, power_sum_doubled, power_sum_s
 from .qfield import QuadElem
 from .symfunc import newton_elementary
 
@@ -35,7 +47,6 @@ class KraitchikPair:
     """
 
     ctx: DiscriminantContext
-    u: tuple[QuadElem, ...]
     a: tuple[int, ...]
     b: tuple[int, ...]
     psi: DensePoly
@@ -45,22 +56,47 @@ class KraitchikPair:
     def d(self) -> int:
         return self.ctx.d
 
+    @cached_property
+    def u(self) -> tuple[QuadElem, ...]:
+        """u_{d,0..d'} = a_{d,n}/2 - (b_{d,n}/2)*sqrt(D), derived from a and b."""
+        return tuple(
+            QuadElem(Fraction(self.a[n], 2), Fraction(-self.b_coeff(n), 2), self.ctx.D)
+            for n in range(len(self.a))
+        )
+
     def b_coeff(self, n: int) -> int:
         """b_{d,n} with the convention b_{d,0} = 0."""
         return 0 if n == 0 else self.b[n - 1]
 
 
 def u_coefficients(ctx: DiscriminantContext) -> tuple[QuadElem, ...]:
-    """u_{d,0..d'}: signed elementary symmetric values of the residue roots."""
+    """u_{d,0..d'}: signed elementary symmetric values of the residue roots.
+
+    The slow exact path over Fraction and QuadElem; tests compare ``psi_xi``
+    against it.
+    """
     sums = [power_sum_s(ctx, j) for j in range(1, ctx.dprime + 1)]
     es = newton_elementary(sums)
     return tuple(e if n % 2 == 0 else -e for n, e in enumerate(es))
 
 
-def _as_integer(q: Fraction, what: str, d: int) -> int:
-    if q.denominator != 1:
-        raise ArithmeticError(f"integrality failure for {what} at d={d}: {q}")
-    return q.numerator
+def _pair_dot(
+    xa: Sequence[int], xb: Sequence[int], ya: Sequence[int], yb: Sequence[int], D: int
+) -> tuple[int, int]:
+    """sum_i (xa_i + xb_i*sqrt(D)) * (ya_i + yb_i*sqrt(D)) as an integer pair."""
+    return (
+        sum(map(mul, xa, ya)) + D * sum(map(mul, xb, yb)),
+        sum(map(mul, xa, yb)) + sum(map(mul, xb, ya)),
+    )
+
+
+def _exact_quotient(pair: tuple[int, int], k: int, what: str) -> tuple[int, int]:
+    """pair / k, raising ArithmeticError unless k divides both parts."""
+    qa, ra = divmod(pair[0], k)
+    qb, rb = divmod(pair[1], k)
+    if ra or rb:
+        raise ArithmeticError(f"integrality failure for {what}: {pair} is not divisible by {k}")
+    return qa, qb
 
 
 def psi_xi(d_or_ctx: int | DiscriminantContext) -> KraitchikPair:
@@ -70,17 +106,27 @@ def psi_xi(d_or_ctx: int | DiscriminantContext) -> KraitchikPair:
         if isinstance(d_or_ctx, DiscriminantContext)
         else DiscriminantContext.for_modulus(d_or_ctx)
     )
-    u = u_coefficients(ctx)
-    a = tuple(
-        _as_integer(2 * un.a, f"a_{n}", ctx.d) for n, un in enumerate(u)
-    )
-    b = tuple(
-        _as_integer(-2 * un.b, f"b_{n}", ctx.d) for n, un in enumerate(u) if n >= 1
-    )
     dp = ctx.dprime
+    # sigma_j with the Newton sign (-1)^(j-1) folded in, j = 1..d'
+    sig_a, sig_b = [], []
+    for j in range(1, dp + 1):
+        p, q = power_sum_doubled(ctx, j)
+        sign = 1 if j % 2 else -1
+        sig_a.append(sign * p)
+        sig_b.append(sign * q)
+    # E_0..E_m as the parts A and B of A + B*sqrt(D)
+    ea, eb = [2], [0]
+    for m in range(1, dp + 1):
+        # E_{m-j} meets sigma_j: pair E_0..E_{m-1} with sigma_m..sigma_1
+        total = _pair_dot(ea, eb, sig_a[m - 1 :: -1], sig_b[m - 1 :: -1], ctx.D)
+        qa, qb = _exact_quotient(total, 2 * m, f"2*e_{m} at d={ctx.d}")
+        ea.append(qa)
+        eb.append(qb)
+    a = tuple(v if n % 2 == 0 else -v for n, v in enumerate(ea))
+    b = tuple(v if n % 2 else -v for n, v in enumerate(eb) if n >= 1)
     psi = DensePoly([a[dp - j] for j in range(dp + 1)])
     xi = DensePoly([b[dp - 1 - j] for j in range(dp)])
-    return KraitchikPair(ctx, u, a, b, psi, xi)
+    return KraitchikPair(ctx, a, b, psi, xi)
 
 
 def half_polys(pair: KraitchikPair) -> tuple[DensePoly, DensePoly]:

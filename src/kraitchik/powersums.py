@@ -7,10 +7,11 @@ zeta_d^{ka} over the residues a with (a/d) = 1 has the closed form
     (mu(d) + (k/d) sqrt(D)) / 2        when gcd(k, d) = 1,
     mu(d/f) phi(f) / 2                 when gcd(k, d) = f > 1,
 
-which the construction consumes exactly.  The numeric side computes validated
-complex enclosures of the same sums (and of the character-weighted Gauss
-sums) with mpmath's interval arithmetic; it exists purely so tests can check
-the closed forms against something independent.
+which the construction consumes exactly, doubled to the integer pair
+(p, q) meaning p + q sqrt(D) (``power_sum_doubled``).  The numeric side
+computes validated complex enclosures of the same sums (and of the
+character-weighted Gauss sums) with mpmath's interval arithmetic; it exists
+purely so tests can check the closed forms against something independent.
 """
 
 from __future__ import annotations
@@ -48,15 +49,21 @@ class DiscriminantContext:
         return cls(d, D, euler_phi(d) // 2)
 
 
-def power_sum_s(ctx: DiscriminantContext, k: int) -> QuadElem:
-    """Closed-form s_{d,k}, an element of Q(sqrt(D)) (rational when gcd > 1)."""
+def power_sum_doubled(ctx: DiscriminantContext, k: int) -> tuple[int, int]:
+    """2*s_{d,k} as the integer pair (p, q) meaning p + q*sqrt(D)."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     k %= ctx.d
     f = math.gcd(k, ctx.d) if k else ctx.d
     if f == 1:
-        return QuadElem(Fraction(mobius(ctx.d), 2), Fraction(jacobi(k, ctx.d), 2), ctx.D)
-    return QuadElem.rational(Fraction(mobius(ctx.d // f) * euler_phi(f), 2), ctx.D)
+        return mobius(ctx.d), jacobi(k, ctx.d)
+    return mobius(ctx.d // f) * euler_phi(f), 0
+
+
+def power_sum_s(ctx: DiscriminantContext, k: int) -> QuadElem:
+    """Closed-form s_{d,k}, an element of Q(sqrt(D)) (rational when gcd > 1)."""
+    p, q = power_sum_doubled(ctx, k)
+    return QuadElem(Fraction(p, 2), Fraction(q, 2), ctx.D)
 
 
 def ramanujan_h(d: int, k: int) -> int:

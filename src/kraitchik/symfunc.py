@@ -2,9 +2,10 @@
 weights, and the binomial collapse polynomial.
 
 ``newton_elementary`` is generic over any exact scalar with +, -, * and
-division by a positive integer (Fraction and QuadElem in practice).  The
-partition weights w are the positive rationals expanding the m-th elementary
-symmetric polynomial in power sums,
+division by a positive integer.  The construction runs its own integer-pair
+form of the recursion; this generic one is the exact oracle the tests
+compare it against.  The partition weights w are the positive rationals
+expanding the m-th elementary symmetric polynomial in power sums,
 
     S^(m) = sum over partitions e of m of (-1)^(m-k) * w_e * prod S_{e_i},
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -5,9 +6,11 @@ import pytest
 
 import kraitchik.cli as cli
 from kraitchik.cli import SUITES, main, parse_row, row_dict, row_json
+from kraitchik.construct import IdentityReport
 from kraitchik.numtheory import odd_squarefree_range
 
-GOLDEN = Path(__file__).resolve().parent.parent / "golden" / "table_5_13.txt"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "golden" / "table_5_13.txt"
 
 
 def run(capsys, *argv):
@@ -46,6 +49,53 @@ def test_compute_rejects_invalid(capsys, d, diag):
     assert code == 1
     assert err.startswith(f"invalid d={d}: {diag}")
     assert out == ""
+
+
+def failing_identity(pair):
+    return IdentityReport(pair.d, False, 0)
+
+
+def refuse_to_build(d_or_ctx):
+    raise AssertionError("no pair may be built past the size guard")
+
+
+@pytest.mark.parametrize("argv", [("compute", "5"), ("table", "5..13")])
+def test_rows_are_gated_by_the_identity(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "verify_identity", failing_identity)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "internal error: identity fails at d=5\n"
+
+
+def test_regen_golden_refuses_a_failing_identity(capsys, monkeypatch):
+    spec = importlib.util.spec_from_file_location("regen_golden", ROOT / "scripts" / "regen_golden.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    before = GOLDEN.read_bytes()
+    monkeypatch.setattr(script, "verify_identity", failing_identity)
+    assert script.main() == 1
+    assert "refusing: identity" in capsys.readouterr().err
+    assert GOLDEN.read_bytes() == before
+
+
+@pytest.mark.parametrize("d", [cli.MAX_MODULUS + 1, cli.MAX_MODULUS + 2])
+def test_compute_rejects_moduli_past_the_size_guard(capsys, monkeypatch, d):
+    monkeypatch.setattr(cli, "psi_xi", refuse_to_build)
+    code, out, err = run(capsys, "compute", str(d))
+    assert code == 1
+    assert out == ""
+    assert err == f"invalid d={d}: too large (need d <= {cli.MAX_MODULUS})\n"
+
+
+def test_table_past_the_size_guard_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "psi_xi", refuse_to_build)
+    with pytest.raises(SystemExit) as exc:
+        main(["table", f"5..{cli.MAX_MODULUS + 1}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"need hi <= {cli.MAX_MODULUS}" in captured.err
 
 
 def test_compute_large_modulus(capsys):

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
+import kraitchik.construct as construct
 from kraitchik.construct import (
     check_symmetry,
     cyclotomic,
@@ -11,7 +13,7 @@ from kraitchik.construct import (
     u_coefficients,
     verify_identity,
 )
-from kraitchik.numtheory import is_prime, jacobi, odd_squarefree_range
+from kraitchik.numtheory import is_prime, is_squarefree, jacobi, odd_squarefree_range
 from kraitchik.poly import DensePoly
 from kraitchik.powersums import DiscriminantContext
 from kraitchik.qfield import QuadElem
@@ -60,6 +62,76 @@ def test_u_coefficient_examples():
     assert u13[2] == 2
     u5 = u_coefficients(DiscriminantContext.for_modulus(5))
     assert u5[2] == 1
+
+
+def fraction_path_record(ctx: DiscriminantContext):
+    """a, b, psi and xi rebuilt from u_coefficients, the Fraction/QuadElem
+    Girard-Newton recursion: a_n = 2 * (rational part of u_n) and
+    b_n = -2 * (surd part of u_n)."""
+    u = u_coefficients(ctx)
+    two_a = [2 * un.a for un in u]
+    two_b = [-2 * un.b for un in u[1:]]
+    assert all(v.denominator == 1 for v in two_a + two_b), ctx.d
+    a = [v.numerator for v in two_a]
+    b = [v.numerator for v in two_b]
+    return u, a, b, DensePoly(a[::-1]), DensePoly(b[::-1])
+
+
+def test_integer_construction_matches_the_fraction_path():
+    # every odd squarefree d <= 255, and d = 1155 = 3*5*7*11 (d' = 240, 16 divisors)
+    for d in odd_squarefree_range(3, 255) + [1155]:
+        pair = psi_xi(d)
+        u, a, b, psi, xi = fraction_path_record(pair.ctx)
+        assert list(pair.a) == a, d
+        assert list(pair.b) == b, d
+        assert pair.psi == psi, d
+        assert pair.xi == xi, d
+        assert pair.u == u, d
+
+
+radicands = st.integers(min_value=-300, max_value=300).filter(
+    lambda r: r not in (0, 1) and is_squarefree(abs(r))
+)
+ints = st.integers(min_value=-(10**12), max_value=10**12)
+
+
+@given(st.lists(st.tuples(ints, ints, ints, ints), max_size=6), radicands)
+def test_pair_dot_is_four_times_the_quadelem_products(terms, D):
+    xa, xb, ya, yb = ([t[i] for t in terms] for i in range(4))
+    want = QuadElem.rational(0, D)
+    for a, b, p, q in terms:
+        want += 4 * (QuadElem(F(a, 2), F(b, 2), D) * QuadElem(F(p, 2), F(q, 2), D))
+    assert want.a.denominator == 1 and want.b.denominator == 1
+    assert construct._pair_dot(xa, xb, ya, yb, D) == (want.a.numerator, want.b.numerator)
+
+
+@given(
+    st.integers(min_value=1, max_value=5000),
+    st.tuples(ints, ints),
+    st.tuples(st.integers(min_value=0), st.integers(min_value=0)),
+)
+def test_exact_quotient_refuses_any_remainder(m, quotient, offsets):
+    k = 2 * m
+    ra, rb = offsets[0] % k, offsets[1] % k
+    pair = (quotient[0] * k + ra, quotient[1] * k + rb)
+    if ra or rb:
+        with pytest.raises(ArithmeticError):
+            construct._exact_quotient(pair, k, "2*e_m")
+    else:
+        assert construct._exact_quotient(pair, k, "2*e_m") == quotient
+
+
+def test_planted_remainder_raises(monkeypatch):
+    # sigma_2 + (1, 0) leaves 4*E_2 off by 2 mod 4: the step must refuse, not floor
+    doubled = construct.power_sum_doubled
+
+    def planted(ctx, k):
+        p, q = doubled(ctx, k)
+        return (p + 1, q) if k == 2 else (p, q)
+
+    monkeypatch.setattr(construct, "power_sum_doubled", planted)
+    with pytest.raises(ArithmeticError, match="2\\*e_2 at d=7"):
+        psi_xi(7)
 
 
 def test_leading_coefficients_across_range(pairs_255):
