@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Write a BENCH_<n>.json entry: the benchmark on a parent commit against the working tree.
+
+    python3 scripts/bench.py --parent HEAD --out BENCH_6.json
+
+The parent is unpacked with ``git archive`` into a temporary directory, so
+each side runs its own ``perfbench/run.py`` (at its own default run length)
+on its own sources.  For each workload of ``BENCHMARK.json`` the two sides run
+in ten pairs with the same seed (pair i uses seed i + 1), alternating which
+side goes first, so that drift in the host's speed falls on both.  The entry
+records, per workload and end-to-end metric, each side's runs with their
+median and quartiles and the number of pairs in which the change was better;
+per side it records the tier-1 wall time and the line count of ``src/``, and
+for the working tree its HEAD and its uncommitted paths (``git status
+--porcelain``), so the entry can be traced to the code it measured.  Both
+sides must carry the same ``BENCHMARK.json``.  Tracing is not run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10  # the fewest pairs a claimed gain is judged on
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+
+
+def unpack(rev: str, dest: Path) -> None:
+    """The committed tree of ``rev`` written into ``dest``."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+
+
+def src_lines(tree: Path) -> int:
+    return sum(f.read_bytes().count(b"\n") for f in (tree / "src").rglob("*.py"))
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout
+
+
+def working_tree_state() -> dict:
+    """HEAD of the working tree and its uncommitted paths, one ``git status --porcelain`` line each."""
+    return {"rev": git("rev-parse", "HEAD").strip(), "uncommitted": git("status", "--porcelain").splitlines()}
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict:
+    """The final JSON object of one untraced ``perfbench/run.py`` run in ``tree``."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def tier1(tree: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": round(time.perf_counter() - start, 2), "summary": lines[-1] if lines else "", "exit": proc.returncode}
+
+
+def summarize(values: list[float]) -> dict:
+    """Median and quartiles (inclusive method) of one side's runs."""
+    xs = sorted(values)
+    if len(xs) == 1:
+        q1 = med = q3 = xs[0]
+    else:
+        q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3, "runs": list(values)}
+
+
+def aggregate(parent_runs: list[dict], change_runs: list[dict], end_to_end: list[dict]) -> dict:
+    """One workload's entry from paired run results (parent_runs[i] pairs with change_runs[i])."""
+    metrics = {}
+    for spec in end_to_end:
+        name, sign = spec["name"], (1 if spec["better"] == "lower" else -1)
+        before = [r["metrics"][name]["value"] for r in parent_runs]
+        after = [r["metrics"][name]["value"] for r in change_runs]
+        p, c = summarize(before), summarize(after)
+        metrics[name] = {
+            "unit": spec["unit"],
+            "better": spec["better"],
+            "bound": spec["bound"],
+            "parent": p,
+            "change": c,
+            "change_over_parent": c["median"] / p["median"] if p["median"] else None,
+            "change_better_pairs": sum(sign * (a - b) < 0 for b, a in zip(before, after)),
+            "pairs": len(before),
+        }
+    return {
+        "failed": {"parent": [r["failed"] for r in parent_runs], "change": [r["failed"] for r in change_runs]},
+        "metrics": metrics,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--parent", default="HEAD", help="git revision to compare against (default HEAD)")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    change_state = working_tree_state()
+
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent = Path(tmp)
+        unpack(args.parent, parent)
+        if json.loads((parent / "BENCHMARK.json").read_text()) != spec:
+            parser.error(f"BENCHMARK.json differs between {args.parent} and the working tree")
+        sides = {"parent": parent, "change": ROOT}
+        workloads = {}
+        for workload in (w["name"] for w in spec["workloads"]):
+            runs = {"parent": [], "change": []}
+            for i in range(PAIRS):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in order:
+                    runs[side].append(run_once(sides[side], workload, i + 1))
+                print(f"{workload}: pair {i + 1}/{PAIRS} done", file=sys.stderr)
+            workloads[workload] = aggregate(runs["parent"], runs["change"], spec["end_to_end"])
+        trees = {side: {"src_lines": src_lines(tree), "tier1": tier1(tree)} for side, tree in sides.items()}
+
+    entry = {
+        "parent_rev": git("rev-parse", args.parent).strip(),
+        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(), "platform": platform.platform()},
+        "pairs": PAIRS,
+        "parent": trees["parent"],
+        "change": {**change_state, **trees["change"]},
+        "src_lines_delta": trees["change"]["src_lines"] - trees["parent"]["src_lines"],
+        "workloads": workloads,
+    }
+    args.out.write_text(json.dumps(entry, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -6,12 +6,17 @@ phi(f)/2 over the divisors 1 < f <= n of d together with a surd floor:
 L1 bound.  The rising-factorial expression 2*B(B+1)...(B+n-1)/n! built on
 that base dominates the coefficients.
 
-``check_coefficient_bounds`` verifies both inequalities entirely by exact
-field arithmetic (no intervals), which is what lets the tight n = 0 equality
-pass without an equality-resolution dance.  ``check_explicit_bound`` checks
-the strict three-way closed-form bound; its right side mixes e, pi and
-irrational exponents, so it runs on validated intervals with a doubling
-precision ladder and reports ``unresolved`` if the ceiling is hit.
+Every base is a ``QuadElem`` (p + q*sqrt(r))/2 with integers p, q: a
+half-integer phi(f)/2 has q = 0 and keeps the floor's radicand.
+``rising_factorial_bound`` returns the bound as integers (P, Q, K) meaning
+(P + Q*sqrt(r))/K, and ``check_coefficient_bounds`` decides each inequality
+by one integer ``cmp_surd`` (no intervals, no Fractions), which is what lets
+the tight n = 0 equality pass without an equality-resolution dance.
+
+``check_explicit_bound`` checks the strict three-way closed-form bound; its
+right side mixes e, pi and irrational exponents, so it runs on validated
+intervals with a doubling precision ladder and reports ``unresolved`` if the
+ceiling is hit.
 """
 
 from __future__ import annotations
@@ -44,80 +49,88 @@ from .interval import (  # verdict constants re-exported: cli and perfbench read
 )
 from .numtheory import divisors, euler_phi, squarefree_decompose
 from .powersums import DiscriminantContext
-from .qfield import QuadElem, abs_real, cmp_real, cmp_surd
+from .qfield import QuadElem, RadicandMismatch, cmp_surd
 
 
-@dataclass(frozen=True)
-class BoundValue:
-    """Exact growth base: either a half-integer or a positive real surd."""
-
-    value: Fraction | QuadElem
-
-    @property
-    def kind(self) -> str:
-        return "half-integer" if isinstance(self.value, Fraction) else "surd"
-
-    def cmp_rational(self, q: Fraction | int) -> int:
-        if isinstance(self.value, Fraction):
-            v = self.value
-            return 0 if v == q else (1 if v > q else -1)
-        return cmp_surd(self.value.a, self.value.b, self.value.r, q)
-
-    def interval(self, prec: int) -> DyadicInterval:
-        if isinstance(self.value, Fraction):
-            return iv_from_rat(self.value, prec)
-        return iv_from_surd(self.value.a, self.value.b, self.value.r, prec)
-
-
-def _surd_value(x: Fraction, y: Fraction, radicand: int) -> Fraction | QuadElem:
-    """x + y*sqrt(radicand) with the square part of the radicand pulled out."""
+def _surd_base(p: int, q: int, radicand: int, field: int) -> QuadElem:
+    """(p + q*sqrt(radicand))/2 with the square part pulled out; a rational one stays in Q(sqrt(field))."""
     s, r = squarefree_decompose(radicand)
     if r == 1:
-        return x + y * s
-    return QuadElem(x, y * s, r)
+        return QuadElem(Fraction(p + q * s, 2), 0, field)
+    return QuadElem(Fraction(p, 2), Fraction(q * s, 2), r)
 
 
-def _growth_base(ctx: DiscriminantContext, n: int, floor_value: Fraction | QuadElem) -> BoundValue:
-    best = BoundValue(floor_value)
+def _growth_base(ctx: DiscriminantContext, n: int, floor_value: QuadElem) -> QuadElem:
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    best = floor_value
     for f in divisors(ctx.d):
         if 1 < f <= n:
             cand = Fraction(euler_phi(f), 2)
-            if best.cmp_rational(cand) < 0:
-                best = BoundValue(cand)
+            if cmp_surd(best.a, best.b, best.r, cand) < 0:
+                best = QuadElem(cand, 0, best.r)
     return best
 
 
-def abs_bound_base(ctx: DiscriminantContext, n: int) -> BoundValue:
+def abs_bound_base(ctx: DiscriminantContext, n: int) -> QuadElem:
     """Base for the |a + b*sqrt(D)| bound; the surd floor is |1 + sqrt(D)|/2.
 
     The divisor candidates are those 1 < f <= n, so the base is defined for
     any n >= 0 even though the inequality checks only use n <= d'.
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
     if ctx.D > 0:
-        floor_value = _surd_value(Fraction(1, 2), Fraction(1, 2), ctx.d)
+        floor_value = _surd_base(1, 1, ctx.d, ctx.d)
     else:
         # |1 + i*sqrt(d)|/2 = sqrt(1 + d)/2
-        floor_value = _surd_value(Fraction(0), Fraction(1, 2), 1 + ctx.d)
+        floor_value = _surd_base(0, 1, 1 + ctx.d, ctx.d)
     return _growth_base(ctx, n, floor_value)
 
 
-def l1_bound_base(ctx: DiscriminantContext, n: int) -> BoundValue:
+def l1_bound_base(ctx: DiscriminantContext, n: int) -> QuadElem:
     """Base for the L1-norm bound; the surd floor is (1 + sqrt(d))/2."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    return _growth_base(ctx, n, _surd_value(Fraction(1, 2), Fraction(1, 2), ctx.d))
+    return _growth_base(ctx, n, _surd_base(1, 1, ctx.d, ctx.d))
 
 
-def rising_factorial_bound(base: BoundValue, n: int) -> Fraction | QuadElem:
-    """2 * B(B+1)...(B+n-1) / n!, exact in B's field; n = 0 gives 2."""
+def doubled_parts(base: QuadElem) -> tuple[int, int]:
+    """The integers (p, q) of a growth base (p + q*sqrt(r))/2."""
+    p, q = 2 * base.a, 2 * base.b
+    if p.denominator != 1 or q.denominator != 1:
+        raise ValueError(f"growth base must be (p + q*sqrt(r))/2 with integer p, q, got {base}")
+    return p.numerator, q.numerator
+
+
+def rising_factorial_bound(base: QuadElem, n: int) -> tuple[int, int, int]:
+    """2 * B(B+1)...(B+n-1) / n! as integers (P, Q, K) meaning (P + Q*sqrt(r))/K.
+
+    With B = (p + q*sqrt(r))/2, each factor B + i is the pair (p + 2i, q)
+    over 2, so K = 2^n * n!; n = 0 gives (2, 0, 1).
+    """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    prod: Fraction | QuadElem = Fraction(2)
+    p, q = doubled_parts(base)
+    r = base.r
+    P, Q = 2, 0
     for i in range(n):
-        prod = prod * (base.value + i)
-    return prod / math.factorial(n)
+        u = p + 2 * i
+        P, Q = P * u + Q * q * r, P * q + Q * u
+    return P, Q, math.factorial(n) << n
+
+
+def _ceil_half_surd(p: int, q: int, r: int) -> int:
+    """Smallest integer >= (p + q*sqrt(r))/2, for integers p and q, r >= 0; no floats, no search."""
+    if q < 0:
+        raise ValueError(f"need a nonnegative surd part, got q = {q}")
+    s = math.isqrt(q * q * r)
+    if s * s == q * q * r:
+        return -((-(p + s)) // 2)
+    # s < q*sqrt(r) < s + 1, so the value lies strictly inside ((p+s)/2, (p+s+1)/2)
+    return (p + s) // 2 + 1
+
+
+def ceil_multiple(base: QuadElem, k: int) -> int:
+    """Smallest integer >= k*B for a growth base B and an integer k >= 0, decided exactly."""
+    p, q = doubled_parts(base)
+    return _ceil_half_surd(k * p, k * q, base.r)
 
 
 @dataclass(frozen=True)
@@ -137,8 +150,17 @@ def _require_minimum_modulus(d: int) -> None:
         raise ValueError(f"bound checks need d >= 5, got {d}")
 
 
+def _same_field(Q: int, r: int, d: int) -> None:
+    if Q != 0 and r != d:
+        raise RadicandMismatch(f"bound in Q(sqrt({r})) cannot be compared in Q(sqrt({d}))")
+
+
 def check_coefficient_bounds(pair: KraitchikPair, n: int) -> CoefficientBoundsReport:
-    """Both coefficient inequalities for one (d, n), decided exactly."""
+    """Both coefficient inequalities for one (d, n), each one integer surd comparison.
+
+    With the bound (P + Q*sqrt(r))/K, the inequalities are cleared of K (and,
+    for D < 0, squared) so that ``cmp_surd`` sees integers only.
+    """
     ctx = pair.ctx
     _require_minimum_modulus(ctx.d)
     if not 0 <= n <= ctx.dprime:
@@ -146,22 +168,22 @@ def check_coefficient_bounds(pair: KraitchikPair, n: int) -> CoefficientBoundsRe
     a_n, b_n = pair.a[n], pair.b_coeff(n)
     d = ctx.d
 
-    bound_abs = rising_factorial_bound(abs_bound_base(ctx, n), n)
-    bound_l1 = rising_factorial_bound(l1_bound_base(ctx, n), n)
-
+    abs_base = abs_bound_base(ctx, n)
+    P, Q, K = rising_factorial_bound(abs_base, n)
     if ctx.D > 0:
-        lhs = abs_real(QuadElem(Fraction(a_n), Fraction(b_n), d))
-        abs_ok = cmp_real(lhs, bound_abs) <= 0
+        # K*|a + b*sqrt(d)| <= P + Q*sqrt(d)
+        _same_field(Q, abs_base.r, d)
+        s = 1 if cmp_surd(a_n, b_n, d, 0) >= 0 else -1
+        abs_ok = cmp_surd(P - K * s * a_n, Q - K * s * b_n, d, 0) >= 0
     else:
-        lhs_sq = Fraction(a_n * a_n + d * b_n * b_n)
-        bsq = bound_abs * bound_abs
-        if isinstance(bsq, Fraction):
-            abs_ok = lhs_sq <= bsq
-        else:
-            abs_ok = cmp_real(bsq, lhs_sq) >= 0
+        # K^2*(a^2 + d*b^2) <= (P + Q*sqrt(r))^2
+        r = abs_base.r
+        abs_ok = cmp_surd(P * P + Q * Q * r - K * K * (a_n * a_n + d * b_n * b_n), 2 * P * Q, r, 0) >= 0
 
-    lhs_l1 = QuadElem(Fraction(abs(a_n)), Fraction(abs(b_n)), d)
-    l1_ok = cmp_real(lhs_l1, bound_l1) <= 0
+    l1_base = l1_bound_base(ctx, n)
+    P, Q, K = rising_factorial_bound(l1_base, n)
+    _same_field(Q, l1_base.r, d)
+    l1_ok = cmp_surd(P - K * abs(a_n), Q - K * abs(b_n), d, 0) >= 0
     return CoefficientBoundsReport(ctx.d, n, abs_ok, l1_ok)
 
 
@@ -175,8 +197,8 @@ class ExplicitBoundReport:
     verdict_disc_radicand: str
 
 
-def _three_bounds(base: BoundValue, n: int, prec: int) -> tuple[DyadicInterval, ...]:
-    F = base.interval(prec)
+def _three_bounds(base: QuadElem, n: int, prec: int) -> tuple[DyadicInterval, ...]:
+    F = iv_from_surd(base.a, base.b, base.r, prec)
     Fm1 = iv_sub(F, 1, prec)
     if not Fm1.is_positive():
         raise IntervalDomainError("F - 1 enclosure not yet positive")
@@ -207,8 +229,8 @@ def check_explicit_bound(pair: KraitchikPair, n: int, max_precision=None) -> Exp
     if not 1 <= n <= ctx.dprime:
         raise ValueError(f"n out of range for the strict bound: {n}")
     base = abs_bound_base(ctx, n)
-    if base.cmp_rational(1) <= 0:
-        raise ArithmeticError(f"growth base must exceed 1, got {base.value} at d={ctx.d}, n={n}")
+    if cmp_surd(base.a, base.b, base.r, 1) <= 0:
+        raise ArithmeticError(f"growth base must exceed 1, got {base} at d={ctx.d}, n={n}")
     a_n, b_n = pair.a[n], pair.b_coeff(n)
     d = ctx.d
 

@@ -14,7 +14,10 @@ precision ceiling below 16 bits, a malformed ``$KRAITCHIK_PRECISION_MAX``) is
 an argparse usage error: a message on stderr, nothing on stdout, exit code 2.
 ``compute`` rejects invalid moduli with a diagnostic naming the violated
 condition and exit code 1; ``compute`` and ``table`` take moduli up to
-``MAX_MODULUS`` only, and print no row that fails ``verify_identity``.
+``MAX_MODULUS`` only, and print no row that fails ``verify_identity``.  A
+``table`` range whose work, the sum of d'^2 over its moduli, exceeds
+``MAX_TABLE_WORK`` is a usage error; its json and csv rows are printed as
+each one passes the identity gate, its text only once every row has.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from functools import partial
 from .bounds import FALSIFIED, UNRESOLVED, VERIFIED, check_coefficient_bounds, check_explicit_bound
 from .construct import KraitchikPair, check_symmetry, psi_xi, verify_identity
 from .interval import PRECISION_ENV_VAR, checked_precision, default_max_precision
-from .numtheory import odd_squarefree_range
+from .numtheory import euler_phi, odd_squarefree_range
 from .poly import DensePoly, format_poly
 from .powersums import DiscriminantContext, power_sum_s, quad_in_enclosure, residue_sum_enclosure
 from .ratio import REJECTED, default_sample_points, ratio_table
@@ -49,6 +52,9 @@ DEFAULT_TABLE_RANGE_NOTE = "range syntax is lo..hi, e.g. 5..149"
 # largest modulus compute/table accept: compute 6997 (prime, d' = 3498) takes
 # about 8 s on a 2-core host, most of it in verify_identity
 MAX_MODULUS = 7000
+# largest sum of d'^2 one table range may cost: table 5..1000 (24.8M) takes
+# about 14 s, compute 6997 alone is 12.2M
+MAX_TABLE_WORK = 25_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -96,13 +102,8 @@ def _table_text(pairs: list[KraitchikPair]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _table_csv(pairs: list[KraitchikPair]) -> str:
-    lines = ["d,n,a_n,b_n"]
-    for p in pairs:
-        for n in range(p.ctx.dprime + 1):
-            b = "" if n == 0 else str(p.b_coeff(n))
-            lines.append(f"{p.ctx.d},{n},{p.a[n]},{b}")
-    return "\n".join(lines) + "\n"
+def _table_csv_rows(p: KraitchikPair) -> str:
+    return "".join(f"{p.ctx.d},{n},{p.a[n]},{'' if n == 0 else p.b_coeff(n)}\n" for n in range(p.ctx.dprime + 1))
 
 
 def _compute_text(pair: KraitchikPair) -> str:
@@ -280,6 +281,9 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"range bounds must satisfy 3 <= lo <= hi, got {text!r}")
     if hi > MAX_MODULUS:
         raise argparse.ArgumentTypeError(f"range bound {hi} is too large (need hi <= {MAX_MODULUS})")
+    work = sum((euler_phi(d) // 2) ** 2 for d in odd_squarefree_range(lo, hi))
+    if work > MAX_TABLE_WORK:
+        raise argparse.ArgumentTypeError(f"range {text!r} sums d'^2 to {work} (need at most {MAX_TABLE_WORK})")
     return lo, hi
 
 
@@ -314,17 +318,19 @@ def cmd_compute(args) -> int:
 def cmd_table(args) -> int:
     lo, hi = args.range
     pairs = []
-    for d in odd_squarefree_range(max(lo, 3), hi):
+    if args.format == "csv":
+        print("d,n,a_n,b_n", flush=True)
+    for d in odd_squarefree_range(lo, hi):
         pair = _gated_pair(d)
         if pair is None:
             return 1
-        pairs.append(pair)
-    if args.format == "json":
-        for p in pairs:
-            print(row_json(p))
-    elif args.format == "csv":
-        sys.stdout.write(_table_csv(pairs))
-    else:
+        if args.format == "json":
+            print(row_json(pair), flush=True)
+        elif args.format == "csv":
+            print(_table_csv_rows(pair), end="", flush=True)
+        else:
+            pairs.append(pair)
+    if args.format == "text":
         sys.stdout.write(_table_text(pairs))
     return 0
 

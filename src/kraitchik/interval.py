@@ -68,9 +68,6 @@ class DyadicInterval:
     def contains(self, q: Fraction | int) -> bool:
         return self.lo <= q <= self.hi
 
-    def contains_interval(self, other: "DyadicInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def is_positive(self) -> bool:
         return self.lo > 0
 

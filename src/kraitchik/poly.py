@@ -28,10 +28,6 @@ class DensePoly:
     def one(cls) -> "DensePoly":
         return cls((1,))
 
-    @classmethod
-    def x(cls) -> "DensePoly":
-        return cls((0, 1))
-
     @property
     def degree(self) -> int:
         """Degree; the zero polynomial has degree -1."""

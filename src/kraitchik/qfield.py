@@ -186,13 +186,13 @@ def cmp_surd(x: Rational, y: Rational, d: int, q: Rational) -> int:
     """Exact order of x + y*sqrt(d) versus q: returns -1, 0 or +1.
 
     Requires d >= 2 and not a perfect square, so equality forces y = 0.
+    Integer arguments are compared in integer arithmetic throughout.
     """
     if d < 2:
         raise ValueError(f"radicand must be >= 2, got {d}")
     s = math.isqrt(d)
     if s * s == d:
         raise ValueError(f"radicand must not be a perfect square, got {d}")
-    x, y, q = _as_fraction(x), _as_fraction(y), _as_fraction(q)
     t = q - x  # compare y*sqrt(d) against t
     if y == 0:
         return 0 if t == 0 else (1 if t < 0 else -1)

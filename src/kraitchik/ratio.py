@@ -6,24 +6,26 @@ side touches irrationals (sqrt(d) and the gate value G_d as an exponent), so
 it is enclosed with validated intervals; a ``verified`` verdict is therefore
 a machine-checked strict inequality.
 
-The gate x > 2*G_d is decided exactly before anything else; points failing
-it are typed rejections (``GateError``), not verdicts.
+The gate value G_d is a growth base (p + q*sqrt(r))/2 from ``bounds``.  The
+gate x > 2*G_d is decided exactly, by one ``cmp_surd``, before anything else;
+points failing it are typed rejections (``GateError``), not verdicts.  The
+integer sample points come from the exact ceiling ``bounds.ceil_multiple``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bounds import BoundValue, l1_bound_base
+from .bounds import ceil_multiple, l1_bound_base
 from .construct import KraitchikPair
 from .interval import (
     DyadicInterval,
     decide,
     iv_div,
     iv_from_rat,
+    iv_from_surd,
     iv_mul,
     iv_neg,
     iv_pow,
@@ -50,51 +52,18 @@ class RatioReport:
     verdict: str
 
 
-def gate_value(pair: KraitchikPair) -> BoundValue:
+def gate_value(pair: KraitchikPair) -> QuadElem:
     """G_d: the L1 growth base at n = floor(phi(d)/4)."""
     ctx = pair.ctx
     return l1_bound_base(ctx, (2 * ctx.dprime) // 4)
 
 
-def _passes_gate(g: BoundValue, x: Fraction) -> bool:
-    # x > 2*G exactly
-    if isinstance(g.value, Fraction):
-        return x > 2 * g.value
-    doubled = g.value * 2
-    return BoundValue(doubled).cmp_rational(x) < 0
-
-
-def _ceil_exact(v: Fraction | QuadElem) -> int:
-    """Smallest integer >= v for a rational or positive-surd-part value."""
-    if isinstance(v, Fraction):
-        return -((-v.numerator) // v.denominator)
-    a, b, r = v.a, v.b, v.r
-    if b <= 0:
-        raise ValueError(f"need a positive surd part, got {v}")
-    c = math.floor(a + b * math.isqrt(r))  # at most b below the true value
-    while cmp_surd(a, b, r, c) > 0:  # value > c: c too small
-        c += 1
-    while cmp_surd(a, b, r, c - 1) <= 0:  # value fits under c-1 as well
-        c -= 1
-    return c
-
-
-def ceil_twice_gate(pair: KraitchikPair) -> int:
-    """Smallest integer >= 2*G_d, decided exactly."""
-    g = gate_value(pair)
-    return _ceil_exact(g.value * 2)
-
-
-def ceil_gate(pair: KraitchikPair) -> int:
-    """Smallest integer >= G_d."""
-    return _ceil_exact(gate_value(pair).value)
-
-
 def default_sample_points(pair: KraitchikPair) -> list[Fraction]:
     """The standard grid: {ceil(2G)+1, 2*ceil(G)+5, 100}."""
+    g = gate_value(pair)
     return [
-        Fraction(ceil_twice_gate(pair) + 1),
-        Fraction(2 * ceil_gate(pair) + 5),
+        Fraction(ceil_multiple(g, 2) + 1),
+        Fraction(2 * ceil_multiple(g, 1) + 5),
         Fraction(100),
     ]
 
@@ -108,7 +77,7 @@ def check_ratio_approx(
         raise ValueError(f"ratio check needs d >= 5, got {ctx.d}")
     x = Fraction(x)
     g = gate_value(pair)
-    if not _passes_gate(g, x):
+    if cmp_surd(2 * g.a, 2 * g.b, g.r, x) >= 0:  # x > 2*G fails, exactly
         raise GateError(f"x = {x} does not exceed twice the gate value for d = {ctx.d}")
 
     mu = mobius(ctx.d)
@@ -125,13 +94,8 @@ def check_ratio_approx(
             iv_mul(iv_from_rat(2 * x - mu, prec), sqrt_d, prec),
             prec,
         )
-        g_iv = g.interval(prec)
-        base = iv_from_rat(1 - 1 / x, prec)
-        if isinstance(g.value, Fraction):
-            # half-integer exponent: exact squaring plus one interval sqrt
-            pow_term = iv_pow(base, -g.value, prec)
-        else:
-            pow_term = iv_pow(base, iv_neg(g_iv, prec), prec)
+        g_iv = iv_from_surd(g.a, g.b, g.r, prec)
+        pow_term = iv_pow(iv_from_rat(1 - 1 / x, prec), iv_neg(g_iv, prec), prec)
         inner = iv_sub(
             iv_sub(pow_term, 1, prec), iv_div(g_iv, iv_from_rat(x, prec), prec), prec
         )

@@ -175,12 +175,12 @@ def _oracle_rhs(pair, x: int) -> mpmath.mpf:
     """The ratio envelope in plain mpmath at the working precision.
 
     x/((2x - mu(d)) sqrt(d)) * ((1 - 1/x)^(-G) - 1 - G/x), with G the gate
-    value a + b*sqrt(r) (or a half-integer) read off ``gate_value``; no
-    interval arithmetic is involved.
+    value a + b*sqrt(r) (b = 0 for a half-integer) read off ``gate_value``;
+    no interval arithmetic is involved.
     """
     d = pair.ctx.d
-    g = gate_value(pair).value
-    G = _mp(g) if isinstance(g, Fraction) else _mp(g.a) + _mp(g.b) * mpmath.sqrt(g.r)
+    g = gate_value(pair)
+    G = _mp(g.a) + _mp(g.b) * mpmath.sqrt(g.r)
     xm = mpmath.mpf(x)
     pref = xm / ((2 * xm - mobius(d)) * mpmath.sqrt(d))
     return pref * ((1 - 1 / xm) ** -G - 1 - G / xm)

@@ -1,0 +1,70 @@
+"""The aggregation of scripts/bench.py on fixed numbers."""
+
+import importlib.util
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result(failed=0, **values):
+    return {"failed": failed, "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}}
+
+
+def test_summarize_quartiles(bench):
+    s = bench.summarize([5.0, 1.0, 4.0, 2.0, 3.0])
+    assert (s["q1"], s["median"], s["q3"]) == (2.0, 3.0, 4.0)
+    assert s["runs"] == [5.0, 1.0, 4.0, 2.0, 3.0]
+    one = bench.summarize([7.0])
+    assert (one["q1"], one["median"], one["q3"]) == (7.0, 7.0, 7.0)
+
+
+def test_aggregate_pairs_and_directions(bench):
+    specs = [
+        {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.2},
+        {"name": "frac", "unit": "ratio", "better": "higher", "bound": 0.1},
+    ]
+    parent = [result(wall_s=10.0, frac=0.5), result(wall_s=12.0, frac=0.5), result(wall_s=11.0, frac=0.5, failed=1)]
+    change = [result(wall_s=5.0, frac=0.6), result(wall_s=13.0, frac=0.5), result(wall_s=6.0, frac=0.4)]
+    entry = bench.aggregate(parent, change, specs)
+    assert entry["failed"] == {"parent": [0, 0, 1], "change": [0, 0, 0]}
+    wall = entry["metrics"]["wall_s"]
+    assert wall["parent"]["median"] == 11.0 and wall["change"]["median"] == 6.0
+    assert (wall["parent"]["q1"], wall["parent"]["q3"]) == (10.5, 11.5)
+    assert wall["change_better_pairs"] == 2 and wall["pairs"] == 3
+    assert wall["change_over_parent"] == pytest.approx(6.0 / 11.0)
+    assert (wall["better"], wall["bound"], wall["unit"]) == ("lower", 0.2, "s")
+    # higher is better: only the first pair improves, a tie is not better
+    assert entry["metrics"]["frac"]["change_better_pairs"] == 1
+
+
+def test_src_lines_counts_python_under_src(bench, tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "src" / "pkg" / "b.txt").write_text("not counted\n")
+    assert bench.src_lines(tmp_path) == 2
+
+
+def test_working_tree_state_names_head_and_uncommitted_paths(bench, tmp_path, monkeypatch):
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=tmp_path, check=True, capture_output=True, text=True).stdout
+
+    git("init", "-q")
+    (tmp_path / "a.py").write_text("x = 1\n")
+    git("add", "a.py")
+    git("-c", "user.name=t", "-c", "user.email=t@example.org", "commit", "-qm", "one")
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    head = git("rev-parse", "HEAD").strip()
+    assert bench.working_tree_state() == {"rev": head, "uncommitted": []}
+    (tmp_path / "a.py").write_text("x = 2\n")
+    assert bench.working_tree_state() == {"rev": head, "uncommitted": [" M a.py"]}

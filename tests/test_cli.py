@@ -98,6 +98,34 @@ def test_table_past_the_size_guard_is_usage_error(capsys, monkeypatch):
     assert f"need hi <= {cli.MAX_MODULUS}" in captured.err
 
 
+def test_table_past_the_work_cap_is_usage_error(capsys, monkeypatch):
+    # every modulus is within MAX_MODULUS, but the range sums to far more work
+    monkeypatch.setattr(cli, "psi_xi", refuse_to_build)
+    with pytest.raises(SystemExit) as exc:
+        main(["table", f"5..{cli.MAX_MODULUS}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"need at most {cli.MAX_TABLE_WORK}" in captured.err
+
+
+def test_table_at_the_work_cap_is_accepted():
+    assert cli.build_parser().parse_args(["table", "5..1000"]).range == (5, 1000)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_streams_rows_until_the_gate_fails(capsys, monkeypatch, fmt):
+    real = cli.verify_identity
+    monkeypatch.setattr(cli, "verify_identity", lambda pair: failing_identity(pair) if pair.d == 11 else real(pair))
+    code, out, err = run(capsys, "table", "5..13", "--format", fmt)
+    assert code == 1
+    assert err == "internal error: identity fails at d=11\n"
+    _, full, _ = run(capsys, "table", "5..7", "--format", fmt)
+    assert out == full
+    if fmt == "json":
+        assert [json.loads(line)["d"] for line in out.splitlines()] == [5, 7]
+
+
 def test_compute_large_modulus(capsys):
     code, out, _ = run(capsys, "compute", "149")
     assert code == 0

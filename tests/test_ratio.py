@@ -3,12 +3,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from kraitchik.bounds import ceil_multiple
 from kraitchik.construct import psi_xi
 from kraitchik.qfield import QuadElem
 from kraitchik.ratio import (
     GateError,
-    ceil_gate,
-    ceil_twice_gate,
     check_ratio_approx,
     default_sample_points,
     gate_value,
@@ -20,10 +19,21 @@ F = Fraction
 
 def test_gate_examples():
     p5 = psi_xi(5)
-    assert gate_value(p5).value == QuadElem(F(1, 2), F(1, 2), 5)
-    assert ceil_twice_gate(p5) == 4  # 2G = 1 + sqrt(5) ~ 3.236
-    assert ceil_gate(p5) == 2
+    assert gate_value(p5) == QuadElem(F(1, 2), F(1, 2), 5)
+    assert ceil_multiple(gate_value(p5), 2) == 4  # 2G = 1 + sqrt(5) ~ 3.236
+    assert ceil_multiple(gate_value(p5), 1) == 2
     assert default_sample_points(p5) == [F(5), F(9), F(100)]
+
+
+def test_gate_equality_is_rejected():
+    # d = 77: phi(11)/2 = 5 beats the surd floor, so 2G = 10 is an integer and
+    # x = 10 sits exactly on the gate, which x must strictly exceed
+    p77 = psi_xi(77)
+    assert gate_value(p77) == 5 and gate_value(p77).b == 0
+    assert ceil_multiple(gate_value(p77), 2) == 10
+    with pytest.raises(GateError):
+        check_ratio_approx(p77, 10)
+    assert check_ratio_approx(p77, 11).verdict == "verified"
 
 
 def test_spot_value_d5_x4():
