@@ -12,7 +12,7 @@ from .construct import (
     verify_identity,
 )
 from .powersums import DiscriminantContext, power_sum_s, ramanujan_h
-from .qfield import QuadElem, abs_square, cmp_surd, l1_norm_parts
+from .qfield import QuadElem, cmp_surd
 
 __all__ = [
     "DiscriminantContext",
@@ -20,11 +20,9 @@ __all__ = [
     "KraitchikPair",
     "QuadElem",
     "SymmetryReport",
-    "abs_square",
     "check_symmetry",
     "cmp_surd",
     "cyclotomic",
-    "l1_norm_parts",
     "power_sum_s",
     "psi_xi",
     "ramanujan_h",

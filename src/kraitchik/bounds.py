@@ -238,7 +238,7 @@ def check_explicit_bound(pair: KraitchikPair, n: int, max_precision=None) -> Exp
     def min_bound(prec: int) -> DyadicInterval:
         # min is monotone in each argument, so the endpoint minima enclose it
         ts = _three_bounds(base, n, prec)
-        return DyadicInterval(min(t.lo for t in ts), min(t.hi for t in ts), prec)
+        return DyadicInterval(min(t.lo_m for t in ts), min(t.hi_m for t in ts), prec)
 
     sign = cmp_surd(a_n, b_n, d, 0)
     aa, bb = (a_n, b_n) if sign >= 0 else (-a_n, -b_n)

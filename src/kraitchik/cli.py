@@ -9,8 +9,9 @@ would.  ``--dmax`` bounds the moduli; it does not reach symfunc under
 
 Exit codes for ``verify``: 0 all verified, 1 any falsified, 2 any unresolved
 (interval ceiling reached without separation).  Input that would check
-nothing or cannot be read (an empty modulus range, ``--jobs`` below 1, a
-precision ceiling below 16 bits, a malformed ``$KRAITCHIK_PRECISION_MAX``) is
+nothing, cannot be read or asks for unbounded work (an empty modulus range,
+``--jobs`` below 1, a precision ceiling outside 16..``MAX_PRECISION_CEILING``
+bits from the flag or ``$KRAITCHIK_PRECISION_MAX``, a malformed value there) is
 an argparse usage error: a message on stderr, nothing on stdout, exit code 2.
 ``compute`` rejects invalid moduli with a diagnostic naming the violated
 condition and exit code 1; ``compute`` and ``table`` take moduli up to
@@ -35,7 +36,7 @@ from functools import partial
 
 from .bounds import FALSIFIED, UNRESOLVED, VERIFIED, check_coefficient_bounds, check_explicit_bound
 from .construct import KraitchikPair, check_symmetry, psi_xi, verify_identity
-from .interval import PRECISION_ENV_VAR, checked_precision, default_max_precision
+from .interval import MAX_PRECISION_CEILING, PRECISION_ENV_VAR, checked_precision, default_max_precision
 from .numtheory import euler_phi, odd_squarefree_range
 from .poly import DensePoly, format_poly
 from .powersums import DiscriminantContext, power_sum_s, quad_in_enclosure, residue_sum_enclosure
@@ -412,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision-max",
         type=int,
         default=None,
-        help=f"interval precision ceiling in bits, at least 16 (default: ${PRECISION_ENV_VAR} or 4096)",
+        help=f"interval precision ceiling in bits, 16..{MAX_PRECISION_CEILING} (default: ${PRECISION_ENV_VAR} or 4096)",
     )
     p_verify.add_argument("--jobs", type=int, default=1, help="worker processes (at most one per core and modulus)")
     p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text")

@@ -165,23 +165,6 @@ def conj(x: QuadElem) -> QuadElem:
     return x.conj()
 
 
-def l1_norm_parts(x: QuadElem) -> tuple[Fraction, Fraction]:
-    """The pair (|a|, |b|); the norm value |a| + |b|*sqrt(|r|) stays symbolic."""
-    return abs(x.a), abs(x.b)
-
-
-def abs_square(x: QuadElem) -> Fraction | QuadElem:
-    """|x|^2, exact in both signatures of the radicand.
-
-    For r < 0 the modulus squared is the rational a^2 + |r| b^2; for r > 0 the
-    element is real and |x|^2 = x^2 stays in the field, to be compared with
-    ``cmp_surd``.
-    """
-    if x.r < 0:
-        return x.a * x.a + x.b * x.b * (-x.r)
-    return x * x
-
-
 def cmp_surd(x: Rational, y: Rational, d: int, q: Rational) -> int:
     """Exact order of x + y*sqrt(d) versus q: returns -1, 0 or +1.
 

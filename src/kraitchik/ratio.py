@@ -101,8 +101,8 @@ def check_ratio_approx(
         )
         return iv_mul(pref, inner, prec)
 
-    # the exact left side enters as a point interval, so its comparison stays exact
-    decision = decide(lambda p: DyadicInterval(lhs, lhs, p), rhs_fn, precision_ladder(max_precision))
+    # the exact left side is never rounded: decide compares it against the mantissas exactly
+    decision = decide(lhs, rhs_fn, precision_ladder(max_precision))
     return RatioReport(ctx.d, x, lhs, decision.rhs, decision.verdict)
 
 

