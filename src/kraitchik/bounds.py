@@ -28,6 +28,7 @@ from functools import lru_cache
 
 from .construct import KraitchikPair
 from .interval import (  # verdict constants re-exported: cli and perfbench read bounds.VERIFIED
+    DEFAULT_MAX_PRECISION,
     FALSIFIED,
     UNRESOLVED,
     VERIFIED,
@@ -222,7 +223,9 @@ def _three_bounds(base: QuadElem, n: int, prec: int) -> tuple[DyadicInterval, ..
     return t1, t2, t3
 
 
-def check_explicit_bound(pair: KraitchikPair, n: int, max_precision=None) -> ExplicitBoundReport:
+def check_explicit_bound(
+    pair: KraitchikPair, n: int, max_precision: int = DEFAULT_MAX_PRECISION
+) -> ExplicitBoundReport:
     """Strict three-way bound on |a_{d,n} + b_{d,n} sqrt(d)| for 1 <= n <= d'."""
     ctx = pair.ctx
     _require_minimum_modulus(ctx.d)

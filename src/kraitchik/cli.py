@@ -10,15 +10,15 @@ would.  ``--dmax`` bounds the moduli; it does not reach symfunc under
 Exit codes for ``verify``: 0 all verified, 1 any falsified, 2 any unresolved
 (interval ceiling reached without separation).  Input that would check
 nothing, cannot be read or asks for unbounded work (an empty modulus range,
-``--jobs`` below 1, a precision ceiling outside 16..``MAX_PRECISION_CEILING``
-bits from the flag or ``$KRAITCHIK_PRECISION_MAX``, a malformed value there) is
-an argparse usage error: a message on stderr, nothing on stdout, exit code 2.
-``compute`` rejects invalid moduli with a diagnostic naming the violated
-condition and exit code 1; ``compute`` and ``table`` take moduli up to
-``MAX_MODULUS`` only, and print no row that fails ``verify_identity``.  A
-``table`` range whose work, the sum of d'^2 over its moduli, exceeds
-``MAX_TABLE_WORK`` is a usage error; its json and csv rows are printed as
-each one passes the identity gate, its text only once every row has.
+``--jobs`` below 1, a ``--precision-max`` outside 16..``MAX_PRECISION_CEILING``
+bits) is an argparse usage error: a message on stderr, nothing on stdout, exit
+code 2.  ``compute`` rejects invalid moduli with a diagnostic naming the
+violated condition and exit code 1; ``compute``, ``table`` and ``verify`` take
+moduli up to ``MAX_MODULUS`` only, and ``compute`` and ``table`` print no row
+that fails ``verify_identity``.  A ``table`` range or a ``verify --dmax``
+whose work, the sum of d'^2 over its moduli, exceeds ``MAX_TABLE_WORK`` is a
+usage error.  ``table`` prints its json and csv rows as each one passes the
+identity gate, its text only once every row has.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from functools import partial
 
 from .bounds import FALSIFIED, UNRESOLVED, VERIFIED, check_coefficient_bounds, check_explicit_bound
 from .construct import KraitchikPair, check_symmetry, psi_xi, verify_identity
-from .interval import MAX_PRECISION_CEILING, PRECISION_ENV_VAR, checked_precision, default_max_precision
+from .interval import DEFAULT_MAX_PRECISION, MAX_PRECISION_CEILING, checked_precision
 from .numtheory import euler_phi, odd_squarefree_range
 from .poly import DensePoly, format_poly
 from .powersums import DiscriminantContext, power_sum_s, quad_in_enclosure, residue_sum_enclosure
@@ -50,11 +50,11 @@ from .symfunc import (
 
 DEFAULT_TABLE_RANGE_NOTE = "range syntax is lo..hi, e.g. 5..149"
 
-# largest modulus compute/table accept: compute 6997 (prime, d' = 3498) takes
+# largest modulus compute/table/verify accept: compute 6997 (prime, d' = 3498) takes
 # about 8 s on a 2-core host, most of it in verify_identity
 MAX_MODULUS = 7000
-# largest sum of d'^2 one table range may cost: table 5..1000 (24.8M) takes
-# about 14 s, compute 6997 alone is 12.2M
+# largest sum of d'^2 one table range or verify --dmax may cost: table 5..1000
+# (24.8M) takes about 14 s, compute 6997 alone is 12.2M
 MAX_TABLE_WORK = 25_000_000
 
 
@@ -280,12 +280,23 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"bad range {text!r}; {DEFAULT_TABLE_RANGE_NOTE}") from exc
     if lo < 3 or hi < lo:
         raise argparse.ArgumentTypeError(f"range bounds must satisfy 3 <= lo <= hi, got {text!r}")
-    if hi > MAX_MODULUS:
-        raise argparse.ArgumentTypeError(f"range bound {hi} is too large (need hi <= {MAX_MODULUS})")
-    work = sum((euler_phi(d) // 2) ** 2 for d in odd_squarefree_range(lo, hi))
-    if work > MAX_TABLE_WORK:
-        raise argparse.ArgumentTypeError(f"range {text!r} sums d'^2 to {work} (need at most {MAX_TABLE_WORK})")
+    _checked_moduli(lo, hi, "hi")
     return lo, hi
+
+
+def _checked_moduli(lo: int, hi: int, name: str) -> list[int]:
+    """The odd squarefree moduli in lo..hi; ArgumentTypeError naming ``name``, the bound
+    that set hi, if hi exceeds MAX_MODULUS (before any modulus is listed) or if the
+    moduli's sum of d'^2 exceeds MAX_TABLE_WORK."""
+    if hi > MAX_MODULUS:
+        raise argparse.ArgumentTypeError(f"range bound {hi} is too large (need {name} <= {MAX_MODULUS})")
+    ds = odd_squarefree_range(lo, hi)
+    work = sum((euler_phi(d) // 2) ** 2 for d in ds)
+    if work > MAX_TABLE_WORK:
+        raise argparse.ArgumentTypeError(
+            f"range {lo}..{hi} sums d'^2 to {work} (need at most {MAX_TABLE_WORK}; lower {name})"
+        )
+    return ds
 
 
 def _gated_pair(d_or_ctx: int | DiscriminantContext) -> KraitchikPair | None:
@@ -344,10 +355,7 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise argparse.ArgumentTypeError(f"--jobs must be at least 1, got {args.jobs}")
     try:
-        if args.precision_max is None:
-            precision_max = default_max_precision()
-        else:
-            precision_max = checked_precision(args.precision_max, "--precision-max")
+        precision_max = checked_precision(args.precision_max, "--precision-max")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     if args.suite == "symfunc":
@@ -359,7 +367,7 @@ def cmd_verify(args) -> int:
         suites = tuple(_DEFAULT_DMAX) if args.suite == "all" else (args.suite,)
         plan = tuple((s, _DEFAULT_DMAX[s] if args.dmax is None else args.dmax) for s in suites)
         dmax = max(dmax for _, dmax in plan)
-        ds = odd_squarefree_range(5, dmax)
+        ds = _checked_moduli(5, dmax, "--dmax")
         if not ds:
             raise argparse.ArgumentTypeError(f"--dmax {dmax} leaves no odd squarefree modulus >= 5 to check")
         worker = partial(_rows_for_d, plan=plan, precision_max=precision_max)
@@ -412,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--precision-max",
         type=int,
-        default=None,
-        help=f"interval precision ceiling in bits, 16..{MAX_PRECISION_CEILING} (default: ${PRECISION_ENV_VAR} or 4096)",
+        default=DEFAULT_MAX_PRECISION,
+        help=f"interval precision ceiling in bits, 16..{MAX_PRECISION_CEILING} (default: {DEFAULT_MAX_PRECISION})",
     )
     p_verify.add_argument("--jobs", type=int, default=1, help="worker processes (at most one per core and modulus)")
     p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text")

@@ -24,7 +24,6 @@ as verification.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -35,7 +34,6 @@ DEFAULT_MAX_PRECISION = 4096
 # Fixed cap on any precision ceiling: a case that never separates climbs the
 # doubling ladder to the ceiling, so the ceiling bounds the work per case.
 MAX_PRECISION_CEILING = 1 << 16
-PRECISION_ENV_VAR = "KRAITCHIK_PRECISION_MAX"
 
 
 class IntervalDomainError(ValueError):
@@ -49,17 +47,6 @@ def checked_precision(value: int, name: str) -> int:
     if not 16 <= value <= MAX_PRECISION_CEILING:
         raise ValueError(f"{name} must be between 16 and {MAX_PRECISION_CEILING} bits, got {value}")
     return value
-
-
-def default_max_precision() -> int:
-    raw = os.environ.get(PRECISION_ENV_VAR)
-    if raw is None:
-        return DEFAULT_MAX_PRECISION
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{PRECISION_ENV_VAR} must be an integer, got {raw!r}") from None
-    return checked_precision(value, PRECISION_ENV_VAR)
 
 
 class DyadicInterval:
@@ -438,12 +425,11 @@ FALSIFIED = "falsified"
 UNRESOLVED = "unresolved"
 
 
-def precision_ladder(max_precision: Optional[int] = None, start: int = 64):
-    ceiling = max_precision if max_precision is not None else default_max_precision()
-    p = start
-    while p <= ceiling:
-        yield p
-        p *= 2
+def precision_ladder(max_precision: int = DEFAULT_MAX_PRECISION) -> tuple[int, ...]:
+    """The rungs 64, 128, ... up to ``max_precision`` (none below 64); ValueError,
+    before any rung is handed out, for a ceiling outside 16..MAX_PRECISION_CEILING."""
+    checked_precision(max_precision, "max_precision")
+    return tuple(64 << k for k in range((max_precision // 64).bit_length()))
 
 
 Side = Union[Callable[[int], DyadicInterval], Fraction, int]

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 from .bounds import ceil_multiple, l1_bound_base
 from .construct import KraitchikPair
 from .interval import (
+    DEFAULT_MAX_PRECISION,
     DyadicInterval,
     decide,
     iv_div,
@@ -69,7 +70,7 @@ def default_sample_points(pair: KraitchikPair) -> list[Fraction]:
 
 
 def check_ratio_approx(
-    pair: KraitchikPair, x: Fraction | int, max_precision=None
+    pair: KraitchikPair, x: Fraction | int, max_precision: int = DEFAULT_MAX_PRECISION
 ) -> RatioReport:
     """Verify |Xi(x)/Psi(x) - 1/(2x - mu(d))| < the closed-form envelope."""
     ctx = pair.ctx
@@ -107,7 +108,7 @@ def check_ratio_approx(
 
 
 def ratio_table(
-    pair: KraitchikPair, xs: Sequence[Fraction | int], max_precision=None
+    pair: KraitchikPair, xs: Sequence[Fraction | int], max_precision: int = DEFAULT_MAX_PRECISION
 ) -> list[RatioReport]:
     """One report per sample point; gate failures become 'rejected' rows."""
     out = []

@@ -274,6 +274,16 @@ def test_explicit_bound_unresolved_below_ladder():
     assert rep.verdict == "unresolved"
 
 
+def test_explicit_bound_refuses_a_ceiling_above_the_cap(monkeypatch):
+    # the cap holds for library callers too, and before any enclosure is built
+    def refuse(*args):
+        raise AssertionError("interval work ran")
+
+    monkeypatch.setattr(bounds, "_three_bounds", refuse)
+    with pytest.raises(ValueError, match="max_precision"):
+        check_explicit_bound(psi_xi(5), 1, max_precision=65537)
+
+
 def test_suite_small_range(pairs_149):
     for d in (5, 7, 15, 21, 33, 105):
         pair = pairs_149[d]

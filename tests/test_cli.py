@@ -257,30 +257,34 @@ def test_verify_empty_range_is_usage_error(capsys):
     assert "--dmax 3" in err
 
 
-def test_verify_malformed_precision_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("KRAITCHIK_PRECISION_MAX", "abc")
-    code, out, err = run_usage_error(capsys, "verify", "identity", "--dmax", "7")
-    assert code == 2
-    assert out == ""
-    assert "KRAITCHIK_PRECISION_MAX" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("value", ["65537", "1000000000"])
-def test_verify_precision_env_above_the_cap_is_usage_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("KRAITCHIK_PRECISION_MAX", value)
-    code, out, err = run_usage_error(capsys, "verify", "corollary", "--dmax", "7")
-    assert code == 2
-    assert out == ""
-    assert "KRAITCHIK_PRECISION_MAX" in err and "65536" in err and "Traceback" not in err
-
-
-def test_verify_precision_at_the_cap_is_accepted(capsys, monkeypatch):
-    monkeypatch.setenv("KRAITCHIK_PRECISION_MAX", "65536")
-    code, out, _ = run(capsys, "verify", "corollary", "--dmax", "5")
-    assert code == 0 and "corollary d=5 verified" in out
-    monkeypatch.delenv("KRAITCHIK_PRECISION_MAX")
+def test_verify_precision_at_the_cap_is_accepted(capsys):
     code, out, _ = run(capsys, "verify", "corollary", "--dmax", "5", "--precision-max", "65536")
     assert code == 0 and "corollary d=5 verified" in out
+
+
+def test_precision_env_is_ignored(capsys, monkeypatch):
+    # --precision-max is the ceiling's only source: a 32-bit ceiling here would leave d=5 unresolved
+    monkeypatch.setenv("KRAITCHIK_PRECISION_MAX", "32")
+    code, out, _ = run(capsys, "verify", "corollary", "--dmax", "5")
+    assert code == 0 and "corollary d=5 verified" in out
+
+
+@pytest.mark.parametrize("suite,dmax", [("identity", "1003"), ("identity", "100000"), ("all", "7001")])
+def test_verify_dmax_past_the_caps_is_usage_error(capsys, monkeypatch, suite, dmax):
+    # 5..1003 sums d'^2 past MAX_TABLE_WORK; 100000 and 7001 exceed MAX_MODULUS
+    monkeypatch.setattr(cli, "psi_xi", refuse_to_build)
+    code, out, err = run_usage_error(capsys, "verify", suite, "--dmax", dmax)
+    assert code == 2
+    assert out == ""
+    assert "--dmax" in err and "Traceback" not in err
+
+
+def test_verify_dmax_at_the_work_cap_is_accepted(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "_rows_for_d", lambda d, plan, precision_max: seen.append(d) or [[]])
+    code, _, _ = run(capsys, "verify", "identity", "--dmax", "1001")
+    assert code == 0
+    assert seen == odd_squarefree_range(5, 1001)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -16,7 +16,6 @@ from kraitchik.interval import (
     IntervalDomainError,
     _ln2_bounds,
     decide,
-    default_max_precision,
     iv_add,
     iv_const_e,
     iv_const_pi,
@@ -183,15 +182,13 @@ def test_decide_examples():
     assert decide(gap_log, zero, precision_ladder(64)) == (UNRESOLVED, None, None)
 
 
-def test_default_precision_env(monkeypatch):
-    monkeypatch.delenv("KRAITCHIK_PRECISION_MAX", raising=False)
-    assert default_max_precision() == 4096
-    monkeypatch.setenv("KRAITCHIK_PRECISION_MAX", "512")
-    assert default_max_precision() == 512
-    for bad in ("4", "abc", "65537"):
-        monkeypatch.setenv("KRAITCHIK_PRECISION_MAX", bad)
-        with pytest.raises(ValueError):
-            default_max_precision()
+def test_precision_ladder_checks_its_ceiling():
+    assert precision_ladder() == (64, 128, 256, 512, 1024, 2048, 4096)
+    assert precision_ladder(65536)[-1] == 65536
+    assert precision_ladder(32) == ()  # a ceiling below the 64-bit start: no rung, so unresolved
+    for bad in (4, 65537, 10**9):
+        with pytest.raises(ValueError, match="max_precision"):
+            precision_ladder(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from kraitchik import ratio
 from kraitchik.bounds import ceil_multiple
 from kraitchik.construct import psi_xi
 from kraitchik.qfield import QuadElem
@@ -102,3 +103,15 @@ def test_psi_positive_at_admissible_points(pairs_149):
 def test_rejects_small_modulus():
     with pytest.raises(ValueError):
         check_ratio_approx(psi_xi(3), 100)
+
+
+def test_ceiling_above_the_cap_is_refused_before_interval_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("interval work ran")
+
+    monkeypatch.setattr(ratio, "iv_sqrt", refuse)
+    p5 = psi_xi(5)
+    with pytest.raises(ValueError, match="max_precision"):
+        check_ratio_approx(p5, 4, max_precision=10**9)
+    with pytest.raises(ValueError, match="max_precision"):
+        ratio_table(p5, default_sample_points(p5), max_precision=10**9)
