@@ -39,7 +39,7 @@ from .construct import KraitchikPair, check_symmetry, psi_xi, verify_identity
 from .interval import DEFAULT_MAX_PRECISION, MAX_PRECISION_CEILING, checked_precision
 from .numtheory import euler_phi, odd_squarefree_range
 from .poly import DensePoly, format_poly
-from .powersums import DiscriminantContext, power_sum_s, quad_in_enclosure, residue_sum_enclosure
+from .powersums import DiscriminantContext, power_sum_doubled, quad_in_enclosure, residue_sum_enclosure
 from .ratio import REJECTED, default_sample_points, ratio_table
 from .symfunc import (
     elementary_brute,
@@ -178,12 +178,13 @@ def _suite_ratio(pair: KraitchikPair, precision_max: int) -> list[Row]:
 
 
 def _suite_gauss_oracle(d: int) -> list[Row]:
-    """Closed-form power sums against mpmath enclosures; needs no pair."""
+    """Closed-form power sums against validated enclosures; needs no pair."""
     ctx = DiscriminantContext.for_modulus(d)
     bad = []
     for k in range(1, d + 1):
         box = residue_sum_enclosure(d, k, digits=25)
-        if box.width() > 1e-9 or not quad_in_enclosure(power_sum_s(ctx, k), box):
+        wide = box.width_mantissa() * 10**9 > 1 << box.bits  # wider than 1e-9, exactly
+        if wide or not quad_in_enclosure(*power_sum_doubled(ctx, k), ctx.D, box):
             bad.append(k)
     if bad:
         return [(f"d={d}", FALSIFIED, f"(at k={bad})")]

@@ -10,8 +10,10 @@ zeta_d^{ka} over the residues a with (a/d) = 1 has the closed form
 which the construction consumes exactly, doubled to the integer pair
 (p, q) meaning p + q sqrt(D) (``power_sum_doubled``).  The numeric side
 computes validated complex enclosures of the same sums (and of the
-character-weighted Gauss sums) with mpmath's interval arithmetic; it exists
-purely so tests can check the closed forms against something independent.
+character-weighted Gauss sums), so that the closed forms are checked against
+something independent: mpmath's interval arithmetic encloses cos and sin of
+2*pi*a/d once per modulus, rounded outward to integer mantissas, and each
+sum over a is an exact integer sum of those mantissas.
 """
 
 from __future__ import annotations
@@ -23,10 +25,12 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from mpmath import iv
-from mpmath.libmp import to_rational
+from mpmath.libmp import mpf_shift, round_ceiling, round_floor, to_int
 
 from .numtheory import euler_phi, is_squarefree, jacobi, mobius
 from .qfield import QuadElem, cmp_surd
+
+GUARD_BITS = 32  # grid of the root table: 2^-(working precision + GUARD_BITS)
 
 
 @dataclass(frozen=True)
@@ -87,106 +91,114 @@ def ramanujan_h(d: int, k: int) -> int:
 
 
 class ComplexEnclosure(NamedTuple):
-    """A rectangle re x im of validated intervals (mpmath iv scalars)."""
+    """The rectangle [re_lo, re_hi] x [im_lo, im_hi] * 2^-bits, on integer mantissas."""
 
-    re: object
-    im: object
+    re_lo: int
+    re_hi: int
+    im_lo: int
+    im_hi: int
+    bits: int
+
+    def width_mantissa(self) -> int:
+        """The wider side of the rectangle, in units of 2^-bits."""
+        return max(self.re_hi - self.re_lo, self.im_hi - self.im_lo)
 
     def width(self) -> float:
-        return max(float(self.re.delta), float(self.im.delta))
+        return math.ldexp(self.width_mantissa(), -self.bits)
 
     def contains_zero(self) -> bool:
-        return 0 in self.re and 0 in self.im
+        return self.re_lo <= 0 <= self.re_hi and self.im_lo <= 0 <= self.im_hi
+
+
+class RootTable(NamedTuple):
+    """cos and sin of 2*pi*a/d for a = 0..d-1 as outward-rounded mantissas over
+    2^bits, with the residues (jacobi = 1) and non-residues (jacobi = -1) of d."""
+
+    bits: int
+    cos_lo: tuple[int, ...]
+    cos_hi: tuple[int, ...]
+    sin_lo: tuple[int, ...]
+    sin_hi: tuple[int, ...]
+    residues: tuple[int, ...]
+    nonresidues: tuple[int, ...]
 
 
 @lru_cache(maxsize=256)
-def _roots_of_unity(d: int, digits: int):
+def _root_table(d: int, digits: int) -> RootTable:
+    """One table per modulus: mpmath encloses cos and sin for a <= d//2 only,
+    and cos(2pi(d-a)/d) = cos(2pi a/d), sin(2pi(d-a)/d) = -sin(2pi a/d)
+    give the rest.  Endpoints are floored (lo) and ceiled (hi) onto the grid
+    of 2^-(prec + GUARD_BITS), so every later sum is exact."""
+    chi = [jacobi(a, d) for a in range(d)]
     old = iv.dps
     iv.dps = digits
     try:
+        bits = iv.prec + GUARD_BITS
         two_pi = 2 * iv.pi
-        return tuple(
-            (iv.cos(two_pi * a / d), iv.sin(two_pi * a / d)) for a in range(d)
+        half = [(iv.cos(two_pi * a / d), iv.sin(two_pi * a / d)) for a in range(d // 2 + 1)]
+    finally:
+        iv.dps = old
+
+    def mantissas(xs):
+        lo = [to_int(mpf_shift(x._mpi_[0], bits), round_floor) for x in xs]
+        hi = [to_int(mpf_shift(x._mpi_[1], bits), round_ceiling) for x in xs]
+        return lo, hi
+
+    cos_lo, cos_hi = mantissas([c for c, _ in half])
+    sin_lo, sin_hi = mantissas([s for _, s in half])
+    m = d // 2  # a = m+1..d-1 mirrors d-a = m..1
+    return RootTable(
+        bits,
+        tuple(cos_lo + cos_lo[m:0:-1]),
+        tuple(cos_hi + cos_hi[m:0:-1]),
+        tuple(sin_lo + [-h for h in sin_hi[m:0:-1]]),
+        tuple(sin_hi + [-lo for lo in sin_lo[m:0:-1]]),
+        tuple(a for a in range(d) if chi[a] == 1),
+        tuple(a for a in range(d) if chi[a] == -1),
+    )
+
+
+def _signed_sum(d: int, k: int, digits: int, with_nonresidues: bool) -> ComplexEnclosure:
+    """Exact integer sum of the table's mantissas over zeta_d^{ka}: plus for
+    residues a, minus for non-residues when asked for."""
+    if digits > 60:
+        raise ValueError("oracle precision capped at 60 digits")
+    t = _root_table(d, digits)
+    plus = [k * a % d for a in t.residues]
+    minus = [k * a % d for a in t.nonresidues] if with_nonresidues else []
+
+    def side(lo: tuple[int, ...], hi: tuple[int, ...]) -> tuple[int, int]:
+        return (
+            sum(map(lo.__getitem__, plus)) - sum(map(hi.__getitem__, minus)),
+            sum(map(hi.__getitem__, plus)) - sum(map(lo.__getitem__, minus)),
         )
-    finally:
-        iv.dps = old
 
-
-def _character_sum(d: int, k: int, digits: int, weights) -> ComplexEnclosure:
-    roots = _roots_of_unity(d, digits)
-    old = iv.dps
-    iv.dps = digits
-    try:
-        re = iv.mpf(0)
-        im = iv.mpf(0)
-        for a in range(1, d + 1):
-            w = weights(a)
-            if w == 0:
-                continue
-            c, s = roots[(k * a) % d]
-            re += w * c
-            im += w * s
-        return ComplexEnclosure(re, im)
-    finally:
-        iv.dps = old
+    return ComplexEnclosure(*side(t.cos_lo, t.cos_hi), *side(t.sin_lo, t.sin_hi), t.bits)
 
 
 def gauss_sum_enclosure(d: int, k: int, digits: int = 30) -> ComplexEnclosure:
     """Validated enclosure of the quadratic Gauss sum sum_a (a/d) zeta_d^{ka}."""
-    if digits > 60:
-        raise ValueError("oracle precision capped at 60 digits")
-    return _character_sum(d, k, digits, lambda a: jacobi(a, d))
+    return _signed_sum(d, k, digits, True)
 
 
 def residue_sum_enclosure(d: int, k: int, digits: int = 30) -> ComplexEnclosure:
     """Validated enclosure of the plain residue sum sum_{(a/d)=1} zeta_d^{ka}."""
-    if digits > 60:
-        raise ValueError("oracle precision capped at 60 digits")
-    return _character_sum(d, k, digits, lambda a: 1 if jacobi(a, d) == 1 else 0)
+    return _signed_sum(d, k, digits, False)
 
 
-def _iv_endpoints(x) -> tuple[Fraction, Fraction]:
-    lo_t, hi_t = x._mpi_
-    lo = Fraction(*to_rational(lo_t))
-    hi = Fraction(*to_rational(hi_t))
-    return lo, hi
+def quad_in_enclosure(p: int, q: int, D: int, box: ComplexEnclosure) -> bool:
+    """Exact containment of (p + q*sqrt(D))/2 in a rectangle, for integers p, q.
 
-
-def quad_in_enclosure(value: QuadElem, box: ComplexEnclosure) -> bool:
-    """Exact containment of a + b*sqrt(r) in a complex interval rectangle.
-
-    Interval endpoints are dyadic, so each comparison reduces to the exact
-    sign of (a - endpoint) + b*sqrt(|r|), no rounding anywhere.
+    Scaled by 2^(bits+1), each endpoint test is an integer ``cmp_surd`` of
+    2^bits*(x + y*sqrt(|D|)) against twice a mantissa; nothing is rounded.
     """
-    if value.r > 0 or value.b == 0:
-        re_a, re_b, rad = value.a, value.b, abs(value.r)
-        im_a, im_b = Fraction(0), Fraction(0)
-    else:
-        re_a, re_b = value.a, Fraction(0)
-        im_a, im_b, rad = Fraction(0), value.b, abs(value.r)
+    scale = 1 << box.bits
+    rad = abs(D)
 
-    def inside(a_part: Fraction, b_part: Fraction, interval) -> bool:
-        lo, hi = _iv_endpoints(interval)
-        if b_part == 0:
-            return lo <= a_part <= hi
-        return cmp_surd(a_part, b_part, rad, lo) >= 0 and cmp_surd(a_part, b_part, rad, hi) <= 0
+    def inside(x: int, y: int, lo: int, hi: int) -> bool:
+        x, y = x * scale, y * scale
+        return cmp_surd(x, y, rad, 2 * lo) >= 0 and cmp_surd(x, y, rad, 2 * hi) <= 0
 
-    return inside(re_a, re_b, box.re) and inside(im_a, im_b, box.im)
-
-
-def abs_enclosure(box: ComplexEnclosure) -> tuple[float, float]:
-    """Crude float bounds for |z| over a rectangle, for oracle cross-checks."""
-    re_lo, re_hi = _iv_endpoints(box.re)
-    im_lo, im_hi = _iv_endpoints(box.im)
-
-    def mag_range(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-        if lo <= 0 <= hi:
-            return Fraction(0), max(abs(lo), abs(hi))
-        m = min(abs(lo), abs(hi))
-        return m, max(abs(lo), abs(hi))
-
-    a_lo, a_hi = mag_range(re_lo, re_hi)
-    b_lo, b_hi = mag_range(im_lo, im_hi)
-    lo = math.sqrt(float(a_lo * a_lo + b_lo * b_lo))
-    hi = math.sqrt(float(a_hi * a_hi + b_hi * b_hi))
-    return lo, math.nextafter(hi, math.inf)
+    if D > 0 or q == 0:
+        return inside(p, q, box.re_lo, box.re_hi) and inside(0, 0, box.im_lo, box.im_hi)
+    return inside(p, 0, box.re_lo, box.re_hi) and inside(0, q, box.im_lo, box.im_hi)

@@ -21,7 +21,7 @@ from kraitchik.numtheory import is_prime, mobius, odd_squarefree_range
 from kraitchik.poly import DensePoly
 from kraitchik.powersums import (
     DiscriminantContext,
-    power_sum_s,
+    power_sum_doubled,
     quad_in_enclosure,
     residue_sum_enclosure,
 )
@@ -110,7 +110,7 @@ def test_criterion_5_power_sum_enclosures():
         ctx = DiscriminantContext.for_modulus(d)
         for k in range(1, d + 1):
             box = residue_sum_enclosure(d, k, digits=25)
-            if box.width() > 1e-9 or not quad_in_enclosure(power_sum_s(ctx, k), box):
+            if box.width() > 1e-9 or not quad_in_enclosure(*power_sum_doubled(ctx, k), ctx.D, box):
                 bad.append((d, k))
     report(5, "power-sum closed form inside enclosures, d<=101", not bad)
     assert not bad

@@ -1,13 +1,18 @@
 import math
 from fractions import Fraction
 
+import powersum_oracle
 import pytest
+from mpmath import iv
+from mpmath.libmp import to_rational
 
-from kraitchik.numtheory import euler_phi, odd_squarefree_range
+import kraitchik.cli as cli
+import kraitchik.powersums as powersums
+from kraitchik.numtheory import euler_phi, jacobi, odd_squarefree_range
 from kraitchik.powersums import (
     DiscriminantContext,
-    abs_enclosure,
     gauss_sum_enclosure,
+    power_sum_doubled,
     power_sum_s,
     quad_in_enclosure,
     ramanujan_h,
@@ -16,6 +21,21 @@ from kraitchik.powersums import (
 from kraitchik.qfield import QuadElem
 
 F = Fraction
+
+
+def abs_enclosure(box) -> tuple[float, float]:
+    """Crude float bounds for |z| over a rectangle, for oracle cross-checks."""
+
+    def mag_range(lo: int, hi: int) -> tuple[int, int]:
+        if lo <= 0 <= hi:
+            return 0, max(-lo, hi)
+        return min(abs(lo), abs(hi)), max(abs(lo), abs(hi))
+
+    a_lo, a_hi = mag_range(box.re_lo, box.re_hi)
+    b_lo, b_hi = mag_range(box.im_lo, box.im_hi)
+    lo = math.sqrt(math.ldexp(a_lo * a_lo + b_lo * b_lo, -2 * box.bits))
+    hi = math.sqrt(math.ldexp(a_hi * a_hi + b_hi * b_hi, -2 * box.bits))
+    return lo, math.nextafter(hi, math.inf)
 
 
 def test_context_construction():
@@ -80,12 +100,12 @@ def test_ramanujan_multiplicative():
 
 
 def test_gauss_sum_enclosure_examples():
-    # g_{5,1} = sqrt(5)
+    # g_{5,1} = sqrt(5) = (0 + 2*sqrt(5))/2
     box = gauss_sum_enclosure(5, 1)
-    assert quad_in_enclosure(QuadElem.sqrt_of(5), box)
+    assert quad_in_enclosure(0, 2, 5, box)
     # g_{7,1} = i sqrt(7)
     box = gauss_sum_enclosure(7, 1)
-    assert quad_in_enclosure(QuadElem(F(0), F(1), -7), box)
+    assert quad_in_enclosure(0, 2, -7, box)
     # gcd branch collapses to zero
     box = gauss_sum_enclosure(15, 3)
     assert box.contains_zero()
@@ -113,4 +133,124 @@ def test_residue_sum_matches_closed_form_small_range():
         for k in range(1, d + 1):
             box = residue_sum_enclosure(d, k, digits=25)
             assert box.width() <= 1e-9
-            assert quad_in_enclosure(power_sum_s(ctx, k), box), (d, k)
+            assert quad_in_enclosure(*power_sum_doubled(ctx, k), ctx.D, box), (d, k)
+
+
+def _roots_at_40_digits(d: int) -> list:
+    old = iv.dps
+    iv.dps = 40
+    try:
+        return [(iv.cos(2 * iv.pi * a / d), iv.sin(2 * iv.pi * a / d)) for a in range(d)]
+    finally:
+        iv.dps = old
+
+
+@pytest.fixture
+def coarse_grid(monkeypatch, request):
+    """Root tables on 2^-(prec + guard) for the given guard, built afresh."""
+    monkeypatch.setattr(powersums, "GUARD_BITS", request.param)
+    powersums._root_table.cache_clear()
+    yield
+    powersums._root_table.cache_clear()
+
+
+# With the default guard every mpmath endpoint lies on the grid; a negative
+# guard makes each one round, so a swapped floor/ceiling shows too.
+@pytest.mark.parametrize("coarse_grid", [powersums.GUARD_BITS, -8], indirect=True)
+def test_root_table_brackets_independent_enclosures(coarse_grid):
+    # each mantissa pair brackets a 40-digit enclosure of cos/sin(2 pi a/d):
+    # a wrong mirror sign or a swapped floor/ceiling breaks one side
+    for d in odd_squarefree_range(3, 35):
+        t = powersums._root_table(d, 25)
+        scale = 2**t.bits
+        for a, (c, s) in enumerate(_roots_at_40_digits(d)):
+            for lo_m, hi_m, x in ((t.cos_lo[a], t.cos_hi[a], c), (t.sin_lo[a], t.sin_hi[a], s)):
+                lo, hi = (F(*to_rational(e)) for e in x._mpi_)
+                assert lo_m <= lo * scale and hi * scale <= hi_m, (d, a)
+                assert hi_m - lo_m < 2**40, (d, a)  # outward, but not loose
+        assert set(t.residues) | set(t.nonresidues) == {a for a in range(d) if math.gcd(a, d) == 1}
+        assert all(jacobi(a, d) == 1 for a in t.residues)
+
+
+def _boxes_intersect(new, old) -> bool:
+    scale = 2**new.bits
+    for lo_m, hi_m, x in ((new.re_lo, new.re_hi, old.re), (new.im_lo, new.im_hi, old.im)):
+        lo, hi = powersum_oracle.iv_endpoints(x)
+        if lo_m > hi * scale or lo * scale > hi_m:
+            return False
+    return True
+
+
+def test_exact_sums_agree_with_the_mpmath_oracle():
+    for d in odd_squarefree_range(3, 35):
+        ctx = DiscriminantContext.for_modulus(d)
+        for k in range(1, d + 1):
+            new = residue_sum_enclosure(d, k, digits=25)
+            old = powersum_oracle.residue_sum_enclosure(d, k, digits=25)
+            assert quad_in_enclosure(*power_sum_doubled(ctx, k), ctx.D, new), (d, k)
+            assert powersum_oracle.quad_in_enclosure(power_sum_s(ctx, k), old), (d, k)
+            assert _boxes_intersect(new, old), (d, k)
+            # g_{d,k} = (k/d) sqrt(D), zero when gcd(k, d) > 1
+            new = gauss_sum_enclosure(d, k)
+            old = powersum_oracle.gauss_sum_enclosure(d, k)
+            chi = jacobi(k, d)
+            assert quad_in_enclosure(0, 2 * chi, ctx.D, new), (d, k)
+            assert powersum_oracle.quad_in_enclosure(QuadElem(F(0), F(chi), ctx.D), old), (d, k)
+            assert _boxes_intersect(new, old), (d, k)
+    assert gauss_sum_enclosure(15, 3, digits=30).width() < 1e-20
+
+
+def test_planted_errors_fall_outside_the_rectangles():
+    signs = set()
+    for d in odd_squarefree_range(3, 35):
+        ctx = DiscriminantContext.for_modulus(d)
+        for k in range(1, d + 1):
+            if math.gcd(k, d) != 1:
+                continue
+            p, q = power_sum_doubled(ctx, k)
+            box = residue_sum_enclosure(d, k, digits=25)
+            assert quad_in_enclosure(p, q, ctx.D, box)
+            assert not quad_in_enclosure(p, -q, ctx.D, box), (d, k)
+            assert not quad_in_enclosure(p + 2, q, ctx.D, box), (d, k)
+            signs.add(ctx.D > 0)
+    assert signs == {True, False}
+
+
+def test_gauss_oracle_suite_reports_a_planted_error(monkeypatch):
+    real = cli.power_sum_doubled
+
+    def planted(ctx, k):
+        p, q = real(ctx, k)
+        return (p + 2, q) if k == 4 else (p, q)
+
+    monkeypatch.setattr(cli, "power_sum_doubled", planted)
+    assert cli._suite_gauss_oracle(13) == [("d=13", cli.FALSIFIED, "(at k=[4])")]
+
+
+def test_gauss_oracle_builds_one_mirrored_table_per_modulus(monkeypatch, capsys):
+    calls = {"cos": {}, "sin": {}}
+    moduli = []
+    suite = cli._suite_gauss_oracle
+
+    def tracked(d):
+        moduli.append(d)
+        return suite(d)
+
+    def counting(name, f):
+        def wrapper(x):
+            calls[name][moduli[-1]] = calls[name].get(moduli[-1], 0) + 1
+            return f(x)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "_suite_gauss_oracle", tracked)
+    monkeypatch.setattr(iv, "cos", counting("cos", iv.cos))
+    monkeypatch.setattr(iv, "sin", counting("sin", iv.sin))
+    powersums._root_table.cache_clear()
+    assert cli.main(["verify", "gauss-oracle", "--dmax", "35"]) == 0
+    capsys.readouterr()
+    assert moduli == list(odd_squarefree_range(5, 35))
+    for name in ("cos", "sin"):
+        assert set(calls[name]) == set(moduli), name
+        for d in moduli:
+            assert calls[name][d] <= d // 2 + 1, (name, d, calls[name][d])
