@@ -154,12 +154,12 @@ def coarse_grid(monkeypatch, request):
     powersums._root_table.cache_clear()
 
 
-# With the default guard every mpmath endpoint lies on the grid; a negative
-# guard makes each one round, so a swapped floor/ceiling shows too.
+# Each mantissa pair must bracket a 40-digit enclosure of cos/sin(2 pi a/d),
+# which a wrong mirror sign breaks.  With the default guard every mpmath
+# endpoint lies on the grid; a negative guard makes each one round, so a
+# swapped floor/ceiling breaks it too.
 @pytest.mark.parametrize("coarse_grid", [powersums.GUARD_BITS, -8], indirect=True)
 def test_root_table_brackets_independent_enclosures(coarse_grid):
-    # each mantissa pair brackets a 40-digit enclosure of cos/sin(2 pi a/d):
-    # a wrong mirror sign or a swapped floor/ceiling breaks one side
     for d in odd_squarefree_range(3, 35):
         t = powersums._root_table(d, 25)
         scale = 2**t.bits
