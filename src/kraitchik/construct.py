@@ -17,9 +17,11 @@ division by 2m; a remainder raises ArithmeticError.  Then
     b_{d,n} = -2 * (surd part of u) = (-1)^(n+1) B_n   (an integer),
 
 assemble Psi_d and Xi_d.  ``u_coefficients`` is the slow exact path over
-Fraction and QuadElem that the tests compare against.  ``cyclotomic``
-provides the independent Mobius product oracle against which
-``verify_identity`` checks the pair exactly.
+Fraction and QuadElem that the tests compare against.
+
+``verify_identity`` checks the pair exactly against ``cyclotomic``'s
+independent Phi_d, a sparse Mobius product on integer lists, as one integer
+equation at X = 2^k whose slot width k is proven wide enough first.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from itertools import accumulate
+from operator import mul, sub
 from typing import Optional, Sequence
 
 from .numtheory import divisors, is_prime, mobius
@@ -138,25 +141,31 @@ def half_polys(pair: KraitchikPair) -> tuple[DensePoly, DensePoly]:
 
 
 def cyclotomic(d: int) -> DensePoly:
-    """Phi_d over the integers via the Mobius product of (X^e - 1) factors."""
+    """Phi_d over the integers via the Mobius product of (X^e - 1) factors, on a
+    plain integer list in O(d * 2^omega(d)) additions: each factor with
+    mu(d/e) = 1 is a shift and a subtract, each with mu(d/e) = -1 an exact
+    division."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    num = DensePoly.one()
-    den = DensePoly.one()
-    for e in divisors(d):
-        mu = mobius(d // e)
-        if mu == 1:
-            num = num * _x_power_minus_one(e)
-        elif mu == -1:
-            den = den * _x_power_minus_one(e)
-    quo, rem = divmod(num, den)
-    if not rem.is_zero():
-        raise ArithmeticError(f"cyclotomic division left a remainder at d={d}")
-    return quo
+    mu = {e: mobius(d // e) for e in divisors(d)}
+    coeffs = [1]
+    for e in [e for e in mu if mu[e] == 1]:  # every product first, so each division is exact
+        coeffs = list(map(sub, [0] * e + coeffs, coeffs + [0] * e))
+    for e in [e for e in mu if mu[e] == -1]:
+        coeffs = _divide_by_x_power_minus_one(coeffs, e, d)
+    return DensePoly(coeffs)
 
 
-def _x_power_minus_one(e: int) -> DensePoly:
-    return DensePoly([-1] + [0] * (e - 1) + [1])
+def _divide_by_x_power_minus_one(coeffs: list[int], e: int, d: int) -> list[int]:
+    """coeffs / (X^e - 1), exact or ArithmeticError.  The quotient obeys
+    q_i = q_{i-e} - c_i from the bottom, so -q_i is a running sum along i's
+    residue class mod e; the same sums at the top e degrees are the remainder."""
+    sums = list(coeffs)
+    for r in range(e):
+        sums[r::e] = accumulate(coeffs[r::e])
+    if len(coeffs) <= e or any(sums[-e:]):
+        raise ArithmeticError(f"cyclotomic division by X^{e} - 1 left a remainder at d={d}")
+    return [-s for s in sums[:-e]]
 
 
 @dataclass(frozen=True)
@@ -167,14 +176,38 @@ class IdentityReport:
 
 
 def verify_identity(pair: KraitchikPair) -> IdentityReport:
-    """Exact polynomial check of 4*Phi_d = Psi_d^2 - D*Xi_d^2."""
-    lhs = cyclotomic(pair.d) * 4
-    rhs = pair.psi * pair.psi - (pair.xi * pair.xi) * pair.ctx.D
-    top = max(lhs.degree, rhs.degree)
-    for k in range(top + 1):
-        if lhs[k] != rhs[k]:
-            return IdentityReport(pair.d, False, k)
-    return IdentityReport(pair.d, True, None)
+    """Exact check of 4*Phi_d = Psi_d^2 - D*Xi_d^2 as one integer equation at
+    X = 2^k (Kronecker substitution).  ``bound`` dominates every coefficient of
+    Psi^2 - D*Xi^2 - 4*Phi and 2^(k-1) > bound is checked, so the packing is
+    injective and the lowest set bit of a nonzero difference lies in the slot
+    of the first differing degree."""
+    phi = cyclotomic(pair.d).coeffs
+    psi, xi, D = pair.psi.coeffs, pair.xi.coeffs, pair.ctx.D
+    m = max(map(abs, psi + xi))
+    bound = 4 * max(map(abs, phi)) + m * m * (len(psi) + abs(D) * len(xi))
+    k = _slot_bits(bound)
+    if bound >> (k - 1):
+        raise ArithmeticError(f"{k}-bit slots cannot hold a coefficient bound of {bound} at d={pair.d}")
+    width = -(-k // 8)  # whole bytes, at least k bits
+    p, x = _pack(psi, width), _pack(xi, width)
+    diff = p * p - D * x * x - 4 * _pack(phi, width)
+    if diff == 0:
+        return IdentityReport(pair.d, True, None)
+    return IdentityReport(pair.d, False, ((diff & -diff).bit_length() - 1) // (8 * width))
+
+
+def _slot_bits(bound: int) -> int:
+    """The least k with 2^(k-1) > bound."""
+    return bound.bit_length() + 1
+
+
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    """sum_i c_i * 2^(8*width*i), the positive and the negative coefficients
+    packed into width-byte slots separately."""
+    zero = bytes(width)
+    pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in coeffs)
+    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 @dataclass(frozen=True)

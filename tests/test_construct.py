@@ -1,5 +1,7 @@
+import dataclasses
 from fractions import Fraction
 
+import cyclotomic_oracle as oracle
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
@@ -201,13 +203,81 @@ def test_identity_examples():
 
 
 def test_identity_witness_on_corrupted_pair():
-    import dataclasses
-
     pair = psi_xi(5)
     broken = dataclasses.replace(pair, psi=DensePoly([3, 1, 2]))
     rep = verify_identity(broken)
     assert not rep.ok
     assert rep.mismatch_index == 0
+
+
+def test_cyclotomic_matches_the_dense_mobius_product():
+    # every d up to 300, even and non-squarefree ones included, and three with
+    # many factors or a large prime: 1155 = 3*5*7*11, 2003, 6545 = 5*7*11*17
+    for d in list(range(1, 301)) + [1155, 2003, 6545]:
+        assert cyclotomic(d) == oracle.dense_cyclotomic(d), d
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            cyclotomic(bad)
+
+
+def test_division_by_x_power_minus_one_refuses_a_remainder(monkeypatch):
+    divide = construct._divide_by_x_power_minus_one
+    assert divide([-1, 0, 0, 0, 0, 0, 1], 3, 6) == [1, 0, 0, 1]  # X^6 - 1 = (X^3 - 1)(X^3 + 1)
+    for coeffs, e in (([1, 0, 1], 1), ([-1, 0, 0, 0, 0, 0, 1], 4), ([-1, 1], 2), ([-1, 0, 2], 2)):
+        with pytest.raises(ArithmeticError):
+            divide(coeffs, e, 0)
+    # with mu's sign flipped at d = 15, X^15 - 1 would divide (X^5 - 1)(X^3 - 1)
+    mobius = construct.mobius
+    monkeypatch.setattr(construct, "mobius", lambda n: -mobius(n))
+    with pytest.raises(ArithmeticError, match="X\\^15 - 1 left a remainder at d=15"):
+        cyclotomic(15)
+
+
+@given(
+    st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=12),
+    st.integers(min_value=1, max_value=6),
+    st.lists(st.integers(min_value=-3, max_value=3), max_size=6),
+)
+def test_division_by_x_power_minus_one_matches_divmod(quo, e, rem):
+    quotient, remainder = DensePoly(quo), DensePoly(rem[:e])
+    num = quotient * DensePoly([-1] + [0] * (e - 1) + [1]) + remainder
+    if quotient.is_zero() or not remainder.is_zero():
+        with pytest.raises(ArithmeticError):
+            construct._divide_by_x_power_minus_one(list(num.coeffs), e, 0)
+    else:
+        assert DensePoly(construct._divide_by_x_power_minus_one(list(num.coeffs), e, 0)) == quotient
+
+
+def test_packed_identity_agrees_with_the_dense_check(pairs_255):
+    for d in odd_squarefree_range(3, 255) + [1155]:
+        pair = pairs_255[d] if d in pairs_255 else psi_xi(d)
+        rep = verify_identity(pair)
+        assert (rep.ok, rep.mismatch_index) == oracle.dense_identity(pair) == (True, None), d
+
+
+@pytest.mark.parametrize("d", [5, 7, 15, 105])  # D = 5, -7, -15, 105
+@pytest.mark.parametrize("field", ["psi", "xi"])
+def test_planted_coefficient_error_is_found_at_the_dense_index(d, field):
+    pair = psi_xi(d)
+    coeffs = getattr(pair, field).coeffs
+    top = len(coeffs) - 1
+    for degree in (0, top // 2, top):
+        for delta in (1, -1, 2**70):
+            planted = list(coeffs)
+            planted[degree] += delta
+            broken = dataclasses.replace(pair, **{field: DensePoly(planted)})
+            rep = verify_identity(broken)
+            ok, index = oracle.dense_identity(broken)
+            assert not ok, (d, field, degree, delta)
+            assert (rep.ok, rep.mismatch_index) == (False, index), (d, field, degree, delta)
+
+
+def test_slots_one_bit_too_narrow_are_refused(monkeypatch):
+    slot_bits = construct._slot_bits
+    monkeypatch.setattr(construct, "_slot_bits", lambda bound: slot_bits(bound) - 1)
+    for d in (3, 5, 7, 105):
+        with pytest.raises(ArithmeticError, match="slots cannot hold"):
+            verify_identity(psi_xi(d))
 
 
 def test_symmetry_examples():
