@@ -51,7 +51,7 @@ from .symfunc import (
 DEFAULT_TABLE_RANGE_NOTE = "range syntax is lo..hi, e.g. 5..149"
 
 # largest modulus compute/table/verify accept: compute 6997 (prime, d' = 3498) takes
-# about 3.4 s on a 2-core host, 2.8 s of it in psi_xi's O(d'^2) recursion
+# about 3.4 s on a 2-core host, 2.7 s of it in psi_xi's O(d'^2) recursion
 MAX_MODULUS = 7000
 # largest sum of d'^2 one table range or verify --dmax may cost: table 5..1000
 # (24.8M) takes about 4.3 s, 3.8 s of it in psi_xi; compute 6997 alone is 12.2M
