@@ -10,8 +10,10 @@ in ten pairs with the same seed (pair i uses seed i + 1), alternating which
 side goes first, so that drift in the host's speed falls on both.  The entry
 records, per workload and end-to-end metric, each side's runs with their
 median and quartiles and the number of pairs in which the change was better;
-per side it records the tier-1 wall time and the line count of ``src/``, and
-for the working tree its HEAD and its uncommitted paths (``git status
+per side it records the tier-1 wall time and the Python line counts of
+``src/`` and ``tests/`` (with their change-minus-parent deltas, so an entry
+shows whether code was deleted or only moved into the tests), and for the
+working tree its HEAD and its uncommitted paths (``git status
 --porcelain``), so the entry can be traced to the code it measured.  Both
 sides must carry the same ``BENCHMARK.json``.  Tracing is not run.
 """
@@ -40,8 +42,16 @@ def unpack(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
 
 
-def src_lines(tree: Path) -> int:
-    return sum(f.read_bytes().count(b"\n") for f in (tree / "src").rglob("*.py"))
+def line_counts(tree: Path) -> dict:
+    """``src_lines`` and ``tests_lines``: newlines in the .py files under each directory."""
+    return {
+        f"{sub}_lines": sum(f.read_bytes().count(b"\n") for f in (tree / sub).rglob("*.py")) for sub in ("src", "tests")
+    }
+
+
+def line_deltas(parent: dict, change: dict) -> dict:
+    """``<name>_delta`` = change minus parent for every ``*_lines`` count."""
+    return {f"{k}_delta": change[k] - parent[k] for k in parent if k.endswith("_lines")}
 
 
 def git(*args: str) -> str:
@@ -125,7 +135,7 @@ def main(argv=None) -> int:
                     runs[side].append(run_once(sides[side], workload, i + 1))
                 print(f"{workload}: pair {i + 1}/{PAIRS} done", file=sys.stderr)
             workloads[workload] = aggregate(runs["parent"], runs["change"], spec["end_to_end"])
-        trees = {side: {"src_lines": src_lines(tree), "tier1": tier1(tree)} for side, tree in sides.items()}
+        trees = {side: {**line_counts(tree), "tier1": tier1(tree)} for side, tree in sides.items()}
 
     entry = {
         "parent_rev": git("rev-parse", args.parent).strip(),
@@ -133,7 +143,7 @@ def main(argv=None) -> int:
         "pairs": PAIRS,
         "parent": trees["parent"],
         "change": {**change_state, **trees["change"]},
-        "src_lines_delta": trees["change"]["src_lines"] - trees["parent"]["src_lines"],
+        **line_deltas(trees["parent"], trees["change"]),
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(entry, indent=2) + "\n")

@@ -8,7 +8,6 @@ from .construct import (
     check_symmetry,
     cyclotomic,
     psi_xi,
-    u_coefficients,
     verify_identity,
 )
 from .powersums import DiscriminantContext, power_sum_s, ramanujan_h
@@ -26,6 +25,5 @@ __all__ = [
     "power_sum_s",
     "psi_xi",
     "ramanujan_h",
-    "u_coefficients",
     "verify_identity",
 ]

@@ -76,13 +76,6 @@ def row_json(pair: KraitchikPair) -> str:
     return json.dumps(row_dict(pair), separators=(",", ":"))
 
 
-def parse_row(line: str) -> dict:
-    obj = json.loads(line)
-    obj["a"] = [int(v) for v in obj["a"]]
-    obj["b"] = [int(v) for v in obj["b"]]
-    return obj
-
-
 def _table_text(pairs: list[KraitchikPair]) -> str:
     header = ("d", "D", "phi", "d'", "a", "b")
     rows = [

@@ -16,8 +16,8 @@ division by 2m; a remainder raises ArithmeticError.  Then
     a_{d,n} = u + conj(u) = (-1)^n A_n          (an integer),
     b_{d,n} = -2 * (surd part of u) = (-1)^(n+1) B_n   (an integer),
 
-assemble Psi_d and Xi_d.  ``u_coefficients`` is the slow exact path over
-Fraction and QuadElem that the tests compare against.
+assemble Psi_d and Xi_d.  The slow exact path, the generic recursion over
+Fraction and a Q(sqrt(D)) scalar, is the oracle in ``tests/oracles.py``.
 
 ``verify_identity`` checks the pair exactly against ``cyclotomic``'s
 independent Phi_d, a sparse Mobius product on integer lists, as one integer
@@ -27,17 +27,13 @@ equation at X = 2^k whose slot width k is proven wide enough first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from operator import mul, sub
 from typing import Optional, Sequence
 
 from .numtheory import divisors, is_prime, mobius
 from .poly import DensePoly
-from .powersums import DiscriminantContext, power_sum_doubled, power_sum_s
-from .qfield import QuadElem
-from .symfunc import newton_elementary
+from .powersums import DiscriminantContext, power_sum_doubled
 
 
 @dataclass(frozen=True)
@@ -59,28 +55,9 @@ class KraitchikPair:
     def d(self) -> int:
         return self.ctx.d
 
-    @cached_property
-    def u(self) -> tuple[QuadElem, ...]:
-        """u_{d,0..d'} = a_{d,n}/2 - (b_{d,n}/2)*sqrt(D), derived from a and b."""
-        return tuple(
-            QuadElem(Fraction(self.a[n], 2), Fraction(-self.b_coeff(n), 2), self.ctx.D)
-            for n in range(len(self.a))
-        )
-
     def b_coeff(self, n: int) -> int:
         """b_{d,n} with the convention b_{d,0} = 0."""
         return 0 if n == 0 else self.b[n - 1]
-
-
-def u_coefficients(ctx: DiscriminantContext) -> tuple[QuadElem, ...]:
-    """u_{d,0..d'}: signed elementary symmetric values of the residue roots.
-
-    The slow exact path over Fraction and QuadElem; tests compare ``psi_xi``
-    against it.
-    """
-    sums = [power_sum_s(ctx, j) for j in range(1, ctx.dprime + 1)]
-    es = newton_elementary(sums)
-    return tuple(e if n % 2 == 0 else -e for n, e in enumerate(es))
 
 
 def _pair_dot(
@@ -130,14 +107,6 @@ def psi_xi(d_or_ctx: int | DiscriminantContext) -> KraitchikPair:
     psi = DensePoly([a[dp - j] for j in range(dp + 1)])
     xi = DensePoly([b[dp - 1 - j] for j in range(dp)])
     return KraitchikPair(ctx, a, b, psi, xi)
-
-
-def half_polys(pair: KraitchikPair) -> tuple[DensePoly, DensePoly]:
-    """U+ and U- as polynomials over Q(sqrt(D)), mostly for test oracles."""
-    dp = pair.ctx.dprime
-    plus = DensePoly([pair.u[dp - j] for j in range(dp + 1)])
-    minus = DensePoly([pair.u[dp - j].conj() for j in range(dp + 1)])
-    return plus, minus
 
 
 def cyclotomic(d: int) -> DensePoly:

@@ -2,7 +2,7 @@
 
 Coefficients are stored ascending by degree with no trailing zeros; the zero
 polynomial is the empty tuple.  The ring is whatever the coefficients are
-(int, Fraction, QuadElem) -- the operations only assume exact +, -, *.
+(int or Fraction) -- the operations only assume exact +, -, *.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ class DensePoly:
     @classmethod
     def zero(cls) -> "DensePoly":
         return cls(())
-
-    @classmethod
-    def one(cls) -> "DensePoly":
-        return cls((1,))
 
     @property
     def degree(self) -> int:
@@ -76,18 +72,6 @@ class DensePoly:
         return DensePoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "DensePoly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = DensePoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __divmod__(self, other: "DensePoly") -> tuple["DensePoly", "DensePoly"]:
         """Exact-ring division; requires each leading quotient step to divide."""

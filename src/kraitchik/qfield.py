@@ -1,14 +1,15 @@
-"""Exact arithmetic in quadratic extensions Q(sqrt(r)).
+"""Exact order in quadratic extensions Q(sqrt(r)).
 
-A ``QuadElem`` is ``a + b*sqrt(r)`` with rational a, b and a squarefree
-radicand r (possibly negative, never 0 or 1).  Elements with b = 0 act as
-plain rationals and may combine with any radicand; mixing two genuinely
-irrational radicands is a hard error rather than an implicit embedding into
-a biquadratic field.
+A ``QuadElem`` is the record ``a + b*sqrt(r)`` with rational a, b and a
+squarefree radicand r (possibly negative, never 0 or 1); elements with b = 0
+compare equal to plain rationals.  It carries no field arithmetic: every
+deciding path reads its parts.
 
 ``cmp_surd`` decides the exact order of ``x + y*sqrt(d)`` against a rational
 by sign analysis and squaring, which is what makes every inequality check in
-the bounds modules exact rather than numeric.
+the bounds modules exact rather than numeric.  ``cmp_real`` compares two
+records on their parts; two genuinely irrational radicands raise
+``RadicandMismatch`` rather than being embedded into a biquadratic field.
 """
 
 from __future__ import annotations
@@ -44,103 +45,6 @@ class QuadElem:
         if self.r in (0, 1) or not is_squarefree(abs(self.r)):
             raise ValueError(f"radicand must be squarefree and not 0 or 1, got {self.r}")
 
-    @classmethod
-    def rational(cls, value: Rational, r: int) -> "QuadElem":
-        return cls(_as_fraction(value), Fraction(0), r)
-
-    @classmethod
-    def sqrt_of(cls, r: int) -> "QuadElem":
-        return cls(Fraction(0), Fraction(1), r)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def rational_value(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self} is irrational")
-        return self.a
-
-    def conj(self) -> "QuadElem":
-        """Algebraic conjugate a - b*sqrt(r)."""
-        return QuadElem(self.a, -self.b, self.r)
-
-    def _coerce(self, other) -> "QuadElem | None":
-        if isinstance(other, QuadElem):
-            if other.r == self.r or other.b == 0:
-                return QuadElem(other.a, other.b, self.r)
-            if self.b == 0:
-                return other
-            raise RadicandMismatch(f"cannot combine sqrt({self.r}) with sqrt({other.r})")
-        if isinstance(other, (int, Fraction)):
-            return QuadElem.rational(other, self.r)
-        return None
-
-    def __add__(self, other) -> "QuadElem":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.r != self.r:  # self rational, other irrational
-            return o + self.a
-        return QuadElem(self.a + o.a, self.b + o.b, self.r)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadElem":
-        return QuadElem(-self.a, -self.b, self.r)
-
-    def __sub__(self, other) -> "QuadElem":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> "QuadElem":
-        return (-self) + other
-
-    def __mul__(self, other) -> "QuadElem":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.r != self.r:
-            return o * self.a
-        return QuadElem(
-            self.a * o.a + self.b * o.b * self.r,
-            self.a * o.b + self.b * o.a,
-            self.r,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QuadElem":
-        norm = self.a * self.a - self.b * self.b * self.r
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in quadratic field")
-        return QuadElem(self.a / norm, -self.b / norm, self.r)
-
-    def __truediv__(self, other) -> "QuadElem":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.r != self.r:  # self rational, other irrational: work in other's field
-            return QuadElem.rational(self.a, o.r) * o.inverse()
-        return self * o.inverse()
-
-    def __rtruediv__(self, other) -> "QuadElem":
-        return QuadElem.rational(other, self.r) * self.inverse()
-
-    def __pow__(self, n: int) -> "QuadElem":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = QuadElem.rational(1, self.r)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             return self.b == 0 and self.a == other
@@ -159,10 +63,6 @@ class QuadElem:
         if self.b == 0:
             return f"QuadElem({self.a})"
         return f"QuadElem({self.a} + {self.b}*sqrt({self.r}))"
-
-
-def conj(x: QuadElem) -> QuadElem:
-    return x.conj()
 
 
 def cmp_surd(x: Rational, y: Rational, d: int, q: Rational) -> int:
@@ -193,18 +93,25 @@ def cmp_surd(x: Rational, y: Rational, d: int, q: Rational) -> int:
 
 def sign_real(x: QuadElem) -> int:
     """Exact sign of a real quadratic element (radicand > 0 or rational)."""
-    if x.b == 0:
-        return 0 if x.a == 0 else (1 if x.a > 0 else -1)
-    if x.r < 0:
-        raise ValueError("sign of a non-real element")
-    return cmp_surd(x.a, x.b, x.r, 0)
+    return cmp_real(x, 0)
 
 
 def cmp_real(x: QuadElem, y: QuadElem | Rational) -> int:
-    """Exact comparison of two real quadratic elements sharing a field."""
-    return sign_real(x - y)
+    """Exact order of two real quadratic elements: the sign of x - y, taken
+    in the field of whichever one is irrational."""
+    if not isinstance(y, QuadElem):
+        a, b, r = x.a - y, x.b, x.r
+    elif x.b and y.b and x.r != y.r:
+        raise RadicandMismatch(f"cannot compare sqrt({x.r}) with sqrt({y.r})")
+    else:
+        a, b, r = x.a - y.a, x.b - y.b, x.r if x.b else y.r
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if r < 0:
+        raise ValueError("sign of a non-real element")
+    return cmp_surd(a, b, r, 0)
 
 
 def abs_real(x: QuadElem) -> QuadElem:
     """|x| for a real quadratic element, exact."""
-    return x if sign_real(x) >= 0 else -x
+    return x if sign_real(x) >= 0 else QuadElem(-x.a, -x.b, x.r)

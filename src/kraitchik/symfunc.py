@@ -1,11 +1,13 @@
 """Symmetric-function machinery: the Girard-Newton recursion, partition
 weights, and the binomial collapse polynomial.
 
-``newton_elementary`` is generic over any exact scalar with +, -, * and
-division by a positive integer.  The construction runs its own integer-pair
-form of the recursion; this generic one is the exact oracle the tests
-compare it against.  The partition weights w are the positive rationals
-expanding the m-th elementary symmetric polynomial in power sums,
+``newton_elementary`` starts from e_0 = Fraction(1), so it runs over any
+exact scalar that combines with Fractions under +, -, * and division by a
+positive integer.  The construction runs its own integer-pair form of the
+recursion; this generic one, fed with the tests' quadratic-field scalar, is
+the exact oracle the tests compare it against.  The partition weights w are
+the positive rationals expanding the m-th elementary symmetric polynomial in
+power sums,
 
     S^(m) = sum over partitions e of m of (-1)^(m-k) * w_e * prod S_{e_i},
 
@@ -29,7 +31,6 @@ from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from .poly import DensePoly
-from .qfield import QuadElem
 
 Partition = tuple[int, ...]
 
@@ -88,24 +89,15 @@ def pm_polynomial(m: int) -> DensePoly:
     return DensePoly(coeffs)
 
 
-def _ring_one(x):
-    if isinstance(x, QuadElem):
-        return QuadElem.rational(1, x.r)
-    return Fraction(1)
-
-
 def newton_elementary(power_sums: Sequence) -> list:
     """Elementary symmetric values e_0..e_N from power sums S_1..S_N.
 
     Uses m*e_m = sum_{j=1..m} (-1)^(j-1) e_{m-j} S_j.  Scalars need exact
-    ring arithmetic plus division by a positive integer; plain ints are
-    promoted to Fraction.
+    ring arithmetic with Fractions plus division by a positive integer;
+    plain ints are promoted to Fraction.
     """
     sums = [Fraction(s) if isinstance(s, int) else s for s in power_sums]
-    if not sums:
-        return [Fraction(1)]
-    one = _ring_one(sums[0])
-    es: list = [one]
+    es: list = [Fraction(1)]
     for m in range(1, len(sums) + 1):
         acc = None
         for j in range(1, m + 1):

@@ -22,8 +22,7 @@ def dense_cyclotomic(d: int) -> DensePoly:
     """Phi_d over the integers via the Mobius product of (X^e - 1) factors."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    num = DensePoly.one()
-    den = DensePoly.one()
+    num = den = DensePoly([1])
     for e in divisors(d):
         mu = mobius(d // e)
         if mu == 1:

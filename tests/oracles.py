@@ -1,0 +1,94 @@
+"""Field arithmetic in Q(sqrt(r)) and the Fraction Girard-Newton path: the
+slow exact reference for ``kraitchik.construct`` and ``kraitchik.bounds``.
+
+``kraitchik.qfield.QuadElem`` is a plain record; ``Quad`` adds the field
+operations the oracles need.  A rational element (b = 0) combines with any
+radicand, and combining two genuinely irrational radicands raises
+``RadicandMismatch``.  ``u_coefficients`` is the construction as it was
+before ``psi_xi`` moved onto integer pairs: the closed-form power sums fed
+through the generic ``newton_elementary``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from kraitchik.construct import KraitchikPair
+from kraitchik.poly import DensePoly
+from kraitchik.powersums import DiscriminantContext, power_sum_s
+from kraitchik.qfield import QuadElem, RadicandMismatch
+from kraitchik.symfunc import newton_elementary
+
+
+class Quad(QuadElem):
+    """A ``QuadElem`` with +, -, *, /, ``inverse`` and ``conj``."""
+
+    def _parts(self, other) -> tuple:
+        """(a, b, r) of ``other`` in a field it shares with self."""
+        if not isinstance(other, QuadElem):
+            return Fraction(other), Fraction(0), self.r
+        if self.b and other.b and self.r != other.r:
+            raise RadicandMismatch(f"cannot combine sqrt({self.r}) with sqrt({other.r})")
+        return other.a, other.b, self.r if self.b else other.r
+
+    def __add__(self, other) -> "Quad":
+        a, b, r = self._parts(other)
+        return Quad(self.a + a, self.b + b, r)
+
+    def __neg__(self) -> "Quad":
+        return Quad(-self.a, -self.b, self.r)
+
+    def __sub__(self, other) -> "Quad":
+        a, b, r = self._parts(other)
+        return Quad(self.a - a, self.b - b, r)
+
+    def __mul__(self, other) -> "Quad":
+        a, b, r = self._parts(other)
+        return Quad(self.a * a + self.b * b * r, self.a * b + self.b * a, r)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "Quad":
+        norm = self.a * self.a - self.b * self.b * self.r
+        if norm == 0:
+            raise ZeroDivisionError("division by zero in quadratic field")
+        return Quad(self.a / norm, -self.b / norm, self.r)
+
+    def __truediv__(self, other) -> "Quad":
+        return self * Quad(*self._parts(other)).inverse()
+
+    def conj(self) -> "Quad":
+        """Algebraic conjugate a - b*sqrt(r)."""
+        return Quad(self.a, -self.b, self.r)
+
+
+def u_coefficients(ctx: DiscriminantContext) -> tuple:
+    """u_{d,0..d'}: signed elementary symmetric values of the residue roots,
+    by the Girard-Newton recursion over Fraction and ``Quad``."""
+    sums = []
+    for j in range(1, ctx.dprime + 1):
+        s = power_sum_s(ctx, j)
+        sums.append(Quad(s.a, s.b, s.r))
+    es = newton_elementary(sums)
+    zero = Quad(0, 0, ctx.D)  # e_0 is the Fraction 1; adding zero makes every entry a Quad
+    return tuple(zero + (e if n % 2 == 0 else -e) for n, e in enumerate(es))
+
+
+def pair_u(pair: KraitchikPair) -> tuple[Quad, ...]:
+    """u_{d,0..d'} = a_{d,n}/2 - (b_{d,n}/2)*sqrt(D), derived from a and b."""
+    return tuple(
+        Quad(Fraction(a, 2), Fraction(-pair.b_coeff(n), 2), pair.ctx.D) for n, a in enumerate(pair.a)
+    )
+
+
+def half_polys(pair: KraitchikPair) -> tuple[DensePoly, DensePoly]:
+    """U+ and U- as polynomials over Q(sqrt(D))."""
+    u = pair_u(pair)[::-1]
+    return DensePoly(u), DensePoly([c.conj() for c in u])
+
+
+def second_coefficient_closed_form(d: int) -> QuadElem:
+    """u_{d,2} at an odd prime d by d mod 8: ((d+3)/4 - sqrt(D))/2 for 1,
+    (3-d)/8 for 3, (d+3)/8 for 5 and ((3-d)/4 - sqrt(D))/2 for 7."""
+    a = Fraction(d + 3 if d % 8 in (1, 5) else 3 - d, 8)
+    return QuadElem(a, Fraction(-1, 2) if d % 8 in (1, 7) else 0, d if d % 4 == 1 else -d)

@@ -14,9 +14,10 @@ import time
 from fractions import Fraction
 
 import mpmath
+from oracles import second_coefficient_closed_form, u_coefficients
 
 from kraitchik.bounds import check_coefficient_bounds, check_explicit_bound
-from kraitchik.construct import check_symmetry, psi_xi, u_coefficients, verify_identity
+from kraitchik.construct import check_symmetry, psi_xi, verify_identity
 from kraitchik.numtheory import is_prime, mobius, odd_squarefree_range
 from kraitchik.poly import DensePoly
 from kraitchik.powersums import (
@@ -127,15 +128,7 @@ def test_criterion_6_second_coefficient_closed_forms():
             bad.append((d, 1))
         if ctx.dprime < 2:
             continue
-        if d % 8 == 1:
-            want = QuadElem(F(d + 3, 8), F(-1, 2), ctx.D)
-        elif d % 8 == 3:
-            want = QuadElem.rational(F(3 - d, 8), ctx.D)
-        elif d % 8 == 5:
-            want = QuadElem.rational(F(d + 3, 8), ctx.D)
-        else:
-            want = QuadElem(F(3 - d, 8), F(-1, 2), ctx.D)
-        if u[2] != want:
+        if u[2] != second_coefficient_closed_form(d):
             bad.append((d, 2))
     report(6, "u1/u2 closed forms at odd primes <= 101", not bad)
     assert not bad

@@ -48,11 +48,29 @@ def test_aggregate_pairs_and_directions(bench):
     assert entry["metrics"]["frac"]["change_better_pairs"] == 1
 
 
+def write_tree(root, files):
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
 def test_src_lines_counts_python_under_src(bench, tmp_path):
-    (tmp_path / "src" / "pkg").mkdir(parents=True)
-    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
-    (tmp_path / "src" / "pkg" / "b.txt").write_text("not counted\n")
-    assert bench.src_lines(tmp_path) == 2
+    write_tree(tmp_path, {"src/pkg/a.py": "x = 1\ny = 2\n", "src/pkg/b.txt": "not counted\n"})
+    assert bench.line_counts(tmp_path) == {"src_lines": 2, "tests_lines": 0}
+
+
+def test_line_deltas_tell_a_deletion_from_a_move_into_tests(bench, tmp_path):
+    parent = write_tree(tmp_path / "parent", {"src/m.py": "a\nb\nc\n", "tests/t.py": "t\n", "tests/x.txt": "\n\n"})
+    moved = write_tree(tmp_path / "moved", {"src/m.py": "a\n", "tests/t.py": "t\n", "tests/o.py": "b\nc\n"})
+    deleted = write_tree(tmp_path / "deleted", {"src/m.py": "a\n", "tests/t.py": "t\n"})
+    before = bench.line_counts(parent)
+    assert before == {"src_lines": 3, "tests_lines": 1}
+    assert bench.line_deltas(before, bench.line_counts(moved)) == {"src_lines_delta": -2, "tests_lines_delta": 2}
+    assert bench.line_deltas(before, bench.line_counts(deleted)) == {"src_lines_delta": -2, "tests_lines_delta": 0}
+    # other keys of a side's record (its tier-1 result) get no delta
+    same = {**before, "tier1": {}}
+    assert bench.line_deltas(same, same) == {"src_lines_delta": 0, "tests_lines_delta": 0}
 
 
 def test_working_tree_state_names_head_and_uncommitted_paths(bench, tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import Quad
 
 import kraitchik.bounds as bounds
 from kraitchik.bounds import (
@@ -21,7 +22,7 @@ from kraitchik.bounds import (
 from kraitchik.construct import psi_xi
 from kraitchik.numtheory import is_squarefree, odd_squarefree_range, squarefree_decompose
 from kraitchik.powersums import DiscriminantContext
-from kraitchik.qfield import QuadElem, RadicandMismatch, abs_real, cmp_real, cmp_surd, sign_real
+from kraitchik.qfield import QuadElem, RadicandMismatch, abs_real, cmp_real, cmp_surd
 
 F = Fraction
 
@@ -33,13 +34,13 @@ def ctx(d):
 def as_quad(bound, r):
     """The integer triple (P, Q, K) of ``rising_factorial_bound`` as (P + Q*sqrt(r))/K."""
     P, Q, K = bound
-    return QuadElem(F(P, K), F(Q, K), r)
+    return Quad(F(P, K), F(Q, K), r)
 
 
 # -- the exact field-arithmetic path the integer checks replaced, kept as the oracle
 
 
-def oracle_rising_factorial(base: QuadElem, n: int) -> QuadElem:
+def oracle_rising_factorial(base: QuadElem, n: int) -> Quad:
     """2*B(B+1)...(B+n-1)/n! in Q(sqrt(r)), exact."""
     return _oracle_product(base.a, base.b, base.r, n)
 
@@ -49,12 +50,12 @@ def _oracle_product(a, b, r, n):
     # memoised along n, one field multiplication per step; keyed on (a, b, r)
     # because QuadElem equality ignores r for rational elements
     if n == 0:
-        return QuadElem.rational(2, r)
-    return _oracle_product(a, b, r, n - 1) * (QuadElem(a, b, r) + (n - 1)) / n
+        return Quad(2, 0, r)
+    return _oracle_product(a, b, r, n - 1) * (Quad(a, b, r) + (n - 1)) / n
 
 
 def oracle_bounds(pair, n) -> tuple[bool, bool]:
-    """(abs_ok, l1_ok) by QuadElem/Fraction products and ``abs_real``/``cmp_real``."""
+    """(abs_ok, l1_ok) by Quad/Fraction products and ``abs_real``/``cmp_real``."""
     c = pair.ctx
     a_n, b_n, d = pair.a[n], pair.b_coeff(n), c.d
     bound_abs = oracle_rising_factorial(abs_bound_base(c, n), n)
@@ -88,7 +89,7 @@ def test_base_monotone_in_n():
         for n in range(c.dprime + 1):
             cur = abs_bound_base(c, n)
             if prev is not None:
-                assert sign_real(cur - prev) >= 0, (d, n)
+                assert cmp_real(cur, prev) >= 0, (d, n)
             prev = cur
 
 
@@ -101,7 +102,7 @@ def test_rising_factorial_examples():
 
 
 def test_rising_factorial_recurrence():
-    for base in (QuadElem(F(5, 2), 0, 13), QuadElem(F(1, 2), F(1, 2), 13)):
+    for base in (Quad(F(5, 2), 0, 13), Quad(F(1, 2), F(1, 2), 13)):
         for n in range(6):
             lhs = as_quad(rising_factorial_bound(base, n), 13) * (base + n)
             rhs = as_quad(rising_factorial_bound(base, n + 1), 13) * (n + 1)

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import kraitchik.cli as cli
-from kraitchik.cli import SUITES, main, parse_row, row_dict, row_json
+from kraitchik.cli import SUITES, main, row_dict, row_json
 from kraitchik.construct import IdentityReport
 from kraitchik.numtheory import odd_squarefree_range
 
@@ -174,7 +174,8 @@ def test_json_round_trip(capsys, pairs_255):
     lines = out.strip().splitlines()
     assert len(lines) == len(pairs_255)
     for line in lines:
-        obj = parse_row(line)
+        obj = json.loads(line)
+        assert all(type(v) is int for v in obj["a"] + obj["b"])
         pair = pairs_255[obj["d"]]
         assert obj == row_dict(pair)
         assert json.dumps(obj, separators=(",", ":")) == row_json(pair)

@@ -5,16 +5,10 @@ import cyclotomic_oracle as oracle
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
+from oracles import Quad, half_polys, pair_u, second_coefficient_closed_form, u_coefficients
 
 import kraitchik.construct as construct
-from kraitchik.construct import (
-    check_symmetry,
-    cyclotomic,
-    half_polys,
-    psi_xi,
-    u_coefficients,
-    verify_identity,
-)
+from kraitchik.construct import check_symmetry, cyclotomic, psi_xi, verify_identity
 from kraitchik.numtheory import is_prime, is_squarefree, jacobi, odd_squarefree_range
 from kraitchik.poly import DensePoly
 from kraitchik.powersums import DiscriminantContext
@@ -67,7 +61,7 @@ def test_u_coefficient_examples():
 
 
 def fraction_path_record(ctx: DiscriminantContext):
-    """a, b, psi and xi rebuilt from u_coefficients, the Fraction/QuadElem
+    """a, b, psi and xi rebuilt from u_coefficients, the Fraction/Quad
     Girard-Newton recursion: a_n = 2 * (rational part of u_n) and
     b_n = -2 * (surd part of u_n)."""
     u = u_coefficients(ctx)
@@ -88,7 +82,7 @@ def test_integer_construction_matches_the_fraction_path():
         assert list(pair.b) == b, d
         assert pair.psi == psi, d
         assert pair.xi == xi, d
-        assert pair.u == u, d
+        assert pair_u(pair) == u, d
 
 
 radicands = st.integers(min_value=-300, max_value=300).filter(
@@ -100,9 +94,9 @@ ints = st.integers(min_value=-(10**12), max_value=10**12)
 @given(st.lists(st.tuples(ints, ints, ints, ints), max_size=6), radicands)
 def test_pair_dot_is_four_times_the_quadelem_products(terms, D):
     xa, xb, ya, yb = ([t[i] for t in terms] for i in range(4))
-    want = QuadElem.rational(0, D)
+    want = Quad(0, 0, D)
     for a, b, p, q in terms:
-        want += 4 * (QuadElem(F(a, 2), F(b, 2), D) * QuadElem(F(p, 2), F(q, 2), D))
+        want += 4 * (Quad(F(a, 2), F(b, 2), D) * Quad(F(p, 2), F(q, 2), D))
     assert want.a.denominator == 1 and want.b.denominator == 1
     assert construct._pair_dot(xa, xb, ya, yb, D) == (want.a.numerator, want.b.numerator)
 
@@ -138,7 +132,7 @@ def test_planted_remainder_raises(monkeypatch):
 
 def test_leading_coefficients_across_range(pairs_255):
     for pair in pairs_255.values():
-        assert pair.u[0] == 1
+        assert pair_u(pair)[0] == 1
         assert pair.a[0] == 2
         assert pair.b[0] == 1  # b_{d,1}
         assert pair.psi.degree == pair.ctx.dprime
@@ -148,22 +142,10 @@ def test_leading_coefficients_across_range(pairs_255):
 def test_half_integer_parity_invariant(pairs_255):
     # 2*(rational part) and 2*(surd part) are integers of equal parity
     for pair in pairs_255.values():
-        for u in pair.u:
+        for u in pair_u(pair):
             two_a, two_b = 2 * u.a, 2 * u.b
             assert two_a.denominator == 1 and two_b.denominator == 1
             assert (two_a.numerator - two_b.numerator) % 2 == 0
-
-
-def second_coefficient_closed_form(d: int) -> QuadElem:
-    """The four mod-8 branches for u_{d,2} at odd primes."""
-    D = d if d % 4 == 1 else -d
-    if d % 8 == 1:
-        return QuadElem(F(d + 3, 8), F(-1, 2), D)  # ((d+3)/4 - sqrt(D))/2
-    if d % 8 == 3:
-        return QuadElem.rational(F(3 - d, 8), D)
-    if d % 8 == 5:
-        return QuadElem.rational(F(d + 3, 8), D)
-    return QuadElem(F(3 - d, 8), F(-1, 2), D)  # d = 7 mod 8
 
 
 def test_first_two_coefficients_closed_forms_at_primes():

@@ -18,7 +18,7 @@ def test_ring_operations():
     assert p * q == DensePoly([-1, 0, 1])
     assert p + q == DensePoly([0, 2])
     assert p - p == DensePoly.zero()
-    assert p**3 == DensePoly([1, 3, 3, 1])
+    assert p * p * p == DensePoly([1, 3, 3, 1])
     assert 2 * p == DensePoly([2, 2])
 
 

@@ -75,14 +75,11 @@ def test_power_sum_periodicity():
 
 
 def test_conjugate_sum_is_primitive_root_power_sum():
-    # s + conj(s) collapses the character and must equal the Ramanujan-type sum
+    # s + conj(s) = 2a collapses the character and must equal the Ramanujan-type sum
     for d in odd_squarefree_range(3, 101):
         ctx = DiscriminantContext.for_modulus(d)
         for k in range(1, d + 1):
-            s = power_sum_s(ctx, k)
-            total = s + s.conj()
-            assert total.is_rational
-            assert total.rational_value() == ramanujan_h(d, k)
+            assert 2 * power_sum_s(ctx, k).a == ramanujan_h(d, k)
 
 
 def test_ramanujan_examples():
