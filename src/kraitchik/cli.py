@@ -108,8 +108,8 @@ def _compute_text(pair: KraitchikPair) -> str:
         f"d' = {pair.ctx.dprime}\n"
         f"a = {list(pair.a)}\n"
         f"b = {list(pair.b)}\n"
-        f"psi = {format_poly(pair.psi.coeffs)}\n"
-        f"xi = {format_poly(pair.xi.coeffs)}\n"
+        f"psi = {format_poly(pair.a[::-1])}\n"
+        f"xi = {format_poly(pair.b[::-1])}\n"
     )
 
 
@@ -175,7 +175,7 @@ def _suite_gauss_oracle(d: int) -> list[Row]:
     ctx = DiscriminantContext.for_modulus(d)
     bad = []
     for k in range(1, d + 1):
-        box = residue_sum_enclosure(d, k, digits=25)
+        box = residue_sum_enclosure(d, k)
         wide = box.width_mantissa() * 10**9 > 1 << box.bits  # wider than 1e-9, exactly
         if wide or not quad_in_enclosure(*power_sum_doubled(ctx, k), ctx.D, box):
             bad.append(k)
@@ -293,9 +293,9 @@ def _checked_moduli(lo: int, hi: int, name: str) -> list[int]:
     return ds
 
 
-def _gated_pair(d_or_ctx: int | DiscriminantContext) -> KraitchikPair | None:
+def _gated_pair(d: int) -> KraitchikPair | None:
     """The pair for one modulus, or None (with a diagnostic) if the identity fails."""
-    pair = psi_xi(d_or_ctx)
+    pair = psi_xi(d)
     if verify_identity(pair).ok:
         return pair
     print(f"internal error: identity fails at d={pair.d}", file=sys.stderr)
@@ -307,11 +307,11 @@ def cmd_compute(args) -> int:
         print(f"invalid d={args.d}: too large (need d <= {MAX_MODULUS})", file=sys.stderr)
         return 1
     try:
-        ctx = DiscriminantContext.for_modulus(args.d)
+        DiscriminantContext.for_modulus(args.d)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 1
-    pair = _gated_pair(ctx)
+    pair = _gated_pair(args.d)
     if pair is None:
         return 1
     if args.format == "json":

@@ -16,12 +16,15 @@ division by 2m; a remainder raises ArithmeticError.  Then
     a_{d,n} = u + conj(u) = (-1)^n A_n          (an integer),
     b_{d,n} = -2 * (surd part of u) = (-1)^(n+1) B_n   (an integer),
 
-assemble Psi_d and Xi_d.  The slow exact path, the generic recursion over
-Fraction and a Q(sqrt(D)) scalar, is the oracle in ``tests/oracles.py``.
+are the coefficients of Psi_d and Xi_d from the top degree down, so the
+reversed tuples are the polynomials in ascending degree.  The slow exact
+path, the generic recursion over Fraction and a Q(sqrt(D)) scalar, is the
+oracle in ``tests/oracles.py``.
 
 ``verify_identity`` checks the pair exactly against ``cyclotomic``'s
-independent Phi_d, a sparse Mobius product on integer lists, as one integer
-equation at X = 2^k whose slot width k is proven wide enough first.
+independent Phi_d, an ascending integer tuple from a sparse Mobius product,
+as one integer equation at X = 2^k whose slot width k is proven wide enough
+first.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from operator import mul, sub
 from typing import Optional, Sequence
 
 from .numtheory import divisors, is_prime, mobius
-from .poly import DensePoly
 from .powersums import DiscriminantContext, power_sum_doubled
 
 
@@ -41,15 +43,13 @@ class KraitchikPair:
     """The full record for one modulus d.
 
     ``a`` holds a_{d,0..d'} and ``b`` holds b_{d,1..d'} in the classical
-    descending-power indexing (index n is the coefficient of X^(d'-n));
-    ``psi`` and ``xi`` are the same data as ascending-degree polynomials.
+    descending-power indexing (index n is the coefficient of X^(d'-n)), so
+    ``a[::-1]`` and ``b[::-1]`` are Psi_d and Xi_d in ascending degree.
     """
 
     ctx: DiscriminantContext
     a: tuple[int, ...]
     b: tuple[int, ...]
-    psi: DensePoly
-    xi: DensePoly
 
     @property
     def d(self) -> int:
@@ -79,13 +79,9 @@ def _exact_quotient(pair: tuple[int, int], k: int, what: str) -> tuple[int, int]
     return qa, qb
 
 
-def psi_xi(d_or_ctx: int | DiscriminantContext) -> KraitchikPair:
+def psi_xi(d: int) -> KraitchikPair:
     """Build the verified coefficient record for one odd squarefree d >= 3."""
-    ctx = (
-        d_or_ctx
-        if isinstance(d_or_ctx, DiscriminantContext)
-        else DiscriminantContext.for_modulus(d_or_ctx)
-    )
+    ctx = DiscriminantContext.for_modulus(d)
     dp = ctx.dprime
     # sigma_j with the Newton sign (-1)^(j-1) folded in, j = 1..d'
     sig_a, sig_b = [], []
@@ -104,16 +100,14 @@ def psi_xi(d_or_ctx: int | DiscriminantContext) -> KraitchikPair:
         eb.append(qb)
     a = tuple(v if n % 2 == 0 else -v for n, v in enumerate(ea))
     b = tuple(v if n % 2 else -v for n, v in enumerate(eb) if n >= 1)
-    psi = DensePoly([a[dp - j] for j in range(dp + 1)])
-    xi = DensePoly([b[dp - 1 - j] for j in range(dp)])
-    return KraitchikPair(ctx, a, b, psi, xi)
+    return KraitchikPair(ctx, a, b)
 
 
-def cyclotomic(d: int) -> DensePoly:
-    """Phi_d over the integers via the Mobius product of (X^e - 1) factors, on a
-    plain integer list in O(d * 2^omega(d)) additions: each factor with
-    mu(d/e) = 1 is a shift and a subtract, each with mu(d/e) = -1 an exact
-    division."""
+def cyclotomic(d: int) -> tuple[int, ...]:
+    """Phi_d's coefficients in ascending degree, via the Mobius product of
+    (X^e - 1) factors on a plain integer list in O(d * 2^omega(d)) additions:
+    each factor with mu(d/e) = 1 is a shift and a subtract, each with
+    mu(d/e) = -1 an exact division."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
     mu = {e: mobius(d // e) for e in divisors(d)}
@@ -122,7 +116,7 @@ def cyclotomic(d: int) -> DensePoly:
         coeffs = list(map(sub, [0] * e + coeffs, coeffs + [0] * e))
     for e in [e for e in mu if mu[e] == -1]:
         coeffs = _divide_by_x_power_minus_one(coeffs, e, d)
-    return DensePoly(coeffs)
+    return tuple(coeffs)
 
 
 def _divide_by_x_power_minus_one(coeffs: list[int], e: int, d: int) -> list[int]:
@@ -150,8 +144,8 @@ def verify_identity(pair: KraitchikPair) -> IdentityReport:
     Psi^2 - D*Xi^2 - 4*Phi and 2^(k-1) > bound is checked, so the packing is
     injective and the lowest set bit of a nonzero difference lies in the slot
     of the first differing degree."""
-    phi = cyclotomic(pair.d).coeffs
-    psi, xi, D = pair.psi.coeffs, pair.xi.coeffs, pair.ctx.D
+    phi = cyclotomic(pair.d)
+    psi, xi, D = pair.a[::-1], pair.b[::-1], pair.ctx.D
     m = max(map(abs, psi + xi))
     bound = 4 * max(map(abs, phi)) + m * m * (len(psi) + abs(D) * len(xi))
     k = _slot_bits(bound)

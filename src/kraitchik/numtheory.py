@@ -18,9 +18,6 @@ class Factorization:
     n: int
     factors: tuple[tuple[int, int], ...]
 
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
 
 @lru_cache(maxsize=None)
 def factor(n: int) -> Factorization:

@@ -7,7 +7,6 @@ polynomial is the empty tuple.  The ring is whatever the coefficients are
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -124,10 +123,7 @@ def format_poly(coeffs: Sequence, var: str = "X") -> str:
         c = coeffs[k]
         if c == 0:
             continue
-        if isinstance(c, Fraction) and c.denominator == 1:
-            c = c.numerator
-        sign = "-" if _is_negative(c) else "+"
-        mag = -c if _is_negative(c) else c
+        sign, mag = ("-", -c) if c < 0 else ("+", c)
         if k == 0:
             body = str(mag)
         else:
@@ -138,10 +134,3 @@ def format_poly(coeffs: Sequence, var: str = "X") -> str:
         else:
             parts.append(f"{sign}{body}")
     return "".join(parts) if parts else "0"
-
-
-def _is_negative(c) -> bool:
-    try:
-        return c < 0
-    except TypeError:
-        return False

@@ -9,11 +9,12 @@ zeta_d^{ka} over the residues a with (a/d) = 1 has the closed form
 
 which the construction consumes exactly, doubled to the integer pair
 (p, q) meaning p + q sqrt(D) (``power_sum_doubled``).  The numeric side
-computes validated complex enclosures of the same sums (and of the
-character-weighted Gauss sums), so that the closed forms are checked against
-something independent: mpmath's interval arithmetic encloses cos and sin of
-2*pi*a/d once per modulus, rounded outward to integer mantissas, and each
-sum over a is an exact integer sum of those mantissas.
+computes a validated complex enclosure of the same residue sum at one
+precision, ``DIGITS``, so that the closed form is checked against something
+independent: mpmath's interval arithmetic encloses cos and sin of 2*pi*a/d
+once per modulus, rounded outward to integer mantissas, and each sum over
+the residues is an exact integer sum of those mantissas.  The quadratic
+Gauss sum needs no enclosure of its own: it is 2*s - ramanujan_h(d, k).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from mpmath.libmp import mpf_shift, round_ceiling, round_floor, to_int
 from .numtheory import euler_phi, is_squarefree, jacobi, mobius
 from .qfield import QuadElem, cmp_surd
 
+DIGITS = 25  # working precision of the root enclosures, in decimal digits
 GUARD_BITS = 32  # grid of the root table: 2^-(working precision + GUARD_BITS)
 
 
@@ -103,16 +105,10 @@ class ComplexEnclosure(NamedTuple):
         """The wider side of the rectangle, in units of 2^-bits."""
         return max(self.re_hi - self.re_lo, self.im_hi - self.im_lo)
 
-    def width(self) -> float:
-        return math.ldexp(self.width_mantissa(), -self.bits)
-
-    def contains_zero(self) -> bool:
-        return self.re_lo <= 0 <= self.re_hi and self.im_lo <= 0 <= self.im_hi
-
 
 class RootTable(NamedTuple):
     """cos and sin of 2*pi*a/d for a = 0..d-1 as outward-rounded mantissas over
-    2^bits, with the residues (jacobi = 1) and non-residues (jacobi = -1) of d."""
+    2^bits, with the residues (jacobi = 1) of d."""
 
     bits: int
     cos_lo: tuple[int, ...]
@@ -120,18 +116,16 @@ class RootTable(NamedTuple):
     sin_lo: tuple[int, ...]
     sin_hi: tuple[int, ...]
     residues: tuple[int, ...]
-    nonresidues: tuple[int, ...]
 
 
 @lru_cache(maxsize=256)
-def _root_table(d: int, digits: int) -> RootTable:
+def _root_table(d: int) -> RootTable:
     """One table per modulus: mpmath encloses cos and sin for a <= d//2 only,
     and cos(2pi(d-a)/d) = cos(2pi a/d), sin(2pi(d-a)/d) = -sin(2pi a/d)
     give the rest.  Endpoints are floored (lo) and ceiled (hi) onto the grid
     of 2^-(prec + GUARD_BITS), so every later sum is exact."""
-    chi = [jacobi(a, d) for a in range(d)]
     old = iv.dps
-    iv.dps = digits
+    iv.dps = DIGITS
     try:
         bits = iv.prec + GUARD_BITS
         two_pi = 2 * iv.pi
@@ -153,37 +147,17 @@ def _root_table(d: int, digits: int) -> RootTable:
         tuple(cos_hi + cos_hi[m:0:-1]),
         tuple(sin_lo + [-h for h in sin_hi[m:0:-1]]),
         tuple(sin_hi + [-lo for lo in sin_lo[m:0:-1]]),
-        tuple(a for a in range(d) if chi[a] == 1),
-        tuple(a for a in range(d) if chi[a] == -1),
+        tuple(a for a in range(d) if jacobi(a, d) == 1),
     )
 
 
-def _signed_sum(d: int, k: int, digits: int, with_nonresidues: bool) -> ComplexEnclosure:
-    """Exact integer sum of the table's mantissas over zeta_d^{ka}: plus for
-    residues a, minus for non-residues when asked for."""
-    if digits > 60:
-        raise ValueError("oracle precision capped at 60 digits")
-    t = _root_table(d, digits)
-    plus = [k * a % d for a in t.residues]
-    minus = [k * a % d for a in t.nonresidues] if with_nonresidues else []
-
-    def side(lo: tuple[int, ...], hi: tuple[int, ...]) -> tuple[int, int]:
-        return (
-            sum(map(lo.__getitem__, plus)) - sum(map(hi.__getitem__, minus)),
-            sum(map(hi.__getitem__, plus)) - sum(map(lo.__getitem__, minus)),
-        )
-
-    return ComplexEnclosure(*side(t.cos_lo, t.cos_hi), *side(t.sin_lo, t.sin_hi), t.bits)
-
-
-def gauss_sum_enclosure(d: int, k: int, digits: int = 30) -> ComplexEnclosure:
-    """Validated enclosure of the quadratic Gauss sum sum_a (a/d) zeta_d^{ka}."""
-    return _signed_sum(d, k, digits, True)
-
-
-def residue_sum_enclosure(d: int, k: int, digits: int = 30) -> ComplexEnclosure:
-    """Validated enclosure of the plain residue sum sum_{(a/d)=1} zeta_d^{ka}."""
-    return _signed_sum(d, k, digits, False)
+def residue_sum_enclosure(d: int, k: int) -> ComplexEnclosure:
+    """Validated enclosure of the residue sum sum_{(a/d)=1} zeta_d^{ka}: the
+    exact integer sum of the root table's mantissas over k*a mod d."""
+    t = _root_table(d)
+    idx = [k * a % d for a in t.residues]
+    sums = (sum(map(side.__getitem__, idx)) for side in (t.cos_lo, t.cos_hi, t.sin_lo, t.sin_hi))
+    return ComplexEnclosure(*sums, t.bits)
 
 
 def quad_in_enclosure(p: int, q: int, D: int, box: ComplexEnclosure) -> bool:

@@ -1,7 +1,9 @@
 """The rational-point approximation Xi_d(x)/Psi_d(x) ~ 1/(2x - mu(d)).
 
-The left side of the error bound is pure rational arithmetic: polynomial
-evaluation at rational x, exact subtraction, absolute value.  Only the right
+The left side of the error bound is pure integer arithmetic: for x = u/v in
+lowest terms, Horner on the pair's integer coefficients gives
+P = v^d' * Psi_d(x) and X = v^(d'-1) * Xi_d(x), and with w = 2u - mu(d)*v
+the left side is the single Fraction v*|X*w - P| / (P*w).  Only the right
 side touches irrationals (sqrt(d) and the gate value G_d as an exponent), so
 it is enclosed with validated intervals; a ``verified`` verdict is therefore
 a machine-checked strict inequality.
@@ -69,6 +71,16 @@ def default_sample_points(pair: KraitchikPair) -> list[Fraction]:
     ]
 
 
+def _homogeneous(coeffs: Sequence[int], u: int, v: int) -> int:
+    """sum_i c_i * u^(n-i) * v^i with n = len(coeffs) - 1: v^n times the
+    polynomial with descending coefficients ``coeffs`` at u/v, by Horner."""
+    acc, vp = 0, 1
+    for c in coeffs:
+        acc = acc * u + c * vp
+        vp *= v
+    return acc
+
+
 def check_ratio_approx(
     pair: KraitchikPair, x: Fraction | int, max_precision: int = DEFAULT_MAX_PRECISION
 ) -> RatioReport:
@@ -82,11 +94,13 @@ def check_ratio_approx(
         raise GateError(f"x = {x} does not exceed twice the gate value for d = {ctx.d}")
 
     mu = mobius(ctx.d)
-    psi_x = pair.psi.evaluate(x)
-    xi_x = pair.xi.evaluate(x)
-    if psi_x <= 0:
+    u, v = x.numerator, x.denominator
+    P, X = _homogeneous(pair.a, u, v), _homogeneous(pair.b, u, v)
+    if P <= 0:
+        psi_x = Fraction(P, v**ctx.dprime)
         raise ArithmeticError(f"Psi_{ctx.d}({x}) = {psi_x} is not positive at an admissible x")
-    lhs = abs(Fraction(xi_x) / psi_x - Fraction(1, 2 * x - mu))
+    w = 2 * u - mu * v  # v * (2x - mu), positive past the gate
+    lhs = Fraction(v * abs(X * w - P), P * w)
 
     def rhs_fn(prec: int) -> DyadicInterval:
         sqrt_d = iv_sqrt(iv_from_rat(ctx.d, prec), prec)

@@ -42,7 +42,8 @@ def _x_power_minus_one(e: int) -> DensePoly:
 def dense_identity(pair: KraitchikPair) -> tuple[bool, Optional[int]]:
     """(ok, first differing coefficient degree) of 4*Phi_d = Psi_d^2 - D*Xi_d^2."""
     lhs = dense_cyclotomic(pair.d) * 4
-    rhs = pair.psi * pair.psi - (pair.xi * pair.xi) * pair.ctx.D
+    psi, xi = DensePoly(pair.a[::-1]), DensePoly(pair.b[::-1])
+    rhs = psi * psi - (xi * xi) * pair.ctx.D
     top = max(lhs.degree, rhs.degree)
     for k in range(top + 1):
         if lhs[k] != rhs[k]:

@@ -1,8 +1,9 @@
-"""mpmath-accumulating residue and Gauss sums: the slow reference for ``kraitchik.powersums``.
+"""mpmath-accumulating residue sums: the slow reference for ``kraitchik.powersums``.
 
 This is the numeric side of the power-sum module as it was before its sums
-became exact integer sums over one mirrored root table per modulus, kept
-unchanged as a test oracle.  Each root of unity is enclosed by mpmath's
+became exact integer sums over one mirrored root table per modulus, kept as
+a test oracle (without the Gauss sums, which ``kraitchik.powersums`` no
+longer encloses).  Each root of unity is enclosed by mpmath's
 ``iv.cos``/``iv.sin`` for every a = 0..d-1, and each sum is accumulated in
 mpmath interval additions at the working precision; containment converts
 the interval endpoints to Fractions and decides with ``cmp_surd``.
@@ -27,12 +28,6 @@ class ComplexEnclosure(NamedTuple):
     re: object
     im: object
 
-    def width(self) -> float:
-        return max(float(self.re.delta), float(self.im.delta))
-
-    def contains_zero(self) -> bool:
-        return 0 in self.re and 0 in self.im
-
 
 @lru_cache(maxsize=256)
 def _roots_of_unity(d: int, digits: int):
@@ -47,37 +42,21 @@ def _roots_of_unity(d: int, digits: int):
         iv.dps = old
 
 
-def _character_sum(d: int, k: int, digits: int, weights) -> ComplexEnclosure:
+def residue_sum_enclosure(d: int, k: int, digits: int) -> ComplexEnclosure:
+    """Validated enclosure of the plain residue sum sum_{(a/d)=1} zeta_d^{ka}."""
     roots = _roots_of_unity(d, digits)
     old = iv.dps
     iv.dps = digits
     try:
-        re = iv.mpf(0)
-        im = iv.mpf(0)
+        re = im = iv.mpf(0)
         for a in range(1, d + 1):
-            w = weights(a)
-            if w == 0:
-                continue
-            c, s = roots[(k * a) % d]
-            re += w * c
-            im += w * s
+            if jacobi(a, d) == 1:
+                c, s = roots[(k * a) % d]
+                re += c
+                im += s
         return ComplexEnclosure(re, im)
     finally:
         iv.dps = old
-
-
-def gauss_sum_enclosure(d: int, k: int, digits: int = 30) -> ComplexEnclosure:
-    """Validated enclosure of the quadratic Gauss sum sum_a (a/d) zeta_d^{ka}."""
-    if digits > 60:
-        raise ValueError("oracle precision capped at 60 digits")
-    return _character_sum(d, k, digits, lambda a: jacobi(a, d))
-
-
-def residue_sum_enclosure(d: int, k: int, digits: int = 30) -> ComplexEnclosure:
-    """Validated enclosure of the plain residue sum sum_{(a/d)=1} zeta_d^{ka}."""
-    if digits > 60:
-        raise ValueError("oracle precision capped at 60 digits")
-    return _character_sum(d, k, digits, lambda a: 1 if jacobi(a, d) == 1 else 0)
 
 
 def iv_endpoints(x) -> tuple[Fraction, Fraction]:

@@ -55,3 +55,6 @@ def test_format_poly():
     assert format_poly((0, Fraction(-1), Fraction(1))) == "X^2-X"
     assert format_poly((1,)) == "1"
     assert format_poly((-1, 1)) == "X-1"
+    # Fraction coefficients, integral ones printed as integers
+    assert format_poly((Fraction(1, 2), Fraction(-3), Fraction(2))) == "2X^2-3X+1/2"
+    assert format_poly((Fraction(-3, 4), 0, Fraction(-1, 2), Fraction(1))) == "X^3-1/2X^2-3/4"

@@ -11,7 +11,6 @@ import kraitchik.powersums as powersums
 from kraitchik.numtheory import euler_phi, jacobi, odd_squarefree_range
 from kraitchik.powersums import (
     DiscriminantContext,
-    gauss_sum_enclosure,
     power_sum_doubled,
     power_sum_s,
     quad_in_enclosure,
@@ -21,21 +20,6 @@ from kraitchik.powersums import (
 from kraitchik.qfield import QuadElem
 
 F = Fraction
-
-
-def abs_enclosure(box) -> tuple[float, float]:
-    """Crude float bounds for |z| over a rectangle, for oracle cross-checks."""
-
-    def mag_range(lo: int, hi: int) -> tuple[int, int]:
-        if lo <= 0 <= hi:
-            return 0, max(-lo, hi)
-        return min(abs(lo), abs(hi)), max(abs(lo), abs(hi))
-
-    a_lo, a_hi = mag_range(box.re_lo, box.re_hi)
-    b_lo, b_hi = mag_range(box.im_lo, box.im_hi)
-    lo = math.sqrt(math.ldexp(a_lo * a_lo + b_lo * b_lo, -2 * box.bits))
-    hi = math.sqrt(math.ldexp(a_hi * a_hi + b_hi * b_hi, -2 * box.bits))
-    return lo, math.nextafter(hi, math.inf)
 
 
 def test_context_construction():
@@ -75,11 +59,15 @@ def test_power_sum_periodicity():
 
 
 def test_conjugate_sum_is_primitive_root_power_sum():
-    # s + conj(s) = 2a collapses the character and must equal the Ramanujan-type sum
+    # s + conj(s) = 2a collapses the character and must equal the Ramanujan-type sum;
+    # s - conj(s) = 2*s - h is the Gauss sum g_{d,k} = (k/d)*sqrt(D), so the
+    # enclosure checks of s cover the Gauss sum as well
     for d in odd_squarefree_range(3, 101):
         ctx = DiscriminantContext.for_modulus(d)
         for k in range(1, d + 1):
-            assert 2 * power_sum_s(ctx, k).a == ramanujan_h(d, k)
+            s = power_sum_s(ctx, k)
+            assert 2 * s.a == ramanujan_h(d, k)
+            assert 2 * s.b == jacobi(k, d), (d, k)
 
 
 def test_ramanujan_examples():
@@ -96,40 +84,12 @@ def test_ramanujan_multiplicative():
             assert ramanujan_h(d * m, k) == ramanujan_h(d, k) * ramanujan_h(m, k)
 
 
-def test_gauss_sum_enclosure_examples():
-    # g_{5,1} = sqrt(5) = (0 + 2*sqrt(5))/2
-    box = gauss_sum_enclosure(5, 1)
-    assert quad_in_enclosure(0, 2, 5, box)
-    # g_{7,1} = i sqrt(7)
-    box = gauss_sum_enclosure(7, 1)
-    assert quad_in_enclosure(0, 2, -7, box)
-    # gcd branch collapses to zero
-    box = gauss_sum_enclosure(15, 3)
-    assert box.contains_zero()
-    assert box.width() < 1e-20
-
-
-def test_gauss_sum_digit_cap():
-    with pytest.raises(ValueError):
-        gauss_sum_enclosure(5, 1, digits=61)
-
-
-def test_gauss_sum_quasi_multiplicative_modulus():
-    # |g_{dm,1}| = |g_{d,1}| |g_{m,1}| = sqrt(dm) for coprime odd squarefree d, m
-    for d, m in [(3, 5), (5, 7), (3, 7), (5, 21), (3, 35)]:
-        box = gauss_sum_enclosure(d * m, 1)
-        lo, hi = abs_enclosure(box)
-        root = math.sqrt(d * m)
-        assert lo <= root <= hi
-        assert hi - lo < 1e-9
-
-
 def test_residue_sum_matches_closed_form_small_range():
     for d in odd_squarefree_range(3, 35):
         ctx = DiscriminantContext.for_modulus(d)
         for k in range(1, d + 1):
-            box = residue_sum_enclosure(d, k, digits=25)
-            assert box.width() <= 1e-9
+            box = residue_sum_enclosure(d, k)
+            assert box.width_mantissa() * 10**9 <= 1 << box.bits  # at most 1e-9 wide, exactly
             assert quad_in_enclosure(*power_sum_doubled(ctx, k), ctx.D, box), (d, k)
 
 
@@ -158,15 +118,14 @@ def coarse_grid(monkeypatch, request):
 @pytest.mark.parametrize("coarse_grid", [powersums.GUARD_BITS, -8], indirect=True)
 def test_root_table_brackets_independent_enclosures(coarse_grid):
     for d in odd_squarefree_range(3, 35):
-        t = powersums._root_table(d, 25)
+        t = powersums._root_table(d)
         scale = 2**t.bits
         for a, (c, s) in enumerate(_roots_at_40_digits(d)):
             for lo_m, hi_m, x in ((t.cos_lo[a], t.cos_hi[a], c), (t.sin_lo[a], t.sin_hi[a], s)):
                 lo, hi = (F(*to_rational(e)) for e in x._mpi_)
                 assert lo_m <= lo * scale and hi * scale <= hi_m, (d, a)
                 assert hi_m - lo_m < 2**40, (d, a)  # outward, but not loose
-        assert set(t.residues) | set(t.nonresidues) == {a for a in range(d) if math.gcd(a, d) == 1}
-        assert all(jacobi(a, d) == 1 for a in t.residues)
+        assert t.residues == tuple(a for a in range(d) if jacobi(a, d) == 1)
 
 
 def _boxes_intersect(new, old) -> bool:
@@ -182,19 +141,11 @@ def test_exact_sums_agree_with_the_mpmath_oracle():
     for d in odd_squarefree_range(3, 35):
         ctx = DiscriminantContext.for_modulus(d)
         for k in range(1, d + 1):
-            new = residue_sum_enclosure(d, k, digits=25)
-            old = powersum_oracle.residue_sum_enclosure(d, k, digits=25)
+            new = residue_sum_enclosure(d, k)
+            old = powersum_oracle.residue_sum_enclosure(d, k, digits=powersums.DIGITS)
             assert quad_in_enclosure(*power_sum_doubled(ctx, k), ctx.D, new), (d, k)
             assert powersum_oracle.quad_in_enclosure(power_sum_s(ctx, k), old), (d, k)
             assert _boxes_intersect(new, old), (d, k)
-            # g_{d,k} = (k/d) sqrt(D), zero when gcd(k, d) > 1
-            new = gauss_sum_enclosure(d, k)
-            old = powersum_oracle.gauss_sum_enclosure(d, k)
-            chi = jacobi(k, d)
-            assert quad_in_enclosure(0, 2 * chi, ctx.D, new), (d, k)
-            assert powersum_oracle.quad_in_enclosure(QuadElem(F(0), F(chi), ctx.D), old), (d, k)
-            assert _boxes_intersect(new, old), (d, k)
-    assert gauss_sum_enclosure(15, 3, digits=30).width() < 1e-20
 
 
 def test_planted_errors_fall_outside_the_rectangles():
@@ -205,7 +156,7 @@ def test_planted_errors_fall_outside_the_rectangles():
             if math.gcd(k, d) != 1:
                 continue
             p, q = power_sum_doubled(ctx, k)
-            box = residue_sum_enclosure(d, k, digits=25)
+            box = residue_sum_enclosure(d, k)
             assert quad_in_enclosure(p, q, ctx.D, box)
             assert not quad_in_enclosure(p, -q, ctx.D, box), (d, k)
             assert not quad_in_enclosure(p + 2, q, ctx.D, box), (d, k)

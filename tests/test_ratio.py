@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import mpmath
@@ -6,6 +7,8 @@ import pytest
 from kraitchik import ratio
 from kraitchik.bounds import ceil_multiple
 from kraitchik.construct import psi_xi
+from kraitchik.numtheory import mobius
+from kraitchik.poly import DensePoly
 from kraitchik.qfield import QuadElem
 from kraitchik.ratio import (
     GateError,
@@ -93,11 +96,37 @@ def test_decay_trend():
         assert 4 * lhs_2x <= lhs_x * F(3, 2)
 
 
+def slow_lhs(pair, x: Fraction) -> Fraction:
+    """|Xi_d(x)/Psi_d(x) - 1/(2x - mu(d))| by Fraction Horner on DensePoly."""
+    psi_x = DensePoly(pair.a[::-1]).evaluate(x)
+    xi_x = DensePoly(pair.b[::-1]).evaluate(x)
+    return abs(F(xi_x) / psi_x - F(1, 2 * x - mobius(pair.d)))
+
+
 def test_psi_positive_at_admissible_points(pairs_149):
     for d in (5, 21, 105, 149):
         pair = pairs_149[d]
         for x in default_sample_points(pair):
-            assert pair.psi.evaluate(x) > 0
+            assert DensePoly(pair.a[::-1]).evaluate(x) > 0
+
+
+def test_integer_left_side_matches_the_fraction_horner_path(pairs_149):
+    # every default grid point, and off-grid x = u/v with v > 1 past the gate
+    for d, pair in pairs_149.items():
+        first = default_sample_points(pair)[0]
+        off_grid = [first + F(1, 2), first + F(2, 7), F(10**6 + 1, 10**4)]
+        for x in default_sample_points(pair) + off_grid:
+            assert check_ratio_approx(pair, x).lhs_exact == slow_lhs(pair, x), (d, x)
+
+
+def test_nonpositive_psi_is_refused():
+    # Psi_5 = 2X^2 + X + 2 negated: P = v^2 * Psi(x) < 0 at x = 4 and x = 9/2
+    p5 = psi_xi(5)
+    negated = dataclasses.replace(p5, a=tuple(-c for c in p5.a))
+    with pytest.raises(ArithmeticError, match="Psi_5\\(4\\) = -38 is not positive"):
+        check_ratio_approx(negated, 4)
+    with pytest.raises(ArithmeticError, match="Psi_5\\(9/2\\) = -47 is not positive"):
+        check_ratio_approx(negated, F(9, 2))
 
 
 def test_rejects_small_modulus():

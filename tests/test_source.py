@@ -17,6 +17,23 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def test_layering_of_poly_and_mpmath_imports():
+    # integer tuples carry the pair and Phi_d: DensePoly serves only the symmetric
+    # functions and the CLI's symfunc suite, and mpmath only the power-sum oracle
+    importers = {"kraitchik.poly": set(), "mpmath": set()}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ("kraitchik" if node.level else "", node.module)))
+                names = [base] + [f"{base}.{alias.name}" for alias in node.names]  # from . import poly
+            else:
+                names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
+            for name, found in importers.items():
+                if any(n == name or n.startswith(name + ".") for n in names):
+                    found.add(path.stem)
+    assert importers == {"kraitchik.poly": {"symfunc", "cli"}, "mpmath": {"powersums"}}
+
+
 def test_src_reads_no_environment():
     # settings come in through flags and arguments only, never from the process environment
     readers = {"environ", "environb", "getenv", "getenvb"}
