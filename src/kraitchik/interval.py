@@ -24,6 +24,7 @@ as verification.
 
 from __future__ import annotations
 
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -82,7 +83,11 @@ class DyadicInterval:
         return self.lo_m > 0
 
     def __repr__(self) -> str:
-        return f"DyadicInterval({float(self.lo)!r}, {float(self.hi)!r}, prec={self.prec})"
+        # 17 significant digits rounded outward; float() overflows past 2^1024
+        scale = Decimal(1 << (self.prec + GUARD_BITS))
+        lo = Context(prec=17, rounding=ROUND_FLOOR).divide(Decimal(self.lo_m), scale)
+        hi = Context(prec=17, rounding=ROUND_CEILING).divide(Decimal(self.hi_m), scale)
+        return f"DyadicInterval({lo}, {hi}, prec={self.prec})"
 
 
 def _num_den(q: Fraction | int) -> tuple[int, int]:

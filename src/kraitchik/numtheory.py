@@ -1,40 +1,25 @@
 """Elementary number-theoretic helpers: factoring, Mobius, totient, Jacobi symbol.
 
-Everything here is deterministic trial-division arithmetic.  Inputs stay at
-desk scale (a few times 10^6 at most), so no probabilistic primality testing
-or fancy factoring is needed.
+``factor(n)`` returns n's prime-power tuple ``((p, e), ...)`` with the primes
+strictly increasing, found by trial division and cached; the other helpers
+read it.  Inputs stay at desk scale (a few times 10^6 at most), so no
+probabilistic primality testing or faster factoring is needed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization ``n = prod(p**e)`` with primes strictly increasing."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-
 @lru_cache(maxsize=None)
-def factor(n: int) -> Factorization:
-    """Factor a positive integer by trial division.  ``factor(1)`` has no factors."""
+def factor(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime powers ``(p, e)`` of a positive integer, primes increasing; ``factor(1) == ()``."""
     if n < 1:
         raise ValueError(f"cannot factor nonpositive integer {n}")
     m = n
     out: list[tuple[int, int]] = []
-    for p in (2, 3):
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-    p = 5
-    # 6k +- 1 wheel; p*p > m terminates since m shrinks only by prime divisors
+    p = 2
+    # every prime factor of m is >= p, so once p*p > m the m left over is 1 or a prime
     while p * p <= m:
         if m % p == 0:
             e = 0
@@ -42,22 +27,19 @@ def factor(n: int) -> Factorization:
                 m //= p
                 e += 1
             out.append((p, e))
-        p += 2 if p % 6 == 5 else 4
+        p += 1 if p == 2 else 2
     if m > 1:
         out.append((m, 1))
-    return Factorization(n, tuple(out))
+    return tuple(out)
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = factor(n).factors
-    return len(f) == 1 and f[0][1] == 1
+    return n >= 2 and factor(n) == ((n, 1),)
 
 
 def mobius(n: int) -> int:
     """Mobius mu: 0 for non-squarefree n, else (-1)**(number of prime factors)."""
-    fs = factor(n).factors
+    fs = factor(n)
     if any(e > 1 for _, e in fs):
         return 0
     return -1 if len(fs) % 2 else 1
@@ -65,13 +47,13 @@ def mobius(n: int) -> int:
 
 def euler_phi(n: int) -> int:
     phi = 1
-    for p, e in factor(n).factors:
+    for p, e in factor(n):
         phi *= (p - 1) * p ** (e - 1)
     return phi
 
 
 def is_squarefree(n: int) -> bool:
-    return all(e == 1 for _, e in factor(n).factors)
+    return all(e == 1 for _, e in factor(n))
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
@@ -80,7 +62,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
         raise ValueError(f"need a positive integer, got {n}")
     s = 1
     r = 1
-    for p, e in factor(n).factors:
+    for p, e in factor(n):
         s *= p ** (e // 2)
         if e % 2:
             r *= p
@@ -111,7 +93,7 @@ def jacobi(a: int, n: int) -> int:
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     ds = [1]
-    for p, e in factor(n).factors:
+    for p, e in factor(n):
         ds = [d * p**k for d in ds for k in range(e + 1)]
     return sorted(ds)
 

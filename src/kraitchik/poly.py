@@ -113,7 +113,7 @@ def _exact_div(c, lead):
     return c / lead
 
 
-def format_poly(coeffs: Sequence, var: str = "X") -> str:
+def format_poly(coeffs: Sequence) -> str:
     """Render ascending coefficients the way the classical tables print them,
     e.g. ``2X^3+X^2-X-2``."""
     if not coeffs:
@@ -127,7 +127,7 @@ def format_poly(coeffs: Sequence, var: str = "X") -> str:
         if k == 0:
             body = str(mag)
         else:
-            xpow = var if k == 1 else f"{var}^{k}"
+            xpow = "X" if k == 1 else f"X^{k}"
             body = xpow if mag == 1 else f"{mag}{xpow}"
         if not parts:
             parts.append(body if sign == "+" else f"-{body}")

@@ -11,24 +11,22 @@ power sums,
 
     S^(m) = sum over partitions e of m of (-1)^(m-k) * w_e * prod S_{e_i},
 
-and v_{m,k} sums the weights of the k-part partitions.  Collapsing every
-power sum to the same variable X turns the expansion into the polynomial
-binom(X, m); that identity is what the bounds pipeline relies on and is
-verified coefficient-for-coefficient in the test suite.
-
-The weight recursion distributes m*w_e over the distinct part values of e
-(removing one copy of each); summing over all positions instead would count
-repeated parts with multiplicity and already fails at m = 2, where
-S^(2) = (S_1^2 - S_2)/2 forces w_(1,1) = 1/2.
+with k the number of parts of e.  They have the closed form w_e = 1/z_e,
+z_e = prod_j j^(c_j) * c_j! with c_j the multiplicity of the part j
+(Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed., ch. I,
+(2.14')).  Collapsing every power sum to the same variable X turns the
+expansion into the polynomial binom(X, m); that identity is what the bounds
+pipeline relies on and is verified coefficient-for-coefficient in the test
+suite.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .poly import DensePoly
 
@@ -45,47 +43,29 @@ def partitions(m: int, _min: int = 1) -> Iterator[Partition]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
-def _weight(parts: Partition) -> Fraction:
-    if not parts:
-        return Fraction(1)
-    m = sum(parts)
-    acc = Fraction(0)
-    for j in sorted(set(parts)):
-        shorter = list(parts)
-        shorter.remove(j)
-        acc += _weight(tuple(shorter))
-    return acc / m
-
-
-@dataclass(frozen=True)
-class WeightTable:
-    m: int
-    weights: Mapping[Partition, Fraction]
-
-    def v(self, k: int) -> Fraction:
-        """v_{m,k}: total weight of the partitions with exactly k parts."""
-        return sum(
-            (w for e, w in self.weights.items() if len(e) == k), Fraction(0)
-        )
-
-
-def partition_weights(m: int) -> WeightTable:
+def partition_weights(m: int) -> dict[Partition, Fraction]:
+    """w_e = 1/z_e for every partition e of m."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    return WeightTable(m, {e: _weight(e) for e in partitions(m)})
+    weights = {}
+    for e in partitions(m):
+        z = 1
+        for j, c in Counter(e).items():
+            z *= j**c * math.factorial(c)
+        weights[e] = Fraction(1, z)
+    return weights
 
 
 def pm_polynomial(m: int) -> DensePoly:
-    """The collapse polynomial sum_k (-1)^(m-k) v_{m,k} X^k (equal to binom(X, m))."""
+    """The collapse polynomial sum_e (-1)^(m-k) w_e X^k over partitions e of m with
+    k parts (equal to binom(X, m))."""
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
     if m == 0:
         return DensePoly([Fraction(1)])
-    table = partition_weights(m)
     coeffs = [Fraction(0)] * (m + 1)
-    for k in range(1, m + 1):
-        coeffs[k] = (-1) ** (m - k) * table.v(k)
+    for e, w in partition_weights(m).items():
+        coeffs[len(e)] += w if (m - len(e)) % 2 == 0 else -w
     return DensePoly(coeffs)
 
 

@@ -44,9 +44,6 @@ class DyadicInterval:
     def is_positive(self) -> bool:
         return self.lo > 0
 
-    def __repr__(self) -> str:
-        return f"DyadicInterval({float(self.lo)!r}, {float(self.hi)!r}, prec={self.prec})"
-
 
 # ---------------------------------------------------------------------------
 # directed rounding on the dyadic grid

@@ -6,11 +6,13 @@ operations the oracles need.  A rational element (b = 0) combines with any
 radicand, and combining two genuinely irrational radicands raises
 ``RadicandMismatch``.  ``u_coefficients`` is the construction as it was
 before ``psi_xi`` moved onto integer pairs: the closed-form power sums fed
-through the generic ``newton_elementary``.
+through the generic ``newton_elementary``.  ``falling_factorial_poly`` is
+binom(X, m) expanded as X(X-1)...(X-m+1)/m!, the reference for the collapse.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from kraitchik.construct import KraitchikPair
@@ -85,6 +87,14 @@ def half_polys(pair: KraitchikPair) -> tuple[DensePoly, DensePoly]:
     """U+ and U- as polynomials over Q(sqrt(D))."""
     u = pair_u(pair)[::-1]
     return DensePoly(u), DensePoly([c.conj() for c in u])
+
+
+def falling_factorial_poly(m: int) -> DensePoly:
+    """The expansion of X(X-1)...(X-m+1)/m!."""
+    p = DensePoly([Fraction(1)])
+    for i in range(m):
+        p = p * DensePoly([Fraction(-i), Fraction(1)])
+    return p * Fraction(1, math.factorial(m))
 
 
 def second_coefficient_closed_form(d: int) -> QuadElem:

@@ -8,13 +8,12 @@ false (exact LHS 3367/67331583 ~ 5.0006e-5 against RHS ~ 4.9005e-5) and the
 checker must say ``falsified``.
 """
 
-import math
 import random
 import time
 from fractions import Fraction
 
 import mpmath
-from oracles import second_coefficient_closed_form, u_coefficients
+from oracles import falling_factorial_poly, second_coefficient_closed_form, u_coefficients
 
 from kraitchik.bounds import check_coefficient_bounds, check_explicit_bound
 from kraitchik.construct import check_symmetry, psi_xi, verify_identity
@@ -78,11 +77,7 @@ def test_criterion_3_binomial_collapse():
     t0 = time.perf_counter()
     bad = []
     for m in range(1, 21):
-        expect = DensePoly([F(1)])
-        for i in range(m):
-            expect = expect * DensePoly([F(-i), F(1)])
-        expect = expect * F(1, math.factorial(m))
-        if pm_polynomial(m) != expect:
+        if pm_polynomial(m) != falling_factorial_poly(m):
             bad.append(m)
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < 5.0

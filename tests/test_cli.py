@@ -182,10 +182,14 @@ def test_json_round_trip(capsys, pairs_255):
 
 
 def test_bad_range_rejected(capsys):
-    with pytest.raises(SystemExit):
-        main(["table", "13..5"])
-    with pytest.raises(SystemExit):
-        main(["table", "nonsense"])
+    for text in ("13..5", "nonsense"):
+        assert run_usage_error(capsys, "table", text)[:2] == (2, "")
+    # a table that lists no modulus must not pass, like verify --dmax 3
+    for text in ("9..9", "4..4", "25..27"):
+        for fmt in ("text", "json", "csv"):
+            code, out, err = run_usage_error(capsys, "table", text, "--format", fmt)
+            assert (code, out) == (2, "")
+            assert f"range {text!r} contains no odd squarefree modulus" in err
 
 
 def test_verify_identity_exit_zero(capsys):

@@ -426,3 +426,14 @@ def test_exact_side_is_compared_without_rounding():
 def test_mixed_precisions_are_refused():
     with pytest.raises(ValueError):
         iv_add(iv_from_rat(1, 64), iv_from_rat(1, 128), 64)
+
+
+
+def test_repr_past_the_float_range():
+    # float() overflows at 2^1024, which would turn a failing assertion's report into a second crash
+    big = iv_pow(iv_from_rat(2, 64), iv_from_rat(1500, 64), 64)
+    assert repr(big) == "DyadicInterval(3.5074662110434038E+451, 3.5074662110434039E+451, prec=64)"
+    t3 = bounds._three_bounds(bounds.abs_bound_base(DiscriminantContext.for_modulus(6997), 3000), 3000, 64)[2]
+    assert repr(t3).startswith("DyadicInterval(6.77") and repr(t3).endswith("E+915, prec=64)")
+    # 17 digits rounded outward: the printed endpoints still enclose the value
+    assert repr(iv_from_rat(F(-1, 3), 64)) == "DyadicInterval(-0.33333333333333334, -0.33333333333333333, prec=64)"

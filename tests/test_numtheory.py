@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kraitchik.numtheory import (
-    Factorization,
     divisors,
     euler_phi,
     factor,
@@ -16,10 +15,12 @@ from kraitchik.numtheory import (
 
 
 def test_factor_examples():
-    assert factor(1) == Factorization(1, ())
-    assert factor(15).factors == ((3, 1), (5, 1))
-    assert factor(255).factors == ((3, 1), (5, 1), (17, 1))
-    assert factor(360).factors == ((2, 3), (3, 2), (5, 1))
+    assert factor(1) == ()
+    assert factor(2) == ((2, 1),)
+    assert factor(49) == ((7, 2),)
+    assert factor(15) == ((3, 1), (5, 1))
+    assert factor(255) == ((3, 1), (5, 1), (17, 1))
+    assert factor(360) == ((2, 3), (3, 2), (5, 1))
 
 
 def test_factor_rejects_nonpositive():
@@ -29,13 +30,12 @@ def test_factor_rejects_nonpositive():
 
 @given(st.integers(min_value=1, max_value=10**6))
 def test_factor_reconstructs(n):
-    f = factor(n)
     prod = 1
-    for p, e in f.factors:
+    for p, e in factor(n):
         assert is_prime(p)
         prod *= p**e
     assert prod == n
-    primes = [p for p, _ in f.factors]
+    primes = [p for p, _ in factor(n)]
     assert primes == sorted(set(primes))
 
 

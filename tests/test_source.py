@@ -46,3 +46,28 @@ def test_src_reads_no_environment():
         or isinstance(node, ast.alias) and node.name in readers
     ]
     assert found == []
+
+
+def test_every_public_src_name_has_a_non_test_user():
+    # code that only tests call belongs in tests/: each public function or class in src/
+    # is read outside its own definition by src/, scripts/ or perfbench/ (whose tracer
+    # names functions by string), or exported in kraitchik.__all__, the only thing that
+    # keeps ramanujan_h; imports alone do not count
+    import kraitchik
+
+    used = set(kraitchik.__all__)
+    for sub in ("src", "scripts", "perfbench"):
+        for path in sorted((SRC.parent.parent / sub).rglob("*.py")):
+            for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+                nodes = list(ast.walk(stmt))
+                found = {getattr(node, "id", None) or getattr(node, "attr", None) for node in nodes}
+                if sub == "perfbench":
+                    found |= {node.value for node in nodes if isinstance(node, ast.Constant)}
+                used |= found - {getattr(stmt, "name", None)}
+    unused = [
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_") and node.name not in used
+    ]
+    assert unused == []

@@ -1,14 +1,14 @@
 import math
 import random
-from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import falling_factorial_poly
 
 from kraitchik.poly import DensePoly
 from kraitchik.symfunc import (
-    WeightTable,
     elementary_brute,
     newton_elementary,
     partition_weights,
@@ -20,20 +20,24 @@ from kraitchik.symfunc import (
 F = Fraction
 
 
-def falling_factorial_poly(m: int) -> DensePoly:
-    """Independent oracle: the expansion of X(X-1)...(X-m+1)/m!."""
-    p = DensePoly([F(1)])
-    for i in range(m):
-        p = p * DensePoly([F(-i), F(1)])
-    return p * F(1, math.factorial(m))
+@lru_cache(maxsize=None)
+def recursive_weight(parts) -> Fraction:
+    """Independent oracle: w_e = (1/m) * sum over the distinct part values j of e of
+    w_(e minus one copy of j), from w_() = 1.
 
-
-def closed_form_weight(parts) -> Fraction:
-    """Independent oracle: w = prod over part values j of 1/(mult_j! * j^mult_j)."""
-    w = F(1)
-    for j, mult in Counter(parts).items():
-        w /= math.factorial(mult) * F(j) ** mult
-    return w
+    The recursion distributes m*w_e over the distinct part values of e (removing one
+    copy of each); summing over all positions instead would count repeated parts with
+    multiplicity and already fails at m = 2, where S^(2) = (S_1^2 - S_2)/2 forces
+    w_(1,1) = 1/2.
+    """
+    if not parts:
+        return F(1)
+    acc = F(0)
+    for j in sorted(set(parts)):
+        shorter = list(parts)
+        shorter.remove(j)
+        acc += recursive_weight(tuple(shorter))
+    return acc / sum(parts)
 
 
 def test_partitions_enumeration():
@@ -43,9 +47,9 @@ def test_partitions_enumeration():
 
 
 def test_weight_tables_small():
-    assert partition_weights(1).weights == {(1,): F(1)}
-    assert partition_weights(2).weights == {(1, 1): F(1, 2), (2,): F(1, 2)}
-    assert partition_weights(3).weights == {
+    assert partition_weights(1) == {(1,): F(1)}
+    assert partition_weights(2) == {(1, 1): F(1, 2), (2,): F(1, 2)}
+    assert partition_weights(3) == {
         (1, 1, 1): F(1, 6),
         (1, 2): F(1, 2),
         (3,): F(1, 3),
@@ -53,22 +57,23 @@ def test_weight_tables_small():
 
 
 def test_weights_match_closed_form():
-    for m in range(1, 13):
-        table = partition_weights(m)
-        for e, w in table.weights.items():
-            assert w == closed_form_weight(e), e
+    # the closed form 1/z_e against the recursion, on all 2713 partitions of m <= 20
+    weights = [(e, w) for m in range(1, 21) for e, w in partition_weights(m).items()]
+    assert len(weights) == 2713
+    assert [e for e, w in weights if w != recursive_weight(e)] == []
 
 
 def test_weights_positive():
     for m in range(1, 13):
-        assert all(w > 0 for w in partition_weights(m).weights.values())
+        assert all(w > 0 for w in partition_weights(m).values())
 
 
 def test_v_anchors():
+    # [X^m] sums the one weight 1/m! of (1, ..., 1); [X^1] that of (m,), with sign (-1)^(m-1)
     for m in range(1, 21):
-        table = partition_weights(m)
-        assert table.v(m) == F(1, math.factorial(m))
-        assert table.v(1) == F(1, m)
+        coeffs = pm_polynomial(m).coeffs
+        assert coeffs[m] == F(1, math.factorial(m))
+        assert coeffs[1] == F((-1) ** (m - 1), m)
 
 
 def test_pm_polynomial_examples():
@@ -118,22 +123,14 @@ def test_weight_expansion_reconstructs_elementary():
     # sum over partitions of (-1)^(m-k) w_e prod S_{e_i} must equal e_m
     rng = random.Random(31)
     for m in range(1, 9):
-        table = partition_weights(m)
         sums = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(m)]
         total = F(0)
-        for e, w in table.weights.items():
+        for e, w in partition_weights(m).items():
             prod = F(1)
             for part in e:
                 prod *= sums[part - 1]
             total += (-1) ** (m - len(e)) * w * prod
         assert total == newton_elementary(sums)[m]
-
-
-def test_weight_table_type():
-    table = partition_weights(4)
-    assert isinstance(table, WeightTable)
-    assert table.m == 4
-    assert sum(table.v(k) for k in range(1, 5)) == sum(table.weights.values())
 
 
 def test_input_validation():
