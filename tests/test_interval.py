@@ -428,7 +428,6 @@ def test_mixed_precisions_are_refused():
         iv_add(iv_from_rat(1, 64), iv_from_rat(1, 128), 64)
 
 
-
 def test_repr_past_the_float_range():
     # float() overflows at 2^1024, which would turn a failing assertion's report into a second crash
     big = iv_pow(iv_from_rat(2, 64), iv_from_rat(1500, 64), 64)
