@@ -13,10 +13,11 @@ half-integer phi(f)/2 has q = 0 and keeps the floor's radicand.
 by one integer ``cmp_surd`` (no intervals, no Fractions), which is what lets
 the tight n = 0 equality pass without an equality-resolution dance.
 
-``check_explicit_bound`` checks the strict three-way closed-form bound; its
-right side mixes e, pi and irrational exponents, so it runs on validated
-intervals with a doubling precision ladder and reports ``unresolved`` if the
-ceiling is hit.
+``check_explicit_bound`` checks the strict three-way closed-form bound in log
+space, ln|a + b*sqrt(d)| < min(ln t1, ln t2, ln t3), so ln is the one interval
+kernel it needs (ln pi, ln n and ln(F - 1) are cached per rung).  It runs on a
+doubling precision ladder and reports ``unresolved`` if the ceiling is hit; a
+zero left side is decided exactly.
 """
 
 from __future__ import annotations
@@ -33,18 +34,15 @@ from .interval import (  # verdict constants re-exported: cli and perfbench read
     UNRESOLVED,
     VERIFIED,
     DyadicInterval,
-    IntervalDomainError,
+    checked_precision,
     decide,
     iv_add,
-    iv_const_e,
     iv_const_pi,
     iv_div,
-    iv_exp,
     iv_from_rat,
     iv_from_surd,
+    iv_ln,
     iv_mul,
-    iv_pow,
-    iv_sqrt,
     iv_sub,
     precision_ladder,
 )
@@ -198,29 +196,41 @@ class ExplicitBoundReport:
     verdict_disc_radicand: str
 
 
-def _three_bounds(base: QuadElem, n: int, prec: int) -> tuple[DyadicInterval, ...]:
+@lru_cache(maxsize=64)
+def _ln_pi(prec: int) -> DyadicInterval:
+    return iv_ln(iv_const_pi(prec), prec)
+
+
+@lru_cache(maxsize=4096)
+def _ln_int(n: int, prec: int) -> DyadicInterval:
+    return iv_ln(iv_from_rat(n, prec), prec)
+
+
+@lru_cache(maxsize=1024)
+def _ln_base_minus_one(base: QuadElem, prec: int) -> DyadicInterval:
+    # equal bases are the same real number, whatever radicand a rational one carries
+    return iv_ln(iv_sub(iv_from_surd(base.a, base.b, base.r, prec), 1, prec), prec)
+
+
+def _log_bounds(base: QuadElem, n: int, prec: int) -> tuple[DyadicInterval, ...]:
+    """ln t1, ln t2, ln t3 at growth base F and index n, each a short sum of logarithms.
+
+    t1 and t2 are sqrt(stir2/(e*pi*x)) * (e*(F+n-1)/y)^(y + 1/2) with (x, y) = (n, F - 1)
+    and (F - 1, n), where ln stir2 = ln 2 + 1/(6(F+n)) exactly; t3 = 2^(F+n).
+    """
     F = iv_from_surd(base.a, base.b, base.r, prec)
-    Fm1 = iv_sub(F, 1, prec)
-    if not Fm1.is_positive():
-        raise IntervalDomainError("F - 1 enclosure not yet positive")
-    e_ = iv_const_e(prec)
-    pi_ = iv_const_pi(prec)
     Fn = iv_add(F, n, prec)
-    Fnm1 = iv_sub(Fn, 1, prec)
-    stir2 = iv_mul(2, iv_exp(iv_div(iv_from_rat(1, prec), iv_mul(6, Fn, prec), prec), prec), prec)
-    epi = iv_mul(e_, pi_, prec)
-    t1 = iv_mul(
-        iv_sqrt(iv_div(stir2, iv_mul(epi, n, prec), prec), prec),
-        iv_pow(iv_div(iv_mul(e_, Fnm1, prec), Fm1, prec), iv_sub(F, Fraction(1, 2), prec), prec),
-        prec,
-    )
-    t2 = iv_mul(
-        iv_sqrt(iv_div(stir2, iv_mul(epi, Fm1, prec), prec), prec),
-        iv_pow(iv_div(iv_mul(e_, Fnm1, prec), iv_from_rat(n, prec), prec), Fraction(2 * n + 1, 2), prec),
-        prec,
-    )
-    t3 = iv_pow(iv_from_rat(2, prec), Fn, prec)
-    return t1, t2, t3
+    ln2, ln_n, ln_Fm1 = _ln_int(2, prec), _ln_int(n, prec), _ln_base_minus_one(base, prec)
+    lift = iv_add(iv_ln(iv_sub(Fn, 1, prec), prec), 1, prec)  # ln(e*(F+n-1))
+    ln_stir2 = iv_add(ln2, iv_div(1, iv_mul(6, Fn, prec), prec), prec)
+    c = iv_sub(ln_stir2, iv_add(_ln_pi(prec), 1, prec), prec)  # ln(stir2/(e*pi))
+
+    def ln_t(ln_x: DyadicInterval, y_plus_half, ln_y: DyadicInterval) -> DyadicInterval:
+        root = iv_div(iv_sub(c, ln_x, prec), 2, prec)
+        return iv_add(root, iv_mul(y_plus_half, iv_sub(lift, ln_y, prec), prec), prec)
+
+    lt1 = ln_t(ln_n, iv_sub(F, Fraction(1, 2), prec), ln_Fm1)
+    return lt1, ln_t(ln_Fm1, Fraction(2 * n + 1, 2), ln_n), iv_mul(Fn, ln2, prec)
 
 
 def check_explicit_bound(
@@ -236,22 +246,28 @@ def check_explicit_bound(
         raise ArithmeticError(f"growth base must exceed 1, got {base} at d={ctx.d}, n={n}")
     a_n, b_n = pair.a[n], pair.b_coeff(n)
     d = ctx.d
+    if a_n == b_n == 0:
+        # every t_i is a positive product, so 0 < min(t1, t2, t3) holds exactly; ln 0 has no enclosure
+        checked_precision(max_precision, "max_precision")
+        return ExplicitBoundReport(ctx.d, n, VERIFIED, VERIFIED)
 
     @lru_cache(maxsize=None)
-    def min_bound(prec: int) -> DyadicInterval:
+    def min_log_bound(prec: int) -> DyadicInterval:
         # min is monotone in each argument, so the endpoint minima enclose it
-        ts = _three_bounds(base, n, prec)
+        ts = _log_bounds(base, n, prec)
         return DyadicInterval(min(t.lo_m for t in ts), min(t.hi_m for t in ts), prec)
 
     sign = cmp_surd(a_n, b_n, d, 0)
     aa, bb = (a_n, b_n) if sign >= 0 else (-a_n, -b_n)
-    verdict = decide(lambda p: iv_from_surd(aa, bb, d, p), min_bound, precision_ladder(max_precision)).verdict
+    verdict = decide(
+        lambda p: iv_ln(iv_from_surd(aa, bb, d, p), p), min_log_bound, precision_ladder(max_precision)
+    ).verdict
 
     if ctx.D > 0:
         verdict_disc = verdict
     else:
-        mod_sq = Fraction(a_n * a_n + d * b_n * b_n)
+        mod_sq = a_n * a_n + d * b_n * b_n
         verdict_disc = decide(
-            lambda p: iv_sqrt(iv_from_rat(mod_sq, p), p), min_bound, precision_ladder(max_precision)
+            lambda p: iv_div(iv_ln(iv_from_rat(mod_sq, p), p), 2, p), min_log_bound, precision_ladder(max_precision)
         ).verdict
     return ExplicitBoundReport(ctx.d, n, verdict, verdict_disc)

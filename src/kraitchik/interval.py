@@ -5,12 +5,13 @@ An interval at precision ``prec`` holds two integer mantissas ``lo_m`` and
 that grid (floor for the lower end, ceiling for the upper), so the exact image
 of the inputs is always contained in the output, and every operation runs on
 Python ints: add and sub are integer adds, mul and div are integer products
-or floor/ceiling quotients followed by one directed shift.  The
-transcendental kernels take exact rationals as (numerator, denominator)
-integers (exp, ln) or a scaled integer radicand (sqrt) and return directed
-integer bounds with explicit tail bounds (exp, ln, pi, e) -- no floating
-point, and no Fraction in any operation.  ``lo`` and ``hi`` read the
-endpoints back as Fractions.
+or floor/ceiling quotients followed by one directed shift.  The kernels are
+exp, ln and pi: exp and ln take exact rationals as (numerator, denominator)
+integers, and all three return directed integer bounds with explicit tail
+bounds; the only square root is the integer one inside ``iv_from_surd`` --
+no floating point, and no Fraction in any operation.  Powers are written by
+the callers in log space, as exp(y ln x) or as a sum of logarithms.  ``lo``
+and ``hi`` read the endpoints back as Fractions.
 
 ``decide`` is the one precision-ladder driver: it re-evaluates both sides of
 a strict inequality at each rung of a doubling precision ladder until the
@@ -57,7 +58,8 @@ class DyadicInterval:
 
     def __init__(self, lo_m: int, hi_m: int, prec: int) -> None:
         if lo_m > hi_m:
-            raise ValueError(f"inverted interval [{lo_m}, {hi_m}] / 2^{prec + GUARD_BITS}")
+            # hex: a decimal str() of a mantissa past 4300 digits raises in place of this message
+            raise ValueError(f"inverted interval [{lo_m:#x}, {hi_m:#x}] / 2^{prec + GUARD_BITS}")
         self.lo_m = lo_m
         self.hi_m = hi_m
         self.prec = prec
@@ -78,9 +80,6 @@ class DyadicInterval:
         q = Fraction(q)
         scaled = q.numerator << (self.prec + GUARD_BITS)
         return self.lo_m * q.denominator <= scaled <= self.hi_m * q.denominator
-
-    def is_positive(self) -> bool:
-        return self.lo_m > 0
 
     def __repr__(self) -> str:
         # 17 significant digits rounded outward; float() overflows past 2^1024
@@ -124,16 +123,8 @@ def _ilog2_floor(n: int, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# scaled-integer kernels for sqrt, exp, ln, pi, e; each bound is a mantissa
+# scaled-integer kernels for exp, ln, pi; each bound is a mantissa
 # over 2^bits, rounded down (roundup=False) or up (roundup=True)
-
-def _sqrt_bounds(scaled: int) -> tuple[int, int]:
-    """Bounds of sqrt(q * 4^bits) from scaled = floor(q * 4^bits); callers have q = 0 iff scaled = 0."""
-    if scaled == 0:
-        return 0, 0
-    # scaled+1 > q*4^bits, so its ceiling square root is an upper bound
-    return isqrt(scaled), _isqrt_ceil(scaled + 1)
-
 
 def _exp_bound(num: int, den: int, bits: int, roundup: bool) -> int:
     """Directed bound of exp(num/den), den > 0."""
@@ -280,11 +271,6 @@ def _pi_bounds(bits: int) -> tuple[int, int]:
     return lo >> 24, _ceil_shift(hi, 24)
 
 
-@lru_cache(maxsize=None)
-def _e_bounds(bits: int) -> tuple[int, int]:
-    return _exp_bound(1, 1, bits, False), _exp_bound(1, 1, bits, True)
-
-
 # ---------------------------------------------------------------------------
 # public constructors and arithmetic
 
@@ -304,7 +290,9 @@ def iv_from_surd(x: Fraction | int, y: Fraction | int, d: int, prec: int) -> Dya
     xn, xd = _num_den(x)
     extra = max(0, abs(yn).bit_length() - yd.bit_length() + 1)
     bits = prec + GUARD_BITS + extra
-    s_lo, s_hi = _sqrt_bounds(d << (2 * bits))
+    # sqrt(d) * 2^bits lies in [isqrt(d * 4^bits), ceil(sqrt(d * 4^bits + 1))]
+    scaled = d << (2 * bits)
+    s_lo, s_hi = isqrt(scaled), _isqrt_ceil(scaled + 1)
     if yn < 0:
         s_lo, s_hi = s_hi, s_lo
     # x + y*s/2^bits on the 2^-(prec+GUARD_BITS) grid: (xn*yd*2^bits + yn*xd*s) / (xd*yd*2^extra)
@@ -315,10 +303,6 @@ def iv_from_surd(x: Fraction | int, y: Fraction | int, d: int, prec: int) -> Dya
 
 def iv_const_pi(prec: int) -> DyadicInterval:
     return DyadicInterval(*_pi_bounds(prec + GUARD_BITS), prec)
-
-
-def iv_const_e(prec: int) -> DyadicInterval:
-    return DyadicInterval(*_e_bounds(prec + GUARD_BITS), prec)
 
 
 def _coerce(x, prec: int) -> DyadicInterval:
@@ -365,17 +349,6 @@ def iv_div(x, y, prec: int) -> DyadicInterval:
     return DyadicInterval(lo, hi, prec)
 
 
-def iv_sqrt(x, prec: int) -> DyadicInterval:
-    x = _coerce(x, prec)
-    if x.lo_m < 0:
-        raise IntervalDomainError(f"sqrt of an interval with negative lower end {x.lo}")
-    g = prec + GUARD_BITS
-    # sqrt(m / 2^g) * 2^g = sqrt(m * 2^g)
-    lo, _ = _sqrt_bounds(x.lo_m << g)
-    _, hi = _sqrt_bounds(x.hi_m << g)
-    return DyadicInterval(lo, hi, prec)
-
-
 def iv_exp(x, prec: int) -> DyadicInterval:
     x = _coerce(x, prec)
     g = prec + GUARD_BITS
@@ -388,38 +361,6 @@ def iv_ln(x, prec: int) -> DyadicInterval:
         raise IntervalDomainError(f"log needs a strictly positive interval, lo={x.lo}")
     g = prec + GUARD_BITS
     return DyadicInterval(_ln_bound(x.lo_m, 1 << g, g, False), _ln_bound(x.hi_m, 1 << g, g, True), prec)
-
-
-def iv_pow(x, y, prec: int) -> DyadicInterval:
-    """x**y: exact repeated squaring for integer and half-integer exponents,
-    exp(y ln x) otherwise (requires x > 0)."""
-    x = _coerce(x, prec)
-    if isinstance(y, int):
-        return _int_pow(x, y, prec)
-    if isinstance(y, Fraction):
-        if y.denominator == 1:
-            return _int_pow(x, y.numerator, prec)
-        if y.denominator == 2:
-            if x.lo_m < 0:
-                raise IntervalDomainError("half-integer power of a negative interval")
-            return iv_sqrt(_int_pow(x, y.numerator, prec), prec)
-        y = iv_from_rat(y, prec)
-    if not x.is_positive():
-        raise IntervalDomainError("general power needs a strictly positive base")
-    return iv_exp(iv_mul(y, iv_ln(x, prec), prec), prec)
-
-
-def _int_pow(x: DyadicInterval, n: int, prec: int) -> DyadicInterval:
-    if n < 0:
-        return iv_div(iv_from_rat(1, prec), _int_pow(x, -n, prec), prec)
-    result = iv_from_rat(1, prec)
-    base = x
-    while n:
-        if n & 1:
-            result = iv_mul(result, base, prec)
-        base = iv_mul(base, base, prec)
-        n >>= 1
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,12 @@ from .interval import (
     DyadicInterval,
     decide,
     iv_div,
+    iv_exp,
     iv_from_rat,
     iv_from_surd,
+    iv_ln,
     iv_mul,
     iv_neg,
-    iv_pow,
-    iv_sqrt,
     iv_sub,
     precision_ladder,
 )
@@ -103,14 +103,15 @@ def check_ratio_approx(
     lhs = Fraction(v * abs(X * w - P), P * w)
 
     def rhs_fn(prec: int) -> DyadicInterval:
-        sqrt_d = iv_sqrt(iv_from_rat(ctx.d, prec), prec)
+        sqrt_d = iv_from_surd(0, 1, ctx.d, prec)
         pref = iv_div(
             iv_from_rat(x, prec),
             iv_mul(iv_from_rat(2 * x - mu, prec), sqrt_d, prec),
             prec,
         )
         g_iv = iv_from_surd(g.a, g.b, g.r, prec)
-        pow_term = iv_pow(iv_from_rat(1 - 1 / x, prec), iv_neg(g_iv, prec), prec)
+        # (1 - 1/x)^(-G) = exp(-G ln(1 - 1/x))
+        pow_term = iv_exp(iv_mul(iv_neg(g_iv, prec), iv_ln(iv_from_rat(1 - 1 / x, prec), prec), prec), prec)
         inner = iv_sub(
             iv_sub(pow_term, 1, prec), iv_div(g_iv, iv_from_rat(x, prec), prec), prec
         )

@@ -7,6 +7,12 @@ Fractions whose denominators are powers of two; every operation rounds
 outward on the same grid of 2^-(prec+32) with the same directed rounding, so
 the integer-mantissa module must return bit-identical endpoints
 (``tests/test_interval.py``).
+
+``iv_sqrt``, ``iv_pow`` and the constant e live only here: ``three_bounds``
+is the strict bound's right side in its direct form, t1, t2 and t3 as
+products of powers, the verdict oracle for ``kraitchik.bounds``, which
+decides the same bound in log space.  ``to_mantissas`` turns an enclosure
+into the integer-mantissa form that ``kraitchik.interval.decide`` reads.
 """
 
 from __future__ import annotations
@@ -16,12 +22,18 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
+from kraitchik import interval as mantissa_interval
+
 GUARD_BITS = 32
 
 
-class IntervalDomainError(ValueError):
-    """Operand outside an operation's domain (division by a zero-straddling
-    interval, log of a nonpositive interval, and so on)."""
+# the module's own error, so that ``decide`` skips a rung on the oracle's domain errors too
+IntervalDomainError = mantissa_interval.IntervalDomainError
+
+
+def _hex(q: Fraction) -> str:
+    # a decimal str() of a numerator past 4300 digits raises in place of the message
+    return f"{q.numerator:#x}/{q.denominator:#x}"
 
 
 @dataclass(frozen=True)
@@ -32,7 +44,10 @@ class DyadicInterval:
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
-            raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
+            raise ValueError(f"inverted interval [{_hex(self.lo)}, {_hex(self.hi)}]")
+
+    def __repr__(self) -> str:
+        return f"DyadicInterval({_hex(self.lo)}, {_hex(self.hi)}, prec={self.prec})"
 
     @property
     def width(self) -> Fraction:
@@ -394,3 +409,41 @@ def _int_pow(x: DyadicInterval, n: int, prec: int) -> DyadicInterval:
         base = iv_mul(base, base, prec)
         n >>= 1
     return result
+
+
+# ---------------------------------------------------------------------------
+# the strict bound in its direct form, and the way into ``decide``
+
+def three_bounds(base, n: int, prec: int) -> tuple[DyadicInterval, ...]:
+    """t1, t2, t3 at growth base F (a ``QuadElem``) and index n, as products of powers."""
+    F = iv_from_surd(base.a, base.b, base.r, prec)
+    Fm1 = iv_sub(F, 1, prec)
+    if not Fm1.is_positive():
+        raise IntervalDomainError("F - 1 enclosure not yet positive")
+    e_ = iv_const_e(prec)
+    pi_ = iv_const_pi(prec)
+    Fn = iv_add(F, n, prec)
+    Fnm1 = iv_sub(Fn, 1, prec)
+    stir2 = iv_mul(2, iv_exp(iv_div(iv_from_rat(1, prec), iv_mul(6, Fn, prec), prec), prec), prec)
+    epi = iv_mul(e_, pi_, prec)
+    t1 = iv_mul(
+        iv_sqrt(iv_div(stir2, iv_mul(epi, n, prec), prec), prec),
+        iv_pow(iv_div(iv_mul(e_, Fnm1, prec), Fm1, prec), iv_sub(F, Fraction(1, 2), prec), prec),
+        prec,
+    )
+    t2 = iv_mul(
+        iv_sqrt(iv_div(stir2, iv_mul(epi, Fm1, prec), prec), prec),
+        iv_pow(iv_div(iv_mul(e_, Fnm1, prec), iv_from_rat(n, prec), prec), Fraction(2 * n + 1, 2), prec),
+        prec,
+    )
+    t3 = iv_pow(iv_from_rat(2, prec), Fn, prec)
+    return t1, t2, t3
+
+
+def to_mantissas(x: DyadicInterval) -> mantissa_interval.DyadicInterval:
+    """The same enclosure as integer mantissas over 2^(prec + GUARD_BITS); its ends lie on that grid."""
+    g = x.prec + GUARD_BITS
+    lo, hi = x.lo * (1 << g), x.hi * (1 << g)
+    if lo.denominator != 1 or hi.denominator != 1:
+        raise ValueError(f"{x!r} is off the 2^-{g} grid")
+    return mantissa_interval.DyadicInterval(int(lo), int(hi), x.prec)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 from fractions import Fraction
@@ -5,6 +6,8 @@ from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
 
+import interval_oracle
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +23,7 @@ from kraitchik.bounds import (
     rising_factorial_bound,
 )
 from kraitchik.construct import psi_xi
+from kraitchik.interval import DyadicInterval, decide, precision_ladder
 from kraitchik.numtheory import is_squarefree, odd_squarefree_range, squarefree_decompose
 from kraitchik.powersums import DiscriminantContext
 from kraitchik.qfield import QuadElem, RadicandMismatch, abs_real, cmp_real, cmp_surd
@@ -275,14 +279,93 @@ def test_explicit_bound_unresolved_below_ladder():
     assert rep.verdict == "unresolved"
 
 
-def test_explicit_bound_refuses_a_ceiling_above_the_cap(monkeypatch):
-    # the cap holds for library callers too, and before any enclosure is built
+def refuse_interval_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("interval work ran")
 
-    monkeypatch.setattr(bounds, "_three_bounds", refuse)
+    for name in dir(bounds):
+        if name.startswith("iv_"):
+            monkeypatch.setattr(bounds, name, refuse)
+
+
+def test_explicit_bound_refuses_a_ceiling_above_the_cap(monkeypatch):
+    # the cap holds for library callers too, and before any enclosure is built
+    refuse_interval_work(monkeypatch)
     with pytest.raises(ValueError, match="max_precision"):
         check_explicit_bound(psi_xi(5), 1, max_precision=65537)
+
+
+# -- the strict bound in its direct form, over the Fraction-endpoint oracle
+
+
+def direct_verdicts(pair, n, max_precision=4096) -> tuple[str, str]:
+    """(verdict, verdict_disc_radicand) of |a_n + b_n*sqrt(d)| < min(t1, t2, t3) with the
+    t_i as products of powers, through the same ``decide`` and ladder as the log form."""
+    ctx = pair.ctx
+    base = abs_bound_base(ctx, n)
+    a_n, b_n, d = pair.a[n], pair.b_coeff(n), ctx.d
+    iv, to_m = interval_oracle, interval_oracle.to_mantissas
+
+    @lru_cache(maxsize=None)
+    def min_bound(prec):
+        ts = [to_m(t) for t in iv.three_bounds(base, n, prec)]
+        return DyadicInterval(min(t.lo_m for t in ts), min(t.hi_m for t in ts), prec)
+
+    aa, bb = (a_n, b_n) if cmp_surd(a_n, b_n, d, 0) >= 0 else (-a_n, -b_n)
+    verdict = decide(lambda p: to_m(iv.iv_from_surd(aa, bb, d, p)), min_bound, precision_ladder(max_precision)).verdict
+    if ctx.D > 0:
+        return verdict, verdict
+    mod_sq = a_n * a_n + d * b_n * b_n
+    disc = decide(lambda p: to_m(iv.iv_sqrt(iv.iv_from_rat(mod_sq, p), p)), min_bound, precision_ladder(max_precision))
+    return verdict, disc.verdict
+
+
+def test_log_form_verdicts_match_the_direct_form(pairs_149):
+    checked = 0
+    for d, pair in pairs_149.items():
+        for n in range(1, pair.ctx.dprime + 1):
+            rep = check_explicit_bound(pair, n)
+            assert (rep.verdict, rep.verdict_disc_radicand) == direct_verdicts(pair, n), (d, n)
+            checked += 1
+    assert checked == 1905
+
+
+def reference_log_bounds(base, n) -> list:
+    """ln t1, ln t2, ln t3 from the direct form, at mpmath's working precision."""
+    F = mpmath.mpf(base.a.numerator) / base.a.denominator
+    F += mpmath.mpf(base.b.numerator) / base.b.denominator * mpmath.sqrt(base.r)
+    stir2 = 2 * mpmath.exp(1 / (6 * (F + n)))
+    epi = mpmath.e * mpmath.pi
+    t1 = mpmath.sqrt(stir2 / (epi * n)) * (mpmath.e * (F + n - 1) / (F - 1)) ** (F - mpmath.mpf(1) / 2)
+    t2 = mpmath.sqrt(stir2 / (epi * (F - 1))) * (mpmath.e * (F + n - 1) / n) ** (n + mpmath.mpf(1) / 2)
+    return [mpmath.log(t) for t in (t1, t2, mpmath.mpf(2) ** (F + n))]
+
+
+@pytest.mark.parametrize("prec", [64, 256])
+def test_log_bounds_contain_the_mpmath_logarithms(prec):
+    # D > 0 and D < 0, a rational base (d = 15, n = 5), and t_i past 2^1024 at d = 6997
+    sample = [(5, 1), (5, 2), (7, 3), (13, 6), (15, 5), (105, 24), (255, 64), (6997, 1), (6997, 3000)]
+    with mpmath.workprec(2 * prec + 128):  # at least 50 digits, and finer than the enclosures
+        for d, n in sample:
+            base = abs_bound_base(ctx(d), n)
+            for got, ref in zip(bounds._log_bounds(base, n, prec), reference_log_bounds(base, n)):
+                lo, hi = got.lo, got.hi
+                assert mpmath.mpf(lo.numerator) / lo.denominator <= ref <= mpmath.mpf(hi.numerator) / hi.denominator
+                assert got.width < F(1, 2 ** (prec - 16)), (d, n)
+
+
+@pytest.mark.parametrize("d", [5, 7])  # D > 0, then D < 0
+def test_zero_left_side_is_verified_without_a_logarithm(d, monkeypatch):
+    # no real a_n = b_n = 0 for d <= 2000, so plant one; ln 0 has no enclosure
+    pair, n = psi_xi(d), 2
+    planted = dataclasses.replace(pair, a=pair.a[:n] + (0,) + pair.a[n + 1 :], b=pair.b[: n - 1] + (0,) + pair.b[n:])
+    assert (planted.a[n], planted.b_coeff(n)) == (0, 0)
+    assert direct_verdicts(planted, n) == ("verified", "verified")
+    refuse_interval_work(monkeypatch)
+    rep = check_explicit_bound(planted, n)
+    assert (rep.verdict, rep.verdict_disc_radicand) == ("verified", "verified")
+    with pytest.raises(ValueError, match="max_precision"):
+        check_explicit_bound(planted, n, max_precision=65537)
 
 
 def test_suite_small_range(pairs_149):
@@ -305,3 +388,5 @@ def test_coefficient_growth_script_prints_one_line_per_modulus(capsys):
     assert [int(row.split()[0]) for row in rows] == odd_squarefree_range(5, 15)
     # d = 5, n = 1: the bound 2*(1 + sqrt(5))/2 ~ 3.236
     assert rows[0].split()[-1] == "3.236e+00"
+    # d = 4487: base 320 at n = 960, so 2*320*321*...*1279/960! ~ 5.129e+310 (mpmath), past float's 2^1024
+    assert script.bound_at_half(ctx(4487)) == "5.129e+310"

@@ -82,11 +82,6 @@ def test_pm_polynomial_examples():
     assert pm_polynomial(5) == falling_factorial_poly(5)
 
 
-def test_pm_polynomial_is_binomial_through_20():
-    for m in range(1, 21):
-        assert pm_polynomial(m) == falling_factorial_poly(m), m
-
-
 def test_newton_examples():
     # power sums of {1, 2, 3} -> coefficients of (X+1)(X+2)(X+3)
     assert newton_elementary([6, 14, 36]) == [F(1), F(6), F(11), F(6)]
