@@ -210,7 +210,7 @@ def _ln2_bounds(bits: int) -> tuple[int, int]:
 def _ln_bound(num: int, den: int, bits: int, roundup: bool) -> int:
     """Directed bound of ln(num/den), den > 0."""
     if num <= 0:
-        raise IntervalDomainError(f"log of nonpositive value {Fraction(num, den)}")
+        raise IntervalDomainError(f"log of nonpositive value {num:#x}/{den:#x}")
     k = _ilog2_floor(num, den)
     ws = bits + 48
     # the mantissa m = num/(den * 2^k) in [1, 2), scaled by 2^ws
@@ -358,7 +358,7 @@ def iv_exp(x, prec: int) -> DyadicInterval:
 def iv_ln(x, prec: int) -> DyadicInterval:
     x = _coerce(x, prec)
     if x.lo_m <= 0:
-        raise IntervalDomainError(f"log needs a strictly positive interval, lo={x.lo}")
+        raise IntervalDomainError(f"log needs a strictly positive interval, lo_m={x.lo_m:#x}")
     g = prec + GUARD_BITS
     return DyadicInterval(_ln_bound(x.lo_m, 1 << g, g, False), _ln_bound(x.hi_m, 1 << g, g, True), prec)
 

@@ -111,7 +111,7 @@ def _ilog2_floor(q: Fraction) -> int:
 def _sqrt_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     """Enclosure of sqrt(q), q >= 0, on the 2^-bits grid."""
     if q < 0:
-        raise IntervalDomainError(f"sqrt of negative value {q}")
+        raise IntervalDomainError(f"sqrt of negative value {_hex(q)}")
     if q == 0:
         return Fraction(0), Fraction(0)
     scaled = (q.numerator << (2 * bits)) // q.denominator  # floor(q * 4^bits)
@@ -202,7 +202,7 @@ def _ln2_bounds(bits: int) -> tuple[Fraction, Fraction]:
 def _ln_point_bounds(t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     """Enclosure of ln(t) for an exact rational t > 0."""
     if t <= 0:
-        raise IntervalDomainError(f"log of nonpositive value {t}")
+        raise IntervalDomainError(f"log of nonpositive value {_hex(t)}")
     k = _ilog2_floor(t)
     m = t / Fraction(2) ** k  # in [1, 2)
     if not 1 <= m < 2:
@@ -354,7 +354,7 @@ def iv_abs(x, prec: int) -> DyadicInterval:
 def iv_sqrt(x, prec: int) -> DyadicInterval:
     x = _coerce(x, prec)
     if x.lo < 0:
-        raise IntervalDomainError(f"sqrt of an interval with negative lower end {x.lo}")
+        raise IntervalDomainError(f"sqrt of an interval with negative lower end {_hex(x.lo)}")
     bits = prec + GUARD_BITS
     lo, _ = _sqrt_bounds(x.lo, bits)
     _, hi = _sqrt_bounds(x.hi, bits)
@@ -372,7 +372,7 @@ def iv_exp(x, prec: int) -> DyadicInterval:
 def iv_ln(x, prec: int) -> DyadicInterval:
     x = _coerce(x, prec)
     if x.lo <= 0:
-        raise IntervalDomainError(f"log needs a strictly positive interval, lo={x.lo}")
+        raise IntervalDomainError(f"log needs a strictly positive interval, lo={_hex(x.lo)}")
     bits = prec + GUARD_BITS
     lo, _ = _ln_point_bounds(x.lo, bits)
     _, hi = _ln_point_bounds(x.hi, bits)

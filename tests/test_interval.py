@@ -146,6 +146,10 @@ def test_domain_errors():
         iv_ln(span, 64)
     with pytest.raises(IntervalDomainError):
         iv_from_surd(1, 1, -5, 64)
+    # past 4300 decimal digits a decimal message would raise a plain ValueError, which decide does not skip
+    for iv in (interval, ORACLE):
+        with pytest.raises(IntervalDomainError, match="^log needs a strictly positive interval"):
+            iv.iv_ln(iv.iv_sub(0, iv.iv_from_rat(2**20000, 64), 64), 64)
 
 
 def test_decide_examples():
