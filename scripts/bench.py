@@ -15,7 +15,9 @@ per side it records the tier-1 wall time and the Python line counts of
 shows whether code was deleted or only moved into the tests), and for the
 working tree its HEAD and its uncommitted paths (``git status
 --porcelain``), so the entry can be traced to the code it measured.  Both
-sides must carry the same ``BENCHMARK.json``.  Tracing is not run.
+sides must carry the same ``BENCHMARK.json``.  After the untraced pairs, each
+side runs each workload once more with ``--trace 1`` at seed 1, and the entry
+records every per-layer value of those runs side by side.
 """
 
 from __future__ import annotations
@@ -63,9 +65,9 @@ def working_tree_state() -> dict:
     return {"rev": git("rev-parse", "HEAD").strip(), "uncommitted": git("status", "--porcelain").splitlines()}
 
 
-def run_once(tree: Path, workload: str, seed: int) -> dict:
-    """The final JSON object of one untraced ``perfbench/run.py`` run in ``tree``."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+def run_once(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
+    """The final JSON object of one ``perfbench/run.py`` run in ``tree``."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -112,6 +114,20 @@ def aggregate(parent_runs: list[dict], change_runs: list[dict], end_to_end: list
     }
 
 
+def layers(parent_run: dict, change_run: dict) -> dict:
+    """Each per-layer metric of a traced run pair as {unit, parent, change}; None on a side that lacks it."""
+    names = list(parent_run["metrics"]) + [n for n in change_run["metrics"] if n not in parent_run["metrics"]]
+    out = {}
+    for name in names:
+        p, c = parent_run["metrics"].get(name), change_run["metrics"].get(name)
+        out[name] = {
+            "unit": (p or c)["unit"],
+            "parent": None if p is None else p["value"],
+            "change": None if c is None else c["value"],
+        }
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", default="HEAD", help="git revision to compare against (default HEAD)")
@@ -135,6 +151,10 @@ def main(argv=None) -> int:
                     runs[side].append(run_once(sides[side], workload, i + 1))
                 print(f"{workload}: pair {i + 1}/{PAIRS} done", file=sys.stderr)
             workloads[workload] = aggregate(runs["parent"], runs["change"], spec["end_to_end"])
+        for workload, entry in workloads.items():
+            traced = {side: run_once(tree, workload, 1, trace=1) for side, tree in sides.items()}
+            entry["layers"] = layers(traced["parent"], traced["change"])
+            print(f"{workload}: traced pair done", file=sys.stderr)
         trees = {side: {**line_counts(tree), "tier1": tier1(tree)} for side, tree in sides.items()}
 
     entry = {

@@ -40,7 +40,7 @@ from .interval import DEFAULT_MAX_PRECISION, MAX_PRECISION_CEILING, checked_prec
 from .numtheory import euler_phi, odd_squarefree_range
 from .poly import DensePoly, format_poly
 from .powersums import DiscriminantContext, power_sum_doubled, quad_in_enclosure, residue_sum_enclosure
-from .ratio import REJECTED, default_sample_points, ratio_table
+from .ratio import default_sample_points, ratio_table
 from .symfunc import (
     elementary_brute,
     newton_elementary,
@@ -150,7 +150,7 @@ def _suite_corollary(pair: KraitchikPair, precision_max: int) -> list[Row]:
     verdicts = [check_explicit_bound(pair, n, precision_max) for n in range(1, dp + 1)]
     bad = [r.n for r in verdicts if r.verdict == FALSIFIED]
     open_ = [r.n for r in verdicts if r.verdict == UNRESOLVED]
-    disc_bad = [r.n for r in verdicts if r.verdict_disc_radicand != VERIFIED]
+    disc_bad = [r.n for r in verdicts if r.verdict_disc_radicand != r.verdict]
     note = f" note: sqrt(D)-variant differs at n={disc_bad}" if disc_bad else ""
     if bad:
         return [(f"d={pair.ctx.d}", FALSIFIED, f"(at n={bad}){note}")]
@@ -160,14 +160,10 @@ def _suite_corollary(pair: KraitchikPair, precision_max: int) -> list[Row]:
 
 
 def _suite_ratio(pair: KraitchikPair, precision_max: int) -> list[Row]:
-    rows = []
-    for rep in ratio_table(pair, default_sample_points(pair), precision_max):
-        label = f"d={pair.ctx.d} x={rep.x}"
-        if rep.verdict == REJECTED:
-            rows.append((label, FALSIFIED, "(rejected below the gate)"))
-        else:
-            rows.append((label, rep.verdict, ""))
-    return rows
+    return [
+        (f"d={pair.ctx.d} x={rep.x}", rep.verdict, "")
+        for rep in ratio_table(pair, default_sample_points(pair), precision_max)
+    ]
 
 
 def _suite_gauss_oracle(d: int) -> list[Row]:

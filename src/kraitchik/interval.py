@@ -6,21 +6,20 @@ that grid (floor for the lower end, ceiling for the upper), so the exact image
 of the inputs is always contained in the output, and every operation runs on
 Python ints: add and sub are integer adds, mul and div are integer products
 or floor/ceiling quotients followed by one directed shift.  The kernels are
-exp, ln and pi: exp and ln take exact rationals as (numerator, denominator)
-integers, and all three return directed integer bounds with explicit tail
-bounds; the only square root is the integer one inside ``iv_from_surd`` --
-no floating point, and no Fraction in any operation.  Powers are written by
-the callers in log space, as exp(y ln x) or as a sum of logarithms.  ``lo``
-and ``hi`` read the endpoints back as Fractions.
+ln and pi: ln takes an exact rational as (numerator, denominator) integers,
+and both return directed integer bounds with explicit tail bounds; the only
+square root is the integer one inside ``iv_from_surd`` -- no floating point,
+and no Fraction in any operation.  There is no exp: each caller states its
+inequality in log space, where powers become sums and multiples of
+logarithms.  ``lo`` and ``hi`` read the endpoints back as Fractions.
 
 ``decide`` is the one precision-ladder driver: it re-evaluates both sides of
 a strict inequality at each rung of a doubling precision ladder until the
 enclosures separate.  Each rung's enclosures are valid by themselves, so a
-verdict rests on a single rung.  A side may also be an exact rational, which
-is compared against the other side's mantissas by cross-multiplication and
-never rounded.  Inequalities that fail to separate by the precision ceiling
-come back ``unresolved`` -- callers treat that as failure-to-verify, never
-as verification.
+verdict rests on a single rung.  Both sides are enclosures at the rung's
+precision, compared by their integer mantissas.  Inequalities that fail to
+separate by the precision ceiling come back ``unresolved`` -- callers treat
+that as failure-to-verify, never as verification.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional
 
 GUARD_BITS = 32
 DEFAULT_MAX_PRECISION = 4096
@@ -123,43 +122,8 @@ def _ilog2_floor(n: int, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# scaled-integer kernels for exp, ln, pi; each bound is a mantissa
+# scaled-integer kernels for ln and pi; each bound is a mantissa
 # over 2^bits, rounded down (roundup=False) or up (roundup=True)
-
-def _exp_bound(num: int, den: int, bits: int, roundup: bool) -> int:
-    """Directed bound of exp(num/den), den > 0."""
-    if num == 0:
-        return 1 << bits
-    u = abs(num)
-    halvings = 0
-    while 2 * u > den << halvings:  # halve until u/den <= 1/2
-        halvings += 1
-    den <<= halvings
-    ws = bits + 2 * halvings + 24
-    # exp(-u) = 1/exp(u) takes the opposite bound of exp(u)
-    up = roundup != (num < 0)
-    acc = term = 1 << ws
-    k = 0
-    while True:
-        k += 1
-        if up:
-            term = -((-term * u) // (den * k))
-            acc += term
-            if term <= 1:
-                acc += 2 * term + 2  # geometric tail, u/den <= 1/2
-                break
-        else:
-            term = term * u // (den * k)
-            if term == 0:
-                break
-            acc += term
-    for _ in range(halvings):
-        acc = _ceil_shift(acc * acc, ws) if up else (acc * acc) >> ws
-    if num < 0:
-        one_sq = 1 << (2 * ws)
-        acc = -(-one_sq // acc) if roundup else one_sq // acc
-    return _ceil_shift(acc, ws - bits) if roundup else acc >> (ws - bits)
-
 
 def _atanh_series_scaled(zn: int, zd: int, ws: int, roundup: bool) -> int:
     """Directed bound of atanh(zn/zd) * 2^ws for 0 <= zn/zd <= 1/2."""
@@ -318,11 +282,6 @@ def iv_add(x, y, prec: int) -> DyadicInterval:
     return DyadicInterval(x.lo_m + y.lo_m, x.hi_m + y.hi_m, prec)
 
 
-def iv_neg(x, prec: int) -> DyadicInterval:
-    x = _coerce(x, prec)
-    return DyadicInterval(-x.hi_m, -x.lo_m, prec)
-
-
 def iv_sub(x, y, prec: int) -> DyadicInterval:
     x, y = _coerce(x, prec), _coerce(y, prec)
     return DyadicInterval(x.lo_m - y.hi_m, x.hi_m - y.lo_m, prec)
@@ -349,12 +308,6 @@ def iv_div(x, y, prec: int) -> DyadicInterval:
     return DyadicInterval(lo, hi, prec)
 
 
-def iv_exp(x, prec: int) -> DyadicInterval:
-    x = _coerce(x, prec)
-    g = prec + GUARD_BITS
-    return DyadicInterval(_exp_bound(x.lo_m, 1 << g, g, False), _exp_bound(x.hi_m, 1 << g, g, True), prec)
-
-
 def iv_ln(x, prec: int) -> DyadicInterval:
     x = _coerce(x, prec)
     if x.lo_m <= 0:
@@ -378,31 +331,22 @@ def precision_ladder(max_precision: int = DEFAULT_MAX_PRECISION) -> tuple[int, .
     return tuple(64 << k for k in range((max_precision // 64).bit_length()))
 
 
-Side = Union[Callable[[int], DyadicInterval], Fraction, int]
-
-
 class Decision(NamedTuple):
-    """A verdict with each side at the last rung evaluated: its enclosure, the
-    exact rational an exact side was given as, or None if no rung was."""
+    """A verdict with each side's enclosure at the last rung evaluated, or None if no rung was."""
 
     verdict: str
-    lhs: Optional[DyadicInterval | Fraction | int]
-    rhs: Optional[DyadicInterval | Fraction | int]
+    lhs: Optional[DyadicInterval]
+    rhs: Optional[DyadicInterval]
 
 
-def _ends(side: DyadicInterval | Fraction | int) -> tuple[int, int, int]:
-    """(lo, hi, den) with the side's endpoints lo/den and hi/den."""
-    if isinstance(side, DyadicInterval):
-        return side.lo_m, side.hi_m, 1 << (side.prec + GUARD_BITS)
-    n, d = _num_den(side)
-    return n, n, d
-
-
-def decide(lhs: Side, rhs: Side, rungs: Iterable[int]) -> Decision:
+def decide(
+    lhs: Callable[[int], DyadicInterval], rhs: Callable[[int], DyadicInterval], rungs: Iterable[int]
+) -> Decision:
     """Decide the strict inequality lhs < rhs, one precision rung at a time.
 
-    Each side is a function from a precision to an enclosure, or an exact
-    rational.  ``verified`` once lhs.hi < rhs.lo, ``falsified`` once
+    Each side is a function from a precision to an enclosure at that
+    precision, so the two sides share one grid and their mantissas compare
+    directly.  ``verified`` once lhs.hi < rhs.lo, ``falsified`` once
     lhs.lo >= rhs.hi, ``unresolved`` when the rungs run out.  A rung at which
     either side raises IntervalDomainError (an enclosure still too wide for
     some operation's domain) is skipped.
@@ -410,13 +354,13 @@ def decide(lhs: Side, rhs: Side, rungs: Iterable[int]) -> Decision:
     li = ri = None
     for prec in rungs:
         try:
-            li, ri = (lhs(prec) if callable(lhs) else lhs), (rhs(prec) if callable(rhs) else rhs)
+            li, ri = lhs(prec), rhs(prec)
         except IntervalDomainError:
             continue
-        l_lo, l_hi, l_den = _ends(li)
-        r_lo, r_hi, r_den = _ends(ri)
-        if l_hi * r_den < r_lo * l_den:
+        if li.prec != ri.prec:
+            raise ValueError(f"sides at precisions {li.prec} and {ri.prec} compared at rung {prec}")
+        if li.hi_m < ri.lo_m:
             return Decision(VERIFIED, li, ri)
-        if l_lo * r_den >= r_hi * l_den:
+        if li.lo_m >= ri.hi_m:
             return Decision(FALSIFIED, li, ri)
     return Decision(UNRESOLVED, li, ri)

@@ -3,10 +3,11 @@
 The left side of the error bound is pure integer arithmetic: for x = u/v in
 lowest terms, Horner on the pair's integer coefficients gives
 P = v^d' * Psi_d(x) and X = v^(d'-1) * Xi_d(x), and with w = 2u - mu(d)*v
-the left side is the single Fraction v*|X*w - P| / (P*w).  Only the right
-side touches irrationals (sqrt(d) and the gate value G_d as an exponent), so
-it is enclosed with validated intervals; a ``verified`` verdict is therefore
-a machine-checked strict inequality.
+the left side is the single Fraction v*|X*w - P| / (P*w).  The envelope's
+irrationals (sqrt(d), and the gate value G_d as an exponent) are met in log
+space: ``_log_sides`` turns the bound into an equivalent comparison of two
+logarithms, each enclosed with validated intervals, so a ``verified`` verdict
+is a machine-checked strict inequality and ``falsified`` a proven violation.
 
 The gate value G_d is a growth base (p + q*sqrt(r))/2 from ``bounds``.  The
 gate x > 2*G_d is decided exactly, by one ``cmp_surd``, before anything else;
@@ -18,22 +19,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
-from .bounds import ceil_multiple, l1_bound_base
+from .bounds import _same_field, ceil_multiple, l1_bound_base
 from .construct import KraitchikPair
 from .interval import (
     DEFAULT_MAX_PRECISION,
     DyadicInterval,
     decide,
-    iv_div,
-    iv_exp,
     iv_from_rat,
     iv_from_surd,
     iv_ln,
     iv_mul,
-    iv_neg,
-    iv_sub,
     precision_ladder,
 )
 from .numtheory import mobius
@@ -51,7 +49,6 @@ class RatioReport:
     d: int
     x: Fraction
     lhs_exact: Optional[Fraction]
-    rhs_enclosure: Optional[DyadicInterval]
     verdict: str
 
 
@@ -61,14 +58,17 @@ def gate_value(pair: KraitchikPair) -> QuadElem:
     return l1_bound_base(ctx, (2 * ctx.dprime) // 4)
 
 
+def _past_gate(g: QuadElem, x: Fraction) -> bool:
+    """x > 2*G, decided exactly."""
+    return cmp_surd(2 * g.a, 2 * g.b, g.r, x) < 0
+
+
 def default_sample_points(pair: KraitchikPair) -> list[Fraction]:
-    """The standard grid: {ceil(2G)+1, 2*ceil(G)+5, 100}."""
+    """The standard grid {ceil(2G)+1, 2*ceil(G)+5, 100}, without x = 100 where
+    2G >= 100 (d = 707 is the first such modulus): the envelope claims nothing there."""
     g = gate_value(pair)
-    return [
-        Fraction(ceil_multiple(g, 2) + 1),
-        Fraction(2 * ceil_multiple(g, 1) + 5),
-        Fraction(100),
-    ]
+    grid = [Fraction(ceil_multiple(g, 2) + 1), Fraction(2 * ceil_multiple(g, 1) + 5), Fraction(100)]
+    return [x for x in grid if _past_gate(g, x)]
 
 
 def _homogeneous(coeffs: Sequence[int], u: int, v: int) -> int:
@@ -81,6 +81,22 @@ def _homogeneous(coeffs: Sequence[int], u: int, v: int) -> int:
     return acc
 
 
+def _log_sides(g: QuadElem, x: Fraction, c: Fraction, d: int, prec: int) -> tuple[DyadicInterval, DyadicInterval]:
+    """Enclosures of ln(1 + G/x + c*sqrt(d)) and G*ln(x/(x - 1)), the bound in log space.
+
+    The bound is L < x/((2x - mu) sqrt(d)) * ((1 - 1/x)^(-G) - 1 - G/x).  Past
+    the gate x > 2G > 1 and 2x - mu > 0, so the prefactor is positive; divided
+    by it, the left side L becomes c*sqrt(d) with the exact c = L*(2x - mu)/x,
+    and adding 1 + G/x gives 1 + G/x + c*sqrt(d) < (x/(x - 1))^G.  Both sides
+    are positive and ln is strictly increasing, so taking logarithms keeps the
+    inequality exactly, in both directions.  G = a + b*sqrt(d) (b = 0 when G is
+    rational), so the left argument is the one surd (1 + a/x) + (b/x + c)*sqrt(d).
+    """
+    lhs = iv_ln(iv_from_surd(1 + g.a / x, g.b / x + c, d, prec), prec)
+    rhs = iv_mul(iv_from_surd(g.a, g.b, g.r, prec), iv_ln(iv_from_rat(x / (x - 1), prec), prec), prec)
+    return lhs, rhs
+
+
 def check_ratio_approx(
     pair: KraitchikPair, x: Fraction | int, max_precision: int = DEFAULT_MAX_PRECISION
 ) -> RatioReport:
@@ -90,7 +106,8 @@ def check_ratio_approx(
         raise ValueError(f"ratio check needs d >= 5, got {ctx.d}")
     x = Fraction(x)
     g = gate_value(pair)
-    if cmp_surd(2 * g.a, 2 * g.b, g.r, x) >= 0:  # x > 2*G fails, exactly
+    _same_field(g.b, g.r, ctx.d)
+    if not _past_gate(g, x):
         raise GateError(f"x = {x} does not exceed twice the gate value for d = {ctx.d}")
 
     mu = mobius(ctx.d)
@@ -101,25 +118,14 @@ def check_ratio_approx(
         raise ArithmeticError(f"Psi_{ctx.d}({x}) = {psi_x} is not positive at an admissible x")
     w = 2 * u - mu * v  # v * (2x - mu), positive past the gate
     lhs = Fraction(v * abs(X * w - P), P * w)
+    c = lhs * w / u  # lhs over the prefactor u/(w*sqrt(d)), per sqrt(d)
 
-    def rhs_fn(prec: int) -> DyadicInterval:
-        sqrt_d = iv_from_surd(0, 1, ctx.d, prec)
-        pref = iv_div(
-            iv_from_rat(x, prec),
-            iv_mul(iv_from_rat(2 * x - mu, prec), sqrt_d, prec),
-            prec,
-        )
-        g_iv = iv_from_surd(g.a, g.b, g.r, prec)
-        # (1 - 1/x)^(-G) = exp(-G ln(1 - 1/x))
-        pow_term = iv_exp(iv_mul(iv_neg(g_iv, prec), iv_ln(iv_from_rat(1 - 1 / x, prec), prec), prec), prec)
-        inner = iv_sub(
-            iv_sub(pow_term, 1, prec), iv_div(g_iv, iv_from_rat(x, prec), prec), prec
-        )
-        return iv_mul(pref, inner, prec)
+    @lru_cache(maxsize=None)
+    def sides(prec: int) -> tuple[DyadicInterval, DyadicInterval]:
+        return _log_sides(g, x, c, ctx.d, prec)
 
-    # the exact left side is never rounded: decide compares it against the mantissas exactly
-    decision = decide(lhs, rhs_fn, precision_ladder(max_precision))
-    return RatioReport(ctx.d, x, lhs, decision.rhs, decision.verdict)
+    decision = decide(lambda p: sides(p)[0], lambda p: sides(p)[1], precision_ladder(max_precision))
+    return RatioReport(ctx.d, x, lhs, decision.verdict)
 
 
 def ratio_table(
@@ -131,5 +137,5 @@ def ratio_table(
         try:
             out.append(check_ratio_approx(pair, x, max_precision))
         except GateError:
-            out.append(RatioReport(pair.ctx.d, Fraction(x), None, None, REJECTED))
+            out.append(RatioReport(pair.ctx.d, Fraction(x), None, REJECTED))
     return out

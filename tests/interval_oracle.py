@@ -8,11 +8,14 @@ outward on the same grid of 2^-(prec+32) with the same directed rounding, so
 the integer-mantissa module must return bit-identical endpoints
 (``tests/test_interval.py``).
 
-``iv_sqrt``, ``iv_pow`` and the constant e live only here: ``three_bounds``
-is the strict bound's right side in its direct form, t1, t2 and t3 as
-products of powers, the verdict oracle for ``kraitchik.bounds``, which
-decides the same bound in log space.  ``to_mantissas`` turns an enclosure
-into the integer-mantissa form that ``kraitchik.interval.decide`` reads.
+``iv_sqrt``, ``iv_exp``, ``iv_pow`` and the constant e live only here, for
+the two verdict oracles in direct form: ``three_bounds`` is the strict
+bound's right side, t1, t2 and t3 as products of powers, and
+``ratio_envelope`` is the ratio approximation's envelope with its power
+(1 - 1/x)^(-G) written as an exponential.  ``kraitchik.bounds`` and
+``kraitchik.ratio`` decide the same inequalities in log space.
+``to_mantissas`` turns an enclosure into the integer-mantissa form that
+``kraitchik.interval.decide`` reads.
 """
 
 from __future__ import annotations
@@ -412,7 +415,7 @@ def _int_pow(x: DyadicInterval, n: int, prec: int) -> DyadicInterval:
 
 
 # ---------------------------------------------------------------------------
-# the strict bound in its direct form, and the way into ``decide``
+# the two bounds in direct form, and the way into ``decide``
 
 def three_bounds(base, n: int, prec: int) -> tuple[DyadicInterval, ...]:
     """t1, t2, t3 at growth base F (a ``QuadElem``) and index n, as products of powers."""
@@ -438,6 +441,17 @@ def three_bounds(base, n: int, prec: int) -> tuple[DyadicInterval, ...]:
     )
     t3 = iv_pow(iv_from_rat(2, prec), Fn, prec)
     return t1, t2, t3
+
+
+def ratio_envelope(g, x: Fraction, mu: int, d: int, prec: int) -> DyadicInterval:
+    """x/((2x - mu) sqrt(d)) * ((1 - 1/x)^(-G) - 1 - G/x) at the gate value G (a ``QuadElem``)."""
+    sqrt_d = iv_from_surd(0, 1, d, prec)
+    pref = iv_div(iv_from_rat(x, prec), iv_mul(iv_from_rat(2 * x - mu, prec), sqrt_d, prec), prec)
+    g_iv = iv_from_surd(g.a, g.b, g.r, prec)
+    # (1 - 1/x)^(-G) = exp(-G ln(1 - 1/x))
+    pow_term = iv_exp(iv_mul(iv_neg(g_iv, prec), iv_ln(iv_from_rat(1 - 1 / x, prec), prec), prec), prec)
+    inner = iv_sub(iv_sub(pow_term, 1, prec), iv_div(g_iv, iv_from_rat(x, prec), prec), prec)
+    return iv_mul(pref, inner, prec)
 
 
 def to_mantissas(x: DyadicInterval) -> mantissa_interval.DyadicInterval:

@@ -26,7 +26,7 @@ from kraitchik.powersums import (
     residue_sum_enclosure,
 )
 from kraitchik.qfield import QuadElem
-from kraitchik.ratio import default_sample_points, gate_value, ratio_table
+from kraitchik.ratio import _log_sides, default_sample_points, gate_value, ratio_table
 from kraitchik.symfunc import elementary_brute, newton_elementary, pm_polynomial, power_sums_of
 
 F = Fraction
@@ -177,15 +177,15 @@ def _oracle_rhs(pair, x: int) -> mpmath.mpf:
 
 def test_criterion_9_ratio_suite(pairs_149):
     with mpmath.workdps(50):
-        # Spot anchor first: d=5, x=4 has LHS exactly 1/171 and an envelope
-        # near 0.0374 (reference computed at 50 digits before trusting the
-        # enclosure).
+        # Spot anchor first: d=5, x=4 has LHS exactly 1/171, so c = LHS*(2x - mu)/x
+        # = 1/76, and the check is ln(1 + G/4 + sqrt(5)/76) < G ln(4/3); each
+        # log side's enclosure must hold its value computed at 50 digits.
         spot = ratio_table(pairs_149[5], [F(4)])[0]
         assert spot.lhs_exact == F(1, 171)
-        assert spot.rhs_enclosure.lo > F(37, 1000)
         G = (1 + mpmath.sqrt(5)) / 2
-        ref = (mpmath.mpf(4) / (9 * mpmath.sqrt(5))) * ((mpmath.mpf(3) / 4) ** -G - 1 - G / 4)
-        assert _mp(spot.rhs_enclosure.lo) <= ref <= _mp(spot.rhs_enclosure.hi)
+        refs = (mpmath.log(1 + G / 4 + mpmath.sqrt(5) / 76), G * mpmath.log(mpmath.mpf(4) / 3))
+        for side, ref in zip(_log_sides(gate_value(pairs_149[5]), F(4), F(1, 76), 5, 64), refs):
+            assert _mp(side.lo) <= ref <= _mp(side.hi)
 
         # Every verdict must be the truth, as told by the mpmath oracle: a
         # strict LHS < RHS means verified, anything else falsified.  The

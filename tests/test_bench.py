@@ -48,6 +48,18 @@ def test_aggregate_pairs_and_directions(bench):
     assert entry["metrics"]["frac"]["change_better_pairs"] == 1
 
 
+def test_layers_pair_the_traced_runs_side_by_side(bench):
+    parent = result(**{"interval.calls": 51765, "interval.rungs": 3039, "poly.calls": 0})
+    change = result(**{"interval.calls": 49995, "interval.rungs": 3039, "qfield.new": 7})
+    assert bench.layers(parent, change) == {
+        "interval.calls": {"unit": "s", "parent": 51765, "change": 49995},
+        "interval.rungs": {"unit": "s", "parent": 3039, "change": 3039},
+        # a metric one side's tracer does not report reads None there, and a zero stays a zero
+        "poly.calls": {"unit": "s", "parent": 0, "change": None},
+        "qfield.new": {"unit": "s", "parent": None, "change": 7},
+    }
+
+
 def write_tree(root, files):
     for name, text in files.items():
         (root / name).parent.mkdir(parents=True, exist_ok=True)

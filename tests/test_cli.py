@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 
 import kraitchik.cli as cli
 from kraitchik.cli import SUITES, main, row_dict, row_json
-from kraitchik.construct import IdentityReport
+from kraitchik.construct import IdentityReport, psi_xi
 from kraitchik.numtheory import odd_squarefree_range
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -214,11 +215,32 @@ def test_verify_ratio_reports_the_counterexample(capsys):
     assert code == 0
 
 
+def test_ratio_suite_skips_x_on_the_gate():
+    # 2G = 100 at d = 707: x = 100 is no point of the envelope, so it is no row either
+    rows = cli._suite_ratio(psi_xi(707), 4096)
+    assert rows == [("d=707 x=101", "verified", ""), ("d=707 x=105", "verified", "")]
+
+
 def test_verify_unresolved_exit_two(capsys):
     # a ceiling below the 64-bit ladder start leaves every verdict unresolved
     code, out, _ = run(capsys, "verify", "corollary", "--dmax", "5", "--precision-max", "32")
     assert code == 2
     assert "unresolved" in out
+
+
+def test_corollary_note_names_only_a_differing_variant(capsys, monkeypatch):
+    # unresolved in both variants is no difference
+    code, out, _ = run(capsys, "verify", "corollary", "--dmax", "35", "--precision-max", "32")
+    assert code == 2 and "corollary d=35 unresolved" in out and "note" not in out
+    real = cli.check_explicit_bound
+
+    def disc_falsified_at_2(pair, n, precision_max):
+        rep = real(pair, n, precision_max)
+        return dataclasses.replace(rep, verdict_disc_radicand="falsified") if n == 2 else rep
+
+    monkeypatch.setattr(cli, "check_explicit_bound", disc_falsified_at_2)
+    code, out, _ = run(capsys, "verify", "corollary", "--dmax", "5")
+    assert out.splitlines()[0] == "corollary d=5 verified (n=1..2) note: sqrt(D)-variant differs at n=[2]"
 
 
 def test_verify_symfunc(capsys):

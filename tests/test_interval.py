@@ -19,12 +19,9 @@ from kraitchik.interval import (
     iv_add,
     iv_const_pi,
     iv_div,
-    iv_exp,
     iv_from_rat,
     iv_from_surd,
     iv_ln,
-    iv_mul,
-    iv_neg,
     iv_sub,
     precision_ladder,
 )
@@ -46,13 +43,8 @@ def iv_abs(x: DyadicInterval, prec: int) -> DyadicInterval:
     if x.lo_m >= 0:
         return x
     if x.hi_m <= 0:
-        return iv_neg(x, prec)
+        return DyadicInterval(-x.hi_m, -x.lo_m, prec)
     return DyadicInterval(0, max(-x.lo_m, x.hi_m), prec)
-
-
-def iv_pow(x, y, prec: int) -> DyadicInterval:
-    """x**y as ``ratio`` writes (1 - 1/x)^(-G): exp(y ln x), for x > 0."""
-    return iv_exp(iv_mul(y, iv_ln(x, prec), prec), prec)
 
 
 def iv_const_ln2(prec: int) -> DyadicInterval:
@@ -88,13 +80,17 @@ def test_constants():
             assert_contains(iv_const_ln2(prec), mpmath.log(2))
 
 
+# exp and powers are the direct forms' kernels in the Fraction-endpoint oracle only
+
 def test_exp_examples():
     with mpmath.workdps(50):
-        assert iv_exp(iv_from_rat(0, 64), 64).contains(1)
-        assert_contains(iv_exp(iv_from_rat(F(7, 2), 64), 64), mpmath.exp(mpmath.mpf(7) / 2))
-        assert_contains(iv_exp(iv_from_rat(-40, 64), 64), mpmath.exp(-40))
-        big = iv_exp(iv_from_rat(133, 128), 128)
+        assert ORACLE.iv_exp(ORACLE.iv_from_rat(0, 64), 64).contains(1)
+        assert_contains(ORACLE.iv_exp(ORACLE.iv_from_rat(F(7, 2), 64), 64), mpmath.exp(mpmath.mpf(7) / 2))
+        assert_contains(ORACLE.iv_exp(ORACLE.iv_from_rat(-40, 64), 64), mpmath.exp(-40))
+        big = ORACLE.iv_exp(ORACLE.iv_from_rat(133, 128), 128)
         assert_contains(big, mpmath.exp(133))
+        roundtrip = ORACLE.iv_exp(ORACLE.iv_ln(ORACLE.iv_from_rat(F(22, 7), 96), 96), 96)
+        assert roundtrip.contains(F(22, 7))
 
 
 def test_ln_and_sqrt():
@@ -102,35 +98,35 @@ def test_ln_and_sqrt():
         assert_contains(iv_from_surd(0, 1, 5, 64), mpmath.sqrt(5))
         assert_contains(iv_ln(iv_from_rat(F(1, 7), 64), 64), -mpmath.log(7))
         assert_contains(iv_ln(iv_from_rat(1, 64), 64), mpmath.mpf(0))
-        roundtrip = iv_exp(iv_ln(iv_from_rat(F(22, 7), 96), 96), 96)
-        assert roundtrip.contains(F(22, 7))
 
 
 def test_pow_example_from_golden_ratio():
     with mpmath.workdps(50):
-        g = iv_from_surd(F(1, 2), F(1, 2), 5, 96)
-        p = iv_pow(iv_from_rat(F(4, 3), 96), g, 96)
+        g = ORACLE.iv_from_surd(F(1, 2), F(1, 2), 5, 96)
+        p = ORACLE.iv_pow(ORACLE.iv_from_rat(F(4, 3), 96), g, 96)
         ref = mpmath.power(mpmath.mpf(4) / 3, (1 + mpmath.sqrt(5)) / 2)
         assert_contains(p, ref)  # ~ 1.59279
 
 
 def test_pow_integer_and_half_integer():
-    x = iv_from_rat(F(3, 2), 64)
-    assert iv_pow(x, 3, 64).contains(F(27, 8))
-    assert iv_pow(x, 0, 64).contains(1)
-    inv = iv_pow(x, -2, 64)
+    x = ORACLE.iv_from_rat(F(3, 2), 64)
+    assert ORACLE.iv_pow(x, 3, 64).contains(F(27, 8))
+    assert ORACLE.iv_pow(x, 0, 64).contains(1)
+    inv = ORACLE.iv_pow(x, -2, 64)
     assert inv.contains(F(4, 9))
     with mpmath.workdps(50):
-        half = iv_pow(x, F(5, 2), 64)
+        half = ORACLE.iv_pow(x, F(5, 2), 64)
         assert_contains(half, mpmath.power(mpmath.mpf(3) / 2, mpmath.mpf(5) / 2))
 
 
 def test_pow_routes_mutually_contain():
-    # the oracle's exact-squaring route and the exp/ln route must overlap on the value
+    # the oracle's exact-squaring route (a rational exponent) and its exp/ln route
+    # (an interval exponent) must overlap on the value
     with mpmath.workdps(50):
         for base, expo in [(F(4, 3), F(7, 2)), (F(9, 5), F(3, 1)), (F(1, 2), F(5, 2))]:
-            fast = ORACLE.iv_pow(ORACLE.iv_from_rat(base, 96), expo, 96)
-            slow = iv_pow(iv_from_rat(base, 96), expo, 96)
+            x = ORACLE.iv_from_rat(base, 96)
+            fast = ORACLE.iv_pow(x, expo, 96)
+            slow = ORACLE.iv_pow(x, ORACLE.iv_from_rat(expo, 96), 96)
             ref = mpmath.power(as_mpf(base), as_mpf(expo))
             assert_contains(fast, ref)
             assert_contains(slow, ref)
@@ -222,14 +218,8 @@ class Node:
             return iv.iv_mul(k[0], k[1], prec)
         if self.op == "div":
             return iv.iv_div(k[0], k[1], prec)
-        if self.op == "exp":
-            return iv.iv_exp(k[0], prec)
         if self.op == "ln":
             return iv.iv_ln(iv.iv_add(iv.iv_abs(k[0], prec), F(1, 7), prec), prec)
-        if self.op == "pow":  # exp(y ln x), the one way src/ writes a power
-            base = iv.iv_add(iv.iv_abs(k[0], prec), F(1, 7), prec)
-            expo = k[1] if len(k) > 1 else self.payload
-            return iv.iv_exp(iv.iv_mul(expo, iv.iv_ln(base, prec), prec), prec)
         raise AssertionError(self.op)
 
     def reference(self):
@@ -249,18 +239,13 @@ class Node:
             return k[0] * k[1]
         if self.op == "div":
             return k[0] / k[1]
-        if self.op == "exp":
-            return mpmath.exp(k[0])
         if self.op == "ln":
             return mpmath.log(abs(k[0]) + mpmath.mpf(1) / 7)
-        if self.op == "pow":
-            expo = k[1] if len(k) > 1 else as_mpf(F(self.payload))
-            return mpmath.power(abs(k[0]) + mpmath.mpf(1) / 7, expo)
         raise AssertionError(self.op)
 
 
-BASIC_OPS = ("add", "sub", "mul", "exp")
-ALL_OPS = BASIC_OPS + ("div", "ln", "pow")
+BASIC_OPS = ("add", "sub", "mul", "ln")
+ALL_OPS = BASIC_OPS + ("div",)
 
 
 def random_leaf(rng: random.Random) -> Node:
@@ -286,19 +271,6 @@ def random_tree(rng: random.Random, depth: int, ops=BASIC_OPS) -> Node:
     op = rng.choice(ops)
     if op in ("add", "sub", "mul", "div"):
         return Node(op, [random_tree(rng, depth - 1, ops), random_tree(rng, depth - 1, ops)])
-    if op == "exp":
-        # keep exponents desk-sized: exp of a leaf only
-        return Node("exp", [random_leaf(rng)])
-    if op == "pow":
-        base = random_tree(rng, depth - 1, ops)
-        kind = rng.randrange(4)
-        if kind == 0:  # integer exponent
-            return Node("pow", [base], rng.randint(-3, 4))
-        if kind == 1:  # half-integer exponent, as in t1 and t2 of the strict bound
-            return Node("pow", [base], F(2 * rng.randint(-2, 3) + 1, 2))
-        if kind == 2:  # general rational exponent
-            return Node("pow", [base], F(rng.randint(-9, 9), rng.choice([3, 5, 7])))
-        return Node("pow", [base, random_leaf(rng)])  # interval exponent, as in the ratio envelope
     return Node(op, [random_tree(rng, depth - 1, ops)])
 
 
@@ -387,53 +359,37 @@ def test_log_bounds_match_the_fraction_oracle(both_modules, cold_bounds_caches):
 
 def test_ratio_envelopes_match_the_fraction_oracle(both_modules, monkeypatch, pairs_149):
     prec, use = both_modules
-    # evaluate the right side at the one precision under test, whatever the ladder
-    monkeypatch.setattr(ratio, "decide", lambda lhs, rhs, rungs: interval.Decision("captured", lhs, rhs(prec)))
+    captured = []
 
-    def envelopes():
-        out = {}
-        for d, pair in pairs_149.items():
+    def capture(lhs, rhs, rungs):
+        # both log sides at the one precision under test, whatever the ladder
+        captured.append((lhs(prec), rhs(prec)))
+        return interval.Decision("captured", *captured[-1])
+
+    monkeypatch.setattr(ratio, "decide", capture)
+
+    def log_sides():
+        captured.clear()
+        for pair in pairs_149.values():
             for x in ratio.default_sample_points(pair):
-                try:
-                    rhs = ratio.check_ratio_approx(pair, x).rhs_enclosure
-                except ratio.GateError:
-                    continue
-                out[d, x] = (rhs.lo, rhs.hi)
-        return out
+                ratio.check_ratio_approx(pair, x)
+        return [[(side.lo, side.hi) for side in sides] for sides in captured]
 
-    new = envelopes()
+    new = log_sides()
     use(ratio, ORACLE)
-    assert len(new) == 177 and envelopes() == new
-
-
-def test_exact_side_is_compared_without_rounding():
-    g = 64 + GUARD_BITS
-    m = 3 << 70
-    rhs = lambda p: DyadicInterval(m, m + 1, p)
-    # equal to the lower end: the strict inequality must not verify
-    assert decide(F(m, 1 << g), rhs, [64]).verdict == UNRESOLVED
-    # half an ulp below it, off the grid: outward rounding would make this unresolved
-    assert decide(F(2 * m - 1, 1 << (g + 1)), rhs, [64]).verdict == VERIFIED
-    assert decide(F(m + 1, 1 << g), rhs, [64]).verdict == FALSIFIED
-    # a non-dyadic side against the grid points next to it
-    third = F(1, 3)
-    up, down = -(-(1 << g) // 3), (1 << g) // 3
-    assert decide(third, lambda p: DyadicInterval(up, up, p), [64]).verdict == VERIFIED
-    assert decide(third, lambda p: DyadicInterval(down, down, p), [64]).verdict == FALSIFIED
-    assert decide(lambda p: DyadicInterval(up, up, p), third, [64]).verdict == FALSIFIED
-    assert decide(third, lambda p: iv_from_rat(third, p), precision_ladder(4096)).verdict == UNRESOLVED
-    exact = decide(third, lambda p: DyadicInterval(up, up, p), [64])
-    assert exact.lhs == third and exact.rhs.prec == 64
+    assert len(new) == 177 and log_sides() == new
 
 
 def test_mixed_precisions_are_refused():
     with pytest.raises(ValueError):
         iv_add(iv_from_rat(1, 64), iv_from_rat(1, 128), 64)
+    with pytest.raises(ValueError, match="precisions 64 and 128"):
+        decide(lambda p: iv_from_rat(1, p), lambda p: iv_from_rat(2, 2 * p), [64])
 
 
 def test_repr_past_the_float_range():
     # float() overflows at 2^1024, which would turn a failing assertion's report into a second crash
-    big = iv_pow(iv_from_rat(2, 64), iv_from_rat(1500, 64), 64)  # 2^1500 as exp(1500 ln 2)
+    big = iv_from_rat(2**1500, 64)
     assert repr(big) == "DyadicInterval(3.5074662110434038E+451, 3.5074662110434039E+451, prec=64)"
     base = bounds.abs_bound_base(DiscriminantContext.for_modulus(6997), 3000)
     t3 = ORACLE.to_mantissas(ORACLE.three_bounds(base, 3000, 64)[2])

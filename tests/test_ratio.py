@@ -1,15 +1,17 @@
 import dataclasses
 from fractions import Fraction
 
+import interval_oracle
 import mpmath
 import pytest
 
-from kraitchik import ratio
+from kraitchik import interval, ratio
 from kraitchik.bounds import ceil_multiple
 from kraitchik.construct import psi_xi
+from kraitchik.interval import precision_ladder
 from kraitchik.numtheory import mobius
 from kraitchik.poly import DensePoly
-from kraitchik.qfield import QuadElem
+from kraitchik.qfield import QuadElem, RadicandMismatch
 from kraitchik.ratio import (
     GateError,
     check_ratio_approx,
@@ -40,17 +42,33 @@ def test_gate_equality_is_rejected():
     assert check_ratio_approx(p77, 11).verdict == "verified"
 
 
-def test_spot_value_d5_x4():
-    rep = check_ratio_approx(psi_xi(5), 4)
+def deciding_sides(monkeypatch, pair, x):
+    """The report at x and the ``Decision`` behind it, with both log sides at the deciding rung."""
+    decisions = []
+
+    def recording_decide(lhs, rhs, rungs):
+        decisions.append(interval.decide(lhs, rhs, rungs))
+        return decisions[-1]
+
+    monkeypatch.setattr(ratio, "decide", recording_decide)
+    return check_ratio_approx(pair, x), decisions[-1]
+
+
+def as_mpf(q: Fraction) -> mpmath.mpf:
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def test_spot_value_d5_x4(monkeypatch):
+    rep, decision = deciding_sides(monkeypatch, psi_xi(5), 4)
     assert rep.verdict == "verified"
     assert rep.lhs_exact == F(1, 171)
-    assert rep.rhs_enclosure.lo > F(37, 1000)
-    # the right side sits near 0.0374, checked at 50 digits before trusting
+    # c = (1/171)*(2*4 + 1)/4 = 1/76: ln(1 + G/4 + sqrt(5)/76) ~ 0.3604 < G ln(4/3) ~ 0.4655,
+    # each side's enclosure checked against its value at 50 digits
     with mpmath.workdps(50):
         G = (1 + mpmath.sqrt(5)) / 2
-        ref = (mpmath.mpf(4) / (9 * mpmath.sqrt(5))) * ((1 - mpmath.mpf(1) / 4) ** -G - 1 - G / 4)
-        lo, hi = rep.rhs_enclosure.lo, rep.rhs_enclosure.hi
-        assert mpmath.mpf(lo.numerator) / lo.denominator <= ref <= mpmath.mpf(hi.numerator) / hi.denominator
+        refs = (mpmath.log(1 + G / 4 + mpmath.sqrt(5) / 76), G * mpmath.log(mpmath.mpf(4) / 3))
+        for side, ref in zip((decision.lhs, decision.rhs), refs):
+            assert as_mpf(side.lo) <= ref <= as_mpf(side.hi)
 
 
 def test_gate_rejection():
@@ -70,15 +88,15 @@ def test_d7_small_points_verified():
     assert check_ratio_approx(p7, 9).verdict == "verified"
 
 
-def test_d7_x100_falsified_exactly():
+def test_d7_x100_falsified_exactly(monkeypatch):
     # The printed envelope fails at d = 7 for large x: the deviation decays
     # like 1/(2x^2) while the envelope's asymptotic constant is
     # G(G+1)/(4 sqrt(7)) ~ 0.4862 < 1/2.  The checker must PROVE the failure
     # (strict interval separation), not merely fail to verify.
-    rep = check_ratio_approx(psi_xi(7), 100)
+    rep, decision = deciding_sides(monkeypatch, psi_xi(7), 100)
     assert rep.verdict == "falsified"
     assert rep.lhs_exact == F(3367, 67331583)
-    assert rep.lhs_exact > rep.rhs_enclosure.hi
+    assert decision.lhs.lo >= decision.rhs.hi
 
 
 def test_large_x_sanity():
@@ -110,13 +128,57 @@ def test_psi_positive_at_admissible_points(pairs_149):
             assert DensePoly(pair.a[::-1]).evaluate(x) > 0
 
 
+def grid_and_off_grid(pair) -> list[Fraction]:
+    """The default grid, and off-grid x = u/v with v > 1 past the gate."""
+    points = default_sample_points(pair)
+    return points + [points[0] + F(1, 2), points[0] + F(2, 7), F(10**6 + 1, 10**4)]
+
+
 def test_integer_left_side_matches_the_fraction_horner_path(pairs_149):
-    # every default grid point, and off-grid x = u/v with v > 1 past the gate
     for d, pair in pairs_149.items():
-        first = default_sample_points(pair)[0]
-        off_grid = [first + F(1, 2), first + F(2, 7), F(10**6 + 1, 10**4)]
-        for x in default_sample_points(pair) + off_grid:
+        for x in grid_and_off_grid(pair):
             assert check_ratio_approx(pair, x).lhs_exact == slow_lhs(pair, x), (d, x)
+
+
+def exp_form_verdict(pair, x: Fraction, max_precision: int = 4096) -> str:
+    """The verdict of slow_lhs < the envelope in its direct form (``interval_oracle.ratio_envelope``,
+    the power as an exponential), the exact left side against the Fraction endpoints, on the same ladder."""
+    lhs, g, mu = slow_lhs(pair, x), gate_value(pair), mobius(pair.ctx.d)
+    for prec in precision_ladder(max_precision):
+        envelope = interval_oracle.ratio_envelope(g, x, mu, pair.ctx.d, prec)
+        if lhs < envelope.lo:
+            return "verified"
+        if lhs >= envelope.hi:
+            return "falsified"
+    return "unresolved"
+
+
+def test_log_form_verdicts_match_the_exp_form(pairs_149):
+    checked = 0
+    for d, pair in pairs_149.items():
+        for x in grid_and_off_grid(pair):
+            assert check_ratio_approx(pair, x).verdict == exp_form_verdict(pair, x), (d, x)
+            checked += 1
+    assert checked == 177 + 3 * 59
+
+
+def test_default_points_lie_past_the_gate():
+    # 2G = 100 exactly at d = 707, the first modulus whose gate reaches x = 100
+    p707 = psi_xi(707)
+    assert gate_value(p707) == 50
+    assert default_sample_points(p707) == [F(101), F(105)]
+    assert [r.verdict for r in ratio_table(p707, [100] + default_sample_points(p707))] == [
+        "rejected",
+        "verified",
+        "verified",
+    ]
+
+
+def test_gate_value_outside_the_field_is_refused(monkeypatch):
+    # the left log side is one surd in Q(sqrt(d)), so an irrational G must share d's radicand
+    monkeypatch.setattr(ratio, "gate_value", lambda pair: QuadElem(F(1, 2), F(1, 2), 5))
+    with pytest.raises(RadicandMismatch):
+        check_ratio_approx(psi_xi(7), 100)
 
 
 def test_nonpositive_psi_is_refused():
