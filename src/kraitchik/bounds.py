@@ -6,8 +6,12 @@ phi(f)/2 over the divisors 1 < f <= n of d together with a surd floor:
 L1 bound.  The rising-factorial expression 2*B(B+1)...(B+n-1)/n! built on
 that base dominates the coefficients.
 
-Every base is a ``QuadElem`` (p + q*sqrt(r))/2 with integers p, q: a
-half-integer phi(f)/2 has q = 0 and keeps the floor's radicand.
+That maximum is taken once, on doubled integers: the floor's square part is
+pulled out, the largest phi(f) is compared with twice the floor by one
+integer ``cmp_surd``, and the winner becomes the one ``QuadElem``
+(p + q*sqrt(r))/2 with integers p, q.  A rational base (q = 0, a winning
+phi(f)/2 or a floor whose radicand is a square, as 1 + 1155 = 34^2) keeps
+the radicand of the floor's field.
 ``rising_factorial_bound`` returns the bound as integers (P, Q, K) meaning
 (P + Q*sqrt(r))/K, and ``check_coefficient_bounds`` decides each inequality
 by one integer ``cmp_surd`` (no intervals, no Fractions), which is what lets
@@ -51,43 +55,32 @@ from .powersums import DiscriminantContext
 from .qfield import QuadElem, RadicandMismatch, cmp_surd
 
 
-def _surd_base(p: int, q: int, radicand: int, field: int) -> QuadElem:
-    """(p + q*sqrt(radicand))/2 with the square part pulled out; a rational one stays in Q(sqrt(field))."""
-    s, r = squarefree_decompose(radicand)
-    if r == 1:
-        return QuadElem(Fraction(p + q * s, 2), 0, field)
-    return QuadElem(Fraction(p, 2), Fraction(q * s, 2), r)
-
-
-def _growth_base(ctx: DiscriminantContext, n: int, floor_value: QuadElem) -> QuadElem:
+def _growth_base(ctx: DiscriminantContext, n: int, p: int, q: int, radicand: int) -> QuadElem:
+    """The larger of the floor (p + q*sqrt(radicand))/2 and phi(f)/2 over the divisors
+    1 < f <= n of d, compared doubled, in integers; a rational base stays in Q(sqrt(d))."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    best = floor_value
-    for f in divisors(ctx.d):
-        if 1 < f <= n:
-            cand = Fraction(euler_phi(f), 2)
-            if cmp_surd(best.a, best.b, best.r, cand) < 0:
-                best = QuadElem(cand, 0, best.r)
-    return best
+    s, r = squarefree_decompose(radicand)
+    p, q, r = (p + q * s, 0, ctx.d) if r == 1 else (p, q * s, r)
+    top = max((euler_phi(f) for f in divisors(ctx.d) if 1 < f <= n), default=None)
+    if top is not None and cmp_surd(p, q, r, top) < 0:
+        p, q = top, 0
+    return QuadElem(Fraction(p, 2), Fraction(q, 2), r)
 
 
 def abs_bound_base(ctx: DiscriminantContext, n: int) -> QuadElem:
-    """Base for the |a + b*sqrt(D)| bound; the surd floor is |1 + sqrt(D)|/2.
+    """Base for the |a + b*sqrt(D)| bound; the surd floor is |1 + sqrt(D)|/2, which
+    is sqrt(1 + d)/2 when D < 0.
 
     The divisor candidates are those 1 < f <= n, so the base is defined for
     any n >= 0 even though the inequality checks only use n <= d'.
     """
-    if ctx.D > 0:
-        floor_value = _surd_base(1, 1, ctx.d, ctx.d)
-    else:
-        # |1 + i*sqrt(d)|/2 = sqrt(1 + d)/2
-        floor_value = _surd_base(0, 1, 1 + ctx.d, ctx.d)
-    return _growth_base(ctx, n, floor_value)
+    return _growth_base(ctx, n, 1, 1, ctx.d) if ctx.D > 0 else _growth_base(ctx, n, 0, 1, 1 + ctx.d)
 
 
 def l1_bound_base(ctx: DiscriminantContext, n: int) -> QuadElem:
     """Base for the L1-norm bound; the surd floor is (1 + sqrt(d))/2."""
-    return _growth_base(ctx, n, _surd_base(1, 1, ctx.d, ctx.d))
+    return _growth_base(ctx, n, 1, 1, ctx.d)
 
 
 def doubled_parts(base: QuadElem) -> tuple[int, int]:

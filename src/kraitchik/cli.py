@@ -137,26 +137,28 @@ def _suite_symmetry(pair: KraitchikPair, precision_max: int) -> list[Row]:
     return [(f"d={pair.ctx.d}", FALSIFIED, f"(a-rule witness n={rep.a_witness}) {note}")]
 
 
-def _suite_bounds(pair: KraitchikPair, precision_max: int) -> list[Row]:
-    dp = pair.ctx.dprime
-    bad = [n for n in range(dp + 1) if check_coefficient_bounds(pair, n).verdict != VERIFIED]
+def _modulus_row(d: int, verdicts_by_index: dict[int, str], var: str, note: str = "") -> list[Row]:
+    """One modulus's row over its indices: falsified at those that failed, else
+    unresolved at those left open, else verified over min..max."""
+    bad = [i for i, v in verdicts_by_index.items() if v == FALSIFIED]
+    open_ = [i for i, v in verdicts_by_index.items() if v == UNRESOLVED]
     if bad:
-        return [(f"d={pair.ctx.d}", FALSIFIED, f"(at n={bad})")]
-    return [(f"d={pair.ctx.d}", VERIFIED, f"(n=0..{dp})")]
+        return [(f"d={d}", FALSIFIED, f"(at {var}={bad}){note}")]
+    if open_:
+        return [(f"d={d}", UNRESOLVED, f"(at {var}={open_}){note}")]
+    return [(f"d={d}", VERIFIED, f"({var}={min(verdicts_by_index)}..{max(verdicts_by_index)}){note}")]
+
+
+def _suite_bounds(pair: KraitchikPair, precision_max: int) -> list[Row]:
+    verdicts = {n: check_coefficient_bounds(pair, n).verdict for n in range(pair.ctx.dprime + 1)}
+    return _modulus_row(pair.ctx.d, verdicts, "n")
 
 
 def _suite_corollary(pair: KraitchikPair, precision_max: int) -> list[Row]:
-    dp = pair.ctx.dprime
-    verdicts = [check_explicit_bound(pair, n, precision_max) for n in range(1, dp + 1)]
-    bad = [r.n for r in verdicts if r.verdict == FALSIFIED]
-    open_ = [r.n for r in verdicts if r.verdict == UNRESOLVED]
-    disc_bad = [r.n for r in verdicts if r.verdict_disc_radicand != r.verdict]
+    reports = [check_explicit_bound(pair, n, precision_max) for n in range(1, pair.ctx.dprime + 1)]
+    disc_bad = [r.n for r in reports if r.verdict_disc_radicand != r.verdict]
     note = f" note: sqrt(D)-variant differs at n={disc_bad}" if disc_bad else ""
-    if bad:
-        return [(f"d={pair.ctx.d}", FALSIFIED, f"(at n={bad}){note}")]
-    if open_:
-        return [(f"d={pair.ctx.d}", UNRESOLVED, f"(at n={open_}){note}")]
-    return [(f"d={pair.ctx.d}", VERIFIED, f"(n=1..{dp}){note}")]
+    return _modulus_row(pair.ctx.d, {r.n: r.verdict for r in reports}, "n", note)
 
 
 def _suite_ratio(pair: KraitchikPair, precision_max: int) -> list[Row]:
@@ -169,15 +171,13 @@ def _suite_ratio(pair: KraitchikPair, precision_max: int) -> list[Row]:
 def _suite_gauss_oracle(d: int) -> list[Row]:
     """Closed-form power sums against validated enclosures; needs no pair."""
     ctx = DiscriminantContext.for_modulus(d)
-    bad = []
+    verdicts = {}
     for k in range(1, d + 1):
         box = residue_sum_enclosure(d, k)
         wide = box.width_mantissa() * 10**9 > 1 << box.bits  # wider than 1e-9, exactly
-        if wide or not quad_in_enclosure(*power_sum_doubled(ctx, k), ctx.D, box):
-            bad.append(k)
-    if bad:
-        return [(f"d={d}", FALSIFIED, f"(at k={bad})")]
-    return [(f"d={d}", VERIFIED, f"(k=1..{d})")]
+        inside = not wide and quad_in_enclosure(*power_sum_doubled(ctx, k), ctx.D, box)
+        verdicts[k] = VERIFIED if inside else FALSIFIED
+    return _modulus_row(d, verdicts, "k")
 
 
 def _suite_symfunc(mmax: int) -> list[Row]:

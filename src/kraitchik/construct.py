@@ -2,19 +2,19 @@
 
 The half polynomials U+ and U- split the primitive d-th roots of unity by
 quadratic character.  Their coefficients u_{d,n} = (-1)^n e_n come straight
-from the Girard-Newton recursion fed with the closed-form power sums, so no
-root of unity is ever constructed here.  ``psi_xi`` runs the recursion on
-integers only: the doubled power sums sigma_j = 2*s_{d,j} and the doubled
-elementary values E_m = 2*e_m are integer pairs (A, B) meaning A + B*sqrt(D),
-E_0 = (2, 0), and
+from Newton's identities fed with the closed-form power sums, so no root of
+unity is ever constructed here.  ``psi_xi`` runs the recursion on U's own
+coefficients, in integers only: the doubled power sums sigma_j = 2*s_{d,j}
+and the doubled coefficients U_m = 2*u_m are integer pairs (A, B) meaning
+A + B*sqrt(D), U_0 = (2, 0), and
 
-    2m * E_m = sum_{j=1..m} (-1)^(j-1) E_{m-j} * sigma_j,
+    2m * U_m = -sum_{j=1..m} U_{m-j} * sigma_j,
 
 with (a, b)*(p, q) = (a*p + b*q*D, a*q + b*p).  Each step ends with an exact
 division by 2m; a remainder raises ArithmeticError.  Then
 
-    a_{d,n} = u + conj(u) = (-1)^n A_n          (an integer),
-    b_{d,n} = -2 * (surd part of u) = (-1)^(n+1) B_n   (an integer),
+    a_{d,n} = u + conj(u) = A_n                (an integer),
+    b_{d,n} = -2 * (surd part of u) = -B_n     (an integer),
 
 are the coefficients of Psi_d and Xi_d from the top degree down, so the
 reversed tuples are the polynomials in ascending degree.  The slow exact
@@ -82,25 +82,16 @@ def _exact_quotient(pair: tuple[int, int], k: int, what: str) -> tuple[int, int]
 def psi_xi(d: int) -> KraitchikPair:
     """Build the verified coefficient record for one odd squarefree d >= 3."""
     ctx = DiscriminantContext.for_modulus(d)
-    dp = ctx.dprime
-    # sigma_j with the Newton sign (-1)^(j-1) folded in, j = 1..d'
-    sig_a, sig_b = [], []
-    for j in range(1, dp + 1):
-        p, q = power_sum_doubled(ctx, j)
-        sign = 1 if j % 2 else -1
-        sig_a.append(sign * p)
-        sig_b.append(sign * q)
-    # E_0..E_m as the parts A and B of A + B*sqrt(D)
-    ea, eb = [2], [0]
-    for m in range(1, dp + 1):
-        # E_{m-j} meets sigma_j: pair E_0..E_{m-1} with sigma_m..sigma_1
-        total = _pair_dot(ea, eb, sig_a[m - 1 :: -1], sig_b[m - 1 :: -1], ctx.D)
-        qa, qb = _exact_quotient(total, 2 * m, f"2*e_{m} at d={ctx.d}")
-        ea.append(qa)
-        eb.append(qb)
-    a = tuple(v if n % 2 == 0 else -v for n, v in enumerate(ea))
-    b = tuple(v if n % 2 else -v for n, v in enumerate(eb) if n >= 1)
-    return KraitchikPair(ctx, a, b)
+    sig_a, sig_b = zip(*(power_sum_doubled(ctx, j) for j in range(1, ctx.dprime + 1)))
+    # U_0..U_m as the parts A and B of A + B*sqrt(D)
+    ua, ub = [2], [0]
+    for m in range(1, ctx.dprime + 1):
+        # U_{m-j} meets sigma_j: pair U_0..U_{m-1} with sigma_m..sigma_1
+        total = _pair_dot(ua, ub, sig_a[m - 1 :: -1], sig_b[m - 1 :: -1], ctx.D)
+        qa, qb = _exact_quotient(total, 2 * m, f"2*u_{m} at d={ctx.d}")
+        ua.append(-qa)
+        ub.append(-qb)
+    return KraitchikPair(ctx, tuple(ua), tuple(-v for v in ub[1:]))
 
 
 def cyclotomic(d: int) -> tuple[int, ...]:

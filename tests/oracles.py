@@ -8,6 +8,9 @@ radicand, and combining two genuinely irrational radicands raises
 before ``psi_xi`` moved onto integer pairs: the closed-form power sums fed
 through the generic ``newton_elementary``.  ``falling_factorial_poly`` is
 binom(X, m) expanded as X(X-1)...(X-m+1)/m!, the reference for the collapse.
+``growth_base`` is ``kraitchik.bounds``'s growth base as it was before it
+became one integer maximum: a Fraction floor from ``surd_base``, raised by
+each divisor's phi(f)/2 in turn.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ import math
 from fractions import Fraction
 
 from kraitchik.construct import KraitchikPair
+from kraitchik.numtheory import divisors, euler_phi, squarefree_decompose
 from kraitchik.poly import DensePoly
 from kraitchik.powersums import DiscriminantContext, power_sum_s
-from kraitchik.qfield import QuadElem, RadicandMismatch
+from kraitchik.qfield import QuadElem, RadicandMismatch, cmp_surd
 from kraitchik.symfunc import newton_elementary
 
 
@@ -102,3 +106,23 @@ def second_coefficient_closed_form(d: int) -> QuadElem:
     (3-d)/8 for 3, (d+3)/8 for 5 and ((3-d)/4 - sqrt(D))/2 for 7."""
     a = Fraction(d + 3 if d % 8 in (1, 5) else 3 - d, 8)
     return QuadElem(a, Fraction(-1, 2) if d % 8 in (1, 7) else 0, d if d % 4 == 1 else -d)
+
+
+def surd_base(p: int, q: int, radicand: int, field: int) -> QuadElem:
+    """(p + q*sqrt(radicand))/2 with the square part pulled out; a rational one stays in Q(sqrt(field))."""
+    s, r = squarefree_decompose(radicand)
+    if r == 1:
+        return QuadElem(Fraction(p + q * s, 2), 0, field)
+    return QuadElem(Fraction(p, 2), Fraction(q * s, 2), r)
+
+
+def growth_base(ctx: DiscriminantContext, n: int, floor_value: QuadElem) -> QuadElem:
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    best = floor_value
+    for f in divisors(ctx.d):
+        if 1 < f <= n:
+            cand = Fraction(euler_phi(f), 2)
+            if cmp_surd(best.a, best.b, best.r, cand) < 0:
+                best = QuadElem(cand, 0, best.r)
+    return best

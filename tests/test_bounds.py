@@ -11,7 +11,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import Quad
+from oracles import Quad, growth_base, surd_base
 
 import kraitchik.bounds as bounds
 from kraitchik.bounds import (
@@ -95,6 +95,29 @@ def test_base_monotone_in_n():
             if prev is not None:
                 assert cmp_real(cur, prev) >= 0, (d, n)
             prev = cur
+
+
+def record(base: QuadElem) -> tuple:
+    # the radicand too: QuadElem equality ignores r for rational elements
+    return base.a, base.b, base.r
+
+
+def test_growth_bases_match_the_per_divisor_oracle():
+    # every odd squarefree d <= 255, and d = 1155, whose abs floor sqrt(1 + 1155)/2 = 17 is rational
+    checked = 0
+    for d in odd_squarefree_range(3, 255) + [1155]:
+        c = ctx(d)
+        if c.D > 0:
+            abs_floor = surd_base(1, 1, d, d)
+        else:
+            abs_floor = surd_base(0, 1, 1 + d, d)
+        l1_floor = surd_base(1, 1, d, d)
+        for n in range(c.dprime + 2):
+            assert record(abs_bound_base(c, n)) == record(growth_base(c, n, abs_floor)), (d, n)
+            assert record(l1_bound_base(c, n)) == record(growth_base(c, n, l1_floor)), (d, n)
+            checked += 1
+    assert abs_bound_base(ctx(1155), 0) == 17
+    assert checked == 6111
 
 
 def test_rising_factorial_examples():

@@ -98,13 +98,13 @@ def test_exact_quotient_refuses_any_remainder(m, quotient, offsets):
     pair = (quotient[0] * k + ra, quotient[1] * k + rb)
     if ra or rb:
         with pytest.raises(ArithmeticError):
-            construct._exact_quotient(pair, k, "2*e_m")
+            construct._exact_quotient(pair, k, "2*u_m")
     else:
-        assert construct._exact_quotient(pair, k, "2*e_m") == quotient
+        assert construct._exact_quotient(pair, k, "2*u_m") == quotient
 
 
 def test_planted_remainder_raises(monkeypatch):
-    # sigma_2 + (1, 0) leaves 4*E_2 off by 2 mod 4: the step must refuse, not floor
+    # sigma_2 + (1, 0) leaves 4*U_2 off by 2 mod 4: the step must refuse, not floor
     doubled = construct.power_sum_doubled
 
     def planted(ctx, k):
@@ -112,7 +112,7 @@ def test_planted_remainder_raises(monkeypatch):
         return (p + 1, q) if k == 2 else (p, q)
 
     monkeypatch.setattr(construct, "power_sum_doubled", planted)
-    with pytest.raises(ArithmeticError, match="2\\*e_2 at d=7"):
+    with pytest.raises(ArithmeticError, match="2\\*u_2 at d=7"):
         psi_xi(7)
 
 

@@ -17,21 +17,38 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def imported_names(path: Path) -> set[str]:
+    """The dotted names a module imports, relative imports under ``kraitchik``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("kraitchik" if node.level else "", node.module)))
+            names |= {base} | {f"{base}.{alias.name}" for alias in node.names}  # from . import poly
+        elif isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def imports(path: Path, module: str) -> bool:
+    return any(n == module or n.startswith(module + ".") for n in imported_names(path))
+
+
 def test_layering_of_poly_and_mpmath_imports():
     # integer tuples carry the pair and Phi_d: DensePoly serves only the symmetric
     # functions and the CLI's symfunc suite, and mpmath only the power-sum oracle
-    importers = {"kraitchik.poly": set(), "mpmath": set()}
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.ImportFrom):
-                base = ".".join(filter(None, ("kraitchik" if node.level else "", node.module)))
-                names = [base] + [f"{base}.{alias.name}" for alias in node.names]  # from . import poly
-            else:
-                names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
-            for name, found in importers.items():
-                if any(n == name or n.startswith(name + ".") for n in names):
-                    found.add(path.stem)
+    importers = {
+        name: {path.stem for path in sorted(SRC.glob("*.py")) if imports(path, name)}
+        for name in ("kraitchik.poly", "mpmath")
+    }
     assert importers == {"kraitchik.poly": {"symfunc", "cli"}, "mpmath": {"powersums"}}
+
+
+def test_construction_is_integer_only():
+    # the README's claim: psi_xi, cyclotomic and the identity gate run on integers,
+    # with no Fraction and no QuadElem anywhere in the construction
+    path = SRC / "construct.py"
+    assert imported_names(path)
+    assert not imports(path, "fractions") and not imports(path, "kraitchik.qfield")
 
 
 def test_src_reads_no_environment():
