@@ -15,7 +15,7 @@ bits) is an argparse usage error: a message on stderr, nothing on stdout, exit
 code 2.  ``compute`` rejects invalid moduli with a diagnostic naming the
 violated condition and exit code 1; ``compute``, ``table`` and ``verify`` take
 moduli up to ``MAX_MODULUS`` only, and ``compute`` and ``table`` print no row
-that fails ``verify_identity``.  A ``table`` range or a ``verify --dmax``
+that ``psi_xi``'s identity gate refuses.  A ``table`` range or a ``verify --dmax``
 whose work, the sum of d'^2 over its moduli, exceeds ``MAX_TABLE_WORK`` is a
 usage error.  ``table`` prints its json and csv rows as each one passes the
 identity gate, its text only once every row has.
@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import partial
 
 from .bounds import FALSIFIED, UNRESOLVED, VERIFIED, check_coefficient_bounds, check_explicit_bound
-from .construct import KraitchikPair, check_symmetry, psi_xi, verify_identity
+from .construct import IdentityGateError, KraitchikPair, check_symmetry, psi_xi, verify_identity
 from .interval import DEFAULT_MAX_PRECISION, MAX_PRECISION_CEILING, checked_precision
 from .numtheory import euler_phi, odd_squarefree_range
 from .poly import DensePoly, format_poly
@@ -51,10 +51,10 @@ from .symfunc import (
 DEFAULT_TABLE_RANGE_NOTE = "range syntax is lo..hi, e.g. 5..149"
 
 # largest modulus compute/table/verify accept: compute 6997 (prime, d' = 3498) takes
-# about 3.4 s on a 2-core host, 2.7 s of it in psi_xi's O(d'^2) recursion
+# about 1.2 s on a 2-core host, 1.1 s of it in psi_xi (half recursion plus 0.2 s gate)
 MAX_MODULUS = 7000
 # largest sum of d'^2 one table range or verify --dmax may cost: table 5..1000
-# (24.8M) takes about 4.3 s, 3.8 s of it in psi_xi; compute 6997 alone is 12.2M
+# (24.8M) takes about 1.6 s, 1.5 s of it in psi_xi; compute 6997 alone is 12.2M
 MAX_TABLE_WORK = 25_000_000
 
 
@@ -292,12 +292,12 @@ def _checked_moduli(lo: int, hi: int, name: str) -> list[int]:
 
 
 def _gated_pair(d: int) -> KraitchikPair | None:
-    """The pair for one modulus, or None (with a diagnostic) if the identity fails."""
-    pair = psi_xi(d)
-    if verify_identity(pair).ok:
-        return pair
-    print(f"internal error: identity fails at d={pair.d}", file=sys.stderr)
-    return None
+    """The pair for one modulus, or None (with a diagnostic) if psi_xi's identity gate refuses it."""
+    try:
+        return psi_xi(d)
+    except IdentityGateError:
+        print(f"internal error: identity fails at d={d}", file=sys.stderr)
+        return None
 
 
 def cmd_compute(args) -> int:

@@ -17,9 +17,9 @@ division by 2m; a remainder raises ArithmeticError.  Then
     b_{d,n} = -2 * (surd part of u) = -B_n     (an integer),
 
 are the coefficients of Psi_d and Xi_d from the top degree down, so the
-reversed tuples are the polynomials in ascending degree.  The slow exact
-path, the generic recursion over Fraction and a Q(sqrt(D)) scalar, is the
-oracle in ``tests/oracles.py``.
+reversed tuples are the polynomials in ascending degree.  Only m <= h =
+max(d'//2, 1) is run: a_n = (-1)^d' a_{d'-n} and b_n = s*b_{d'-n} (b_0 = 0, s the
+predicted b-sign) mirror the rest, certified by the identity gate (``psi_xi``).
 
 ``verify_identity`` checks the pair exactly against ``cyclotomic``'s
 independent Phi_d, an ascending integer tuple from a sparse Mobius product,
@@ -79,19 +79,39 @@ def _exact_quotient(pair: tuple[int, int], k: int, what: str) -> tuple[int, int]
     return qa, qb
 
 
+class IdentityGateError(ArithmeticError):
+    """Neither b-sign gives a mirrored pair that passes ``verify_identity``."""
+
+
 def psi_xi(d: int) -> KraitchikPair:
-    """Build the verified coefficient record for one odd squarefree d >= 3."""
+    """The record for one odd squarefree d >= 3, mirrored past h, then gated.  If
+    P, X in Z[X], deg P = d' with leading coefficient 2 and deg X < d', satisfy
+    P^2 - D*X^2 = 4*Phi_d = 4*U+*U-, then P + sqrt(D)*X is 2*U+ or 2*U-, as U+-
+    are irreducible over K = Q(sqrt(D)) and K[X] is a UFD: (P, X) = (Psi_d, +-Xi_d),
+    and b_1 = 1, computed (h >= 1, for d = 3 where Psi_3 = 2X + 1), fixes the sign.
+    The other b-sign is tried if the predicted one fails; if both do, IdentityGateError."""
     ctx = DiscriminantContext.for_modulus(d)
-    sig_a, sig_b = zip(*(power_sum_doubled(ctx, j) for j in range(1, ctx.dprime + 1)))
+    dp, h = ctx.dprime, max(ctx.dprime // 2, 1)
+    sig_a, sig_b = zip(*(power_sum_doubled(ctx, j) for j in range(1, h + 1)))
     # U_0..U_m as the parts A and B of A + B*sqrt(D)
     ua, ub = [2], [0]
-    for m in range(1, ctx.dprime + 1):
+    for m in range(1, h + 1):
         # U_{m-j} meets sigma_j: pair U_0..U_{m-1} with sigma_m..sigma_1
         total = _pair_dot(ua, ub, sig_a[m - 1 :: -1], sig_b[m - 1 :: -1], ctx.D)
         qa, qb = _exact_quotient(total, 2 * m, f"2*u_{m} at d={ctx.d}")
         ua.append(-qa)
         ub.append(-qb)
-    return KraitchikPair(ctx, tuple(ua), tuple(-v for v in ub[1:]))
+    mirror, sign = range(dp - h - 1, -1, -1), _b_sign_predicted(d)  # d' - n for n = h+1..d'
+    a = tuple(ua) + tuple((-1) ** dp * ua[n] for n in mirror)
+    for s in (sign, -sign):
+        pair = KraitchikPair(ctx, a, tuple(-v for v in ub[1:]) + tuple(-s * ub[n] for n in mirror))
+        if verify_identity(pair).ok:
+            return pair
+    raise IdentityGateError(f"identity fails at d={d} with either b-sign")
+
+
+def _b_sign_predicted(d: int) -> int:
+    return -1 if (d % 4 == 3 and not is_prime(d)) else 1
 
 
 def cyclotomic(d: int) -> tuple[int, ...]:
@@ -191,14 +211,9 @@ class SymmetryReport:
 
 
 def check_symmetry(pair: KraitchikPair) -> SymmetryReport:
+    """The palindromy laws on any pair.  A ``psi_xi`` pair is mirrored, so on it
+    the verdict means the mirrored pair passed the identity gate with that b-sign."""
     dp = pair.ctx.dprime
-    sign_a = (-1) ** dp
-    a_ok, a_witness = True, None
-    for n in range(dp + 1):
-        if pair.a[n] != sign_a * pair.a[dp - n]:
-            a_ok, a_witness = False, n
-            break
-    predicted = -1 if (pair.d % 4 == 3 and not is_prime(pair.d)) else 1
-    b_plus = all(pair.b_coeff(n) == pair.b_coeff(dp - n) for n in range(1, dp))
-    b_minus = all(pair.b_coeff(n) == -pair.b_coeff(dp - n) for n in range(1, dp))
-    return SymmetryReport(pair.d, a_ok, a_witness, predicted, b_plus, b_minus)
+    a_witness = next((n for n in range(dp + 1) if pair.a[n] != (-1) ** dp * pair.a[dp - n]), None)
+    b_plus, b_minus = (all(pair.b_coeff(n) == s * pair.b_coeff(dp - n) for n in range(1, dp)) for s in (1, -1))
+    return SymmetryReport(pair.d, a_witness is None, a_witness, _b_sign_predicted(pair.d), b_plus, b_minus)

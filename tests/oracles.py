@@ -8,6 +8,8 @@ radicand, and combining two genuinely irrational radicands raises
 before ``psi_xi`` moved onto integer pairs: the closed-form power sums fed
 through the generic ``newton_elementary``.  ``falling_factorial_poly`` is
 binom(X, m) expanded as X(X-1)...(X-m+1)/m!, the reference for the collapse.
+``psi_xi_full`` is ``psi_xi`` as it was before it stopped at h = max(d'//2, 1)
+and mirrored the rest: the integer recursion run to m = d', with no gate.
 ``growth_base`` is ``kraitchik.bounds``'s growth base as it was before it
 became one integer maximum: a Fraction floor from ``surd_base``, raised by
 each divisor's phi(f)/2 in turn.
@@ -18,10 +20,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from kraitchik.construct import KraitchikPair
+from kraitchik.construct import KraitchikPair, _exact_quotient, _pair_dot
 from kraitchik.numtheory import divisors, euler_phi, squarefree_decompose
 from kraitchik.poly import DensePoly
-from kraitchik.powersums import DiscriminantContext, power_sum_s
+from kraitchik.powersums import DiscriminantContext, power_sum_doubled, power_sum_s
 from kraitchik.qfield import QuadElem, RadicandMismatch, cmp_surd
 from kraitchik.symfunc import newton_elementary
 
@@ -78,6 +80,21 @@ def u_coefficients(ctx: DiscriminantContext) -> tuple:
     es = newton_elementary(sums)
     zero = Quad(0, 0, ctx.D)  # e_0 is the Fraction 1; adding zero makes every entry a Quad
     return tuple(zero + (e if n % 2 == 0 else -e) for n, e in enumerate(es))
+
+
+def psi_xi_full(d: int) -> KraitchikPair:
+    """Build the verified coefficient record for one odd squarefree d >= 3."""
+    ctx = DiscriminantContext.for_modulus(d)
+    sig_a, sig_b = zip(*(power_sum_doubled(ctx, j) for j in range(1, ctx.dprime + 1)))
+    # U_0..U_m as the parts A and B of A + B*sqrt(D)
+    ua, ub = [2], [0]
+    for m in range(1, ctx.dprime + 1):
+        # U_{m-j} meets sigma_j: pair U_0..U_{m-1} with sigma_m..sigma_1
+        total = _pair_dot(ua, ub, sig_a[m - 1 :: -1], sig_b[m - 1 :: -1], ctx.D)
+        qa, qb = _exact_quotient(total, 2 * m, f"2*u_{m} at d={ctx.d}")
+        ua.append(-qa)
+        ub.append(-qb)
+    return KraitchikPair(ctx, tuple(ua), tuple(-v for v in ub[1:]))
 
 
 def pair_u(pair: KraitchikPair) -> tuple[Quad, ...]:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import kraitchik.cli as cli
+import kraitchik.construct as construct
 from kraitchik.cli import SUITES, main, row_dict, row_json
 from kraitchik.construct import IdentityReport, psi_xi
 from kraitchik.numtheory import odd_squarefree_range
@@ -62,11 +63,27 @@ def refuse_to_build(d_or_ctx):
 
 @pytest.mark.parametrize("argv", [("compute", "5"), ("table", "5..13")])
 def test_rows_are_gated_by_the_identity(capsys, monkeypatch, argv):
-    monkeypatch.setattr(cli, "verify_identity", failing_identity)
+    monkeypatch.setattr(construct, "verify_identity", failing_identity)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err == "internal error: identity fails at d=5\n"
+
+
+def test_compute_runs_the_identity_gate_once(capsys, monkeypatch):
+    # psi_xi gates its own pair; a second check in the CLI would show as a second call
+    calls = []
+    real = construct.verify_identity
+
+    def counting(pair):
+        calls.append(pair.d)
+        return real(pair)
+
+    monkeypatch.setattr(construct, "verify_identity", counting)
+    monkeypatch.setattr(cli, "verify_identity", counting)
+    code, _, err = run(capsys, "compute", "449")
+    assert (code, err) == (0, "")
+    assert calls == [449]
 
 
 def test_regen_golden_refuses_a_failing_identity(capsys, monkeypatch):
@@ -116,8 +133,8 @@ def test_table_at_the_work_cap_is_accepted():
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_table_streams_rows_until_the_gate_fails(capsys, monkeypatch, fmt):
-    real = cli.verify_identity
-    monkeypatch.setattr(cli, "verify_identity", lambda pair: failing_identity(pair) if pair.d == 11 else real(pair))
+    real = construct.verify_identity
+    monkeypatch.setattr(construct, "verify_identity", lambda pair: failing_identity(pair) if pair.d == 11 else real(pair))
     code, out, err = run(capsys, "table", "5..13", "--format", fmt)
     assert code == 1
     assert err == "internal error: identity fails at d=11\n"

@@ -5,10 +5,10 @@ import cyclotomic_oracle as oracle
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
-from oracles import Quad, half_polys, pair_u, second_coefficient_closed_form, u_coefficients
+from oracles import Quad, half_polys, pair_u, psi_xi_full, second_coefficient_closed_form, u_coefficients
 
 import kraitchik.construct as construct
-from kraitchik.construct import check_symmetry, cyclotomic, psi_xi, verify_identity
+from kraitchik.construct import IdentityGateError, check_symmetry, cyclotomic, psi_xi, verify_identity
 from kraitchik.numtheory import is_prime, is_squarefree, jacobi, odd_squarefree_range
 from kraitchik.poly import DensePoly
 from kraitchik.powersums import DiscriminantContext
@@ -104,7 +104,8 @@ def test_exact_quotient_refuses_any_remainder(m, quotient, offsets):
 
 
 def test_planted_remainder_raises(monkeypatch):
-    # sigma_2 + (1, 0) leaves 4*U_2 off by 2 mod 4: the step must refuse, not floor
+    # sigma_2 + (1, 0) leaves 4*U_2 off by 2 mod 4: the step must refuse, not floor.
+    # d = 11 runs the recursion to h = 2; at d = 7, h = 1 and sigma_2 is never read
     doubled = construct.power_sum_doubled
 
     def planted(ctx, k):
@@ -112,8 +113,58 @@ def test_planted_remainder_raises(monkeypatch):
         return (p + 1, q) if k == 2 else (p, q)
 
     monkeypatch.setattr(construct, "power_sum_doubled", planted)
-    with pytest.raises(ArithmeticError, match="2\\*u_2 at d=7"):
-        psi_xi(7)
+    with pytest.raises(ArithmeticError, match="2\\*u_2 at d=11"):
+        psi_xi(11)
+
+
+def test_half_recursion_matches_the_full_recursion():
+    # the construct benchmark's pool (every odd squarefree d <= 449) and d = 2003
+    # (prime, d' = 1001): the mirrored half must give the full recursion's tuples
+    for d in odd_squarefree_range(3, 449) + [2003]:
+        pair, full = psi_xi(d), psi_xi_full(d)
+        assert (pair.a, pair.b) == (full.a, full.b), d
+
+
+def recording_gate(monkeypatch, verdict=None):
+    """Patch psi_xi's identity gate; return the list of its verdicts, in call order."""
+    real, seen = construct.verify_identity, []
+
+    def gate(pair):
+        rep = real(pair) if verdict is None else construct.IdentityReport(pair.d, verdict, 0)
+        seen.append(rep.ok)
+        return rep
+
+    monkeypatch.setattr(construct, "verify_identity", gate)
+    return seen
+
+
+def test_wrong_predicted_b_sign_is_refused_and_the_other_sign_kept(monkeypatch):
+    # 15 = 3 mod 4 is composite, so b_n = -b_{4-n}; calling 15 prime predicts +1,
+    # which mirrors b_1 = 1 onto b_3 = +1: the gate must refuse that pair
+    seen = recording_gate(monkeypatch)
+    monkeypatch.setattr(construct, "is_prime", lambda n: True)
+    pair = psi_xi(15)
+    assert seen == [False, True]
+    full = psi_xi_full(15)
+    assert (pair.a, pair.b) == (full.a, full.b)
+    assert check_symmetry(pair).b_minus_holds
+
+
+def test_predicted_b_sign_passes_first():
+    # 15 and 35 = 3 mod 4 composite (-1), 7 prime (+1), 21 = 1 mod 4 (+1)
+    for d in (7, 15, 21, 35):
+        with pytest.MonkeyPatch.context() as mp:
+            seen = recording_gate(mp)
+            psi_xi(d)
+        assert seen == [True], d
+
+
+def test_a_gate_failing_both_signs_raises_the_typed_error(monkeypatch):
+    seen = recording_gate(monkeypatch, verdict=False)
+    with pytest.raises(IdentityGateError, match="identity fails at d=13"):
+        psi_xi(13)
+    assert seen == [False, False]
+    assert issubclass(IdentityGateError, ArithmeticError)
 
 
 def test_leading_coefficients_across_range(pairs_255):
