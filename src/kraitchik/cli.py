@@ -14,10 +14,10 @@ nothing, cannot be read or asks for unbounded work (an empty modulus range,
 bits) is an argparse usage error: a message on stderr, nothing on stdout, exit
 code 2.  ``compute`` rejects invalid moduli with a diagnostic naming the
 violated condition and exit code 1; ``compute``, ``table`` and ``verify`` take
-moduli up to ``MAX_MODULUS`` only, and ``compute`` and ``table`` print no row
-that ``psi_xi``'s identity gate refuses.  A ``table`` range or a ``verify --dmax``
-whose work, the sum of d'^2 over its moduli, exceeds ``MAX_TABLE_WORK`` is a
-usage error.  ``table`` prints its json and csv rows as each one passes the
+moduli up to ``MAX_MODULUS`` only, and print no row that ``psi_xi``'s identity
+gate refuses: they print ``internal error: identity fails at d=<d>`` on stderr
+in its place and exit 1.  A ``table`` range or a ``verify --dmax`` whose work,
+the sum of d'^2 over its moduli, exceeds ``MAX_TABLE_WORK`` is a usage error.  ``table`` prints its json and csv rows as each one passes the
 identity gate, its text only once every row has.
 """
 
@@ -365,11 +365,15 @@ def cmd_verify(args) -> int:
         worker = partial(_rows_for_d, plan=plan, precision_max=precision_max)
         # never more workers than cores or moduli: fork starts all of them at once
         jobs = min(args.jobs, os.cpu_count() or 1, len(ds))
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                by_d = list(pool.map(worker, ds))
-        else:
-            by_d = [worker(d) for d in ds]
+        try:
+            if jobs > 1:
+                with ProcessPoolExecutor(max_workers=jobs) as pool:
+                    by_d = list(pool.map(worker, ds))
+            else:
+                by_d = [worker(d) for d in ds]
+        except IdentityGateError as exc:
+            print(f"internal error: identity fails at d={exc.d}", file=sys.stderr)
+            return 1
         results = [(s, [row for rows in by_d for row in rows[i]]) for i, (s, _) in enumerate(plan)]
         if args.suite == "all":
             results.append(("symfunc", _suite_symfunc(SYMFUNC_DEFAULT_M)))

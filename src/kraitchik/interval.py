@@ -7,9 +7,13 @@ of the inputs is always contained in the output, and every operation runs on
 Python ints: add and sub are integer adds, mul and div are integer products
 or floor/ceiling quotients followed by one directed shift.  The kernels are
 ln and pi: ln takes an exact rational as (numerator, denominator) integers,
-and both return directed integer bounds with explicit tail bounds; the only
-square root is the integer one inside ``iv_from_surd`` -- no floating point,
-and no Fraction in any operation.  There is no exp: each caller states its
+and both return directed integer bounds with explicit tail bounds.  ln
+reduces its argument before its atanh series: by a power of two to a
+mantissa in [1, 2), then above 128 bits by square roots, and otherwise by
+the point 1 + t/64 at or below it, whose ln bounds come from a cached
+64-entry table, so that the series runs on z < 1/129.  Square roots are
+integer ones (``isqrt``) -- no floating point, and no Fraction in any
+operation.  There is no exp: each caller states its
 inequality in log space, where powers become sums and multiples of
 logarithms.  ``lo`` and ``hi`` read the endpoints back as Fractions.
 
@@ -31,6 +35,9 @@ from math import isqrt
 from typing import Callable, Iterable, NamedTuple, Optional
 
 GUARD_BITS = 32
+# ln's table step divides its mantissa by the nearest point 1 + t/2^TABLE_BITS
+# below it, leaving a series argument z under 1/(2^(TABLE_BITS+1) + 1)
+TABLE_BITS = 6
 DEFAULT_MAX_PRECISION = 4096
 # Fixed cap on any precision ceiling: a case that never separates climbs the
 # doubling ladder to the ceiling, so the ceiling bounds the work per case.
@@ -171,8 +178,27 @@ def _ln2_bounds(bits: int) -> tuple[int, int]:
     return 2 * lo, 2 * hi
 
 
+@lru_cache(maxsize=None)
+def _ln_table(ws: int, roundup: bool) -> tuple[int, ...]:
+    """ln(1 + t/2^TABLE_BITS) = 2 atanh(t/(2^(TABLE_BITS+1) + t)) * 2^ws for each t, rounded down or up."""
+    return tuple(2 * _atanh_series_scaled(t, (2 << TABLE_BITS) + t, ws, roundup) for t in range(1 << TABLE_BITS))
+
+
 def _ln_bound(num: int, den: int, bits: int, roundup: bool) -> int:
-    """Directed bound of ln(num/den), den > 0."""
+    """Directed bound of ln(num/den), den > 0.
+
+    ln(num/den) = k ln 2 + 2^j (ln(c/2^TABLE_BITS) + ln m') for any c > 0,
+    where 2^k puts the mantissa m in [1, 2), 2^j is the root taken of m, and
+    m' = m^(1/2^j) * 2^TABLE_BITS/c.  c is 2^TABLE_BITS plus the top
+    TABLE_BITS bits of the computed m^(1/2^j) - 1, so the computed m' lies in
+    [1, 1 + 1/c] to within a unit.  For the lower bound (upper: swap every
+    floor for a ceiling and every lower bound for an upper one) each of the
+    three parts is a lower bound of its exact term: ln m' is the atanh series,
+    truncated to a lower bound, of m' rounded down at every step (the
+    mantissa, each root, the quotient by c), and ln is increasing;
+    ln(c/2^TABLE_BITS) is the table's lower entry; and k ln 2 takes ln 2's
+    lower bound for k > 0, its upper one for k < 0.
+    """
     if num <= 0:
         raise IntervalDomainError(f"log of nonpositive value {num:#x}/{den:#x}")
     k = _ilog2_floor(num, den)
@@ -193,7 +219,14 @@ def _ln_bound(num: int, den: int, bits: int, roundup: bool) -> int:
     for _ in range(j):
         m = _isqrt_ceil(m << ws) if roundup else isqrt(m << ws)
     one = 1 << ws
-    total = _atanh_series_scaled(m - one, m + one, ws, roundup) << (j + 1)
+    # table step; after a root m < 1 + 2^-TABLE_BITS, so t = 0
+    t = (m - one) >> (ws - TABLE_BITS)
+    total = 0
+    if t:
+        c = (1 << TABLE_BITS) + t
+        m = -(-(m << TABLE_BITS) // c) if roundup else (m << TABLE_BITS) // c
+        total = _ln_table(ws, roundup)[t]
+    total = (total + (_atanh_series_scaled(m - one, m + one, ws, roundup) << 1)) << j
     if k != 0:
         # ln 2 over 2^(bits+24); the bound matching k's sign and the rounding
         l2lo, l2hi = _ln2_bounds(bits + 8)

@@ -6,7 +6,10 @@ ladder and ``decide`` stayed in ``kraitchik.interval``).  Endpoints are
 Fractions whose denominators are powers of two; every operation rounds
 outward on the same grid of 2^-(prec+32) with the same directed rounding, so
 the integer-mantissa module must return bit-identical endpoints
-(``tests/test_interval.py``).
+(``tests/test_interval.py``).  Its ``ln`` is the untabled kernel: it runs
+the atanh series on the mantissa in [1, 2) itself (after the same square-root
+reduction above 128 bits), without ``kraitchik.interval``'s table step, which
+is checked against it bit for bit.
 
 ``iv_sqrt``, ``iv_exp``, ``iv_pow`` and the constant e live only here, for
 the two verdict oracles in direct form: ``three_bounds`` is the strict

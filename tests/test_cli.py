@@ -144,6 +144,15 @@ def test_table_streams_rows_until_the_gate_fails(capsys, monkeypatch, fmt):
         assert [json.loads(line)["d"] for line in out.splitlines()] == [5, 7]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_reports_a_pair_the_gate_refuses(capsys, monkeypatch, jobs):
+    real = construct.verify_identity
+    monkeypatch.setattr(construct, "verify_identity", lambda pair: failing_identity(pair) if pair.d == 11 else real(pair))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool under --jobs 2 even on one core
+    code, out, err = run(capsys, "verify", "symmetry", "--dmax", "13", "--jobs", jobs)
+    assert (code, out, err) == (1, "", "internal error: identity fails at d=11\n")
+
+
 def test_compute_large_modulus(capsys):
     code, out, _ = run(capsys, "compute", "149")
     assert code == 0

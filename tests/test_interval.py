@@ -293,7 +293,7 @@ def _outcome(tree: Node, prec: int, iv):
     return ivl.lo, ivl.hi, ivl.prec
 
 
-@pytest.mark.parametrize("prec", [64, 256, 1024])  # the three square-root reductions of ln
+@pytest.mark.parametrize("prec", [64, 256, 1024])  # ln: the table step at 64, square-root reductions above
 def test_random_trees_match_the_fraction_oracle(prec):
     rng = random.Random(prec)
     enclosed = 0
@@ -306,6 +306,56 @@ def test_random_trees_match_the_fraction_oracle(prec):
                 enclosed += 1
                 assert as_mpf(got[0]) <= tree.reference() <= as_mpf(got[1])
     assert enclosed >= 300
+
+
+def _ln_kernel_inputs(bits: int) -> list[Fraction]:
+    """Seeded rationals, then each table boundary 1 + t/64, one unit of the
+    kernel's 2^-(bits+48) grid below it, the largest mantissa below 2, and 1,
+    each at exponents k of both signs."""
+    rng = random.Random(bits)
+    sample = [F(rng.getrandbits(rng.randint(1, 600)) + 1, rng.getrandbits(rng.randint(1, 600)) + 1) for _ in range(300)]
+    ws = bits + 48
+    table = [F(64 + t, 64) for t in range(64)] + [F(((64 + t) << (ws - 6)) - 1, 1 << ws) for t in range(1, 64)]
+    edges = table + [F((2 << ws) - 1, 1 << ws), F(1)]
+    return sample + [m * F(2) ** k for m in edges for k in (-300, -7, -1, 0, 1, 9, 300)]
+
+
+@pytest.mark.parametrize("bits", [96, 288, 1056])  # the ln of rungs 64, 256 and 1024
+def test_ln_kernel_matches_the_untabled_oracle(bits):
+    for q in _ln_kernel_inputs(bits):
+        lo, hi = interval_oracle._ln_point_bounds(q, bits)
+        got = interval._ln_bound(q.numerator, q.denominator, bits, False), interval._ln_bound(
+            q.numerator, q.denominator, bits, True
+        )
+        assert got == (interval_oracle._floor_scaled(lo, bits), interval_oracle._ceil_scaled(hi, bits)), q
+
+
+@pytest.mark.parametrize("bits", [96, 288, 1056])
+def test_ln_kernel_rounds_outward_next_to_grid_points(bits):
+    # y = N/2^bits on the output grid, with its mantissa in each table interval;
+    # q = exp(y)(1 +- ~2^-(bits+200)) puts ln q within a hair of y on either side,
+    # where rounding the kernel's 2^-(bits+48) sum to the grid leaves no slack, so a
+    # bound rounded inward there shows; at k = 0 no ln 2 term widens the sum
+    with mpmath.workprec(bits + 300):
+        for t in range(64):
+            for k in (-9, 0, 5):
+                n = int(mpmath.floor((mpmath.log(1 + (t + mpmath.mpf(1) / 2) / 64) + k * mpmath.ln2) * 2**bits))
+                man, exp = mpmath.exp(mpmath.mpf(n) / 2**bits).man_exp
+                q = F(man) * F(2) ** exp
+                for side, want in ((1, (n, n + 1)), (-1, (n - 1, n))):
+                    x = q + side * q / 2 ** (bits + 200)
+                    lo, hi = (interval._ln_bound(x.numerator, x.denominator, bits, up) for up in (False, True))
+                    assert lo <= want[0] and want[1] <= hi and hi - lo <= 2, (t, k, side)
+
+
+@pytest.mark.parametrize("ws", [144, 336, 1104])
+def test_ln_table_encloses_the_logs_it_stands_for(ws):
+    lows, highs = interval._ln_table(ws, False), interval._ln_table(ws, True)
+    assert len(lows) == len(highs) == 1 << interval.TABLE_BITS
+    with mpmath.workprec(ws + 64):
+        for t, (lo, hi) in enumerate(zip(lows, highs)):
+            ref = mpmath.log(1 + mpmath.mpf(t) / 64) * mpmath.mpf(2) ** ws
+            assert lo <= ref <= hi, t
 
 
 def test_constants_match_the_fraction_oracle():

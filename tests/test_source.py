@@ -51,6 +51,23 @@ def test_construction_is_integer_only():
     assert not imports(path, "fractions") and not imports(path, "kraitchik.qfield")
 
 
+def test_interval_kernels_use_no_floating_point():
+    # the README's claim for interval.py: its ln, pi and surd kernels run on integers
+    # alone, so no float literal, no float() and no math.log, math.exp or math.sqrt
+    path = SRC / "interval.py"
+    banned = {"float", "log", "exp", "sqrt"}
+    found = [
+        f"{node.lineno}:{ast.unparse(node)}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+        # float(...) or log(...) by name, math.log(...) as an attribute, from math import log
+        or isinstance(node, ast.Name) and node.id in banned
+        or isinstance(node, ast.Attribute) and node.attr in banned
+        or isinstance(node, ast.alias) and node.name in banned
+    ]
+    assert found == []
+
+
 def test_src_reads_no_environment():
     # settings come in through flags and arguments only, never from the process environment
     readers = {"environ", "environb", "getenv", "getenvb"}
