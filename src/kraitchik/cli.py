@@ -295,8 +295,8 @@ def _gated_pair(d: int) -> KraitchikPair | None:
     """The pair for one modulus, or None (with a diagnostic) if psi_xi's identity gate refuses it."""
     try:
         return psi_xi(d)
-    except IdentityGateError:
-        print(f"internal error: identity fails at d={d}", file=sys.stderr)
+    except IdentityGateError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return None
 
 
@@ -372,7 +372,7 @@ def cmd_verify(args) -> int:
             else:
                 by_d = [worker(d) for d in ds]
         except IdentityGateError as exc:
-            print(f"internal error: identity fails at d={exc.d}", file=sys.stderr)
+            print(f"internal error: {exc}", file=sys.stderr)
             return 1
         results = [(s, [row for rows in by_d for row in rows[i]]) for i, (s, _) in enumerate(plan)]
         if args.suite == "all":

@@ -80,14 +80,9 @@ def _exact_quotient(pair: tuple[int, int], k: int, what: str) -> tuple[int, int]
 
 
 class IdentityGateError(ArithmeticError):
-    """Neither b-sign gives a mirrored pair that passes ``verify_identity`` at modulus ``d``."""
+    """Neither b-sign gives a mirrored pair that passes ``verify_identity``.
 
-    def __init__(self, d: int) -> None:
-        super().__init__(d)  # args = (d,), so the error pickles back whole out of a worker process
-        self.d = d
-
-    def __str__(self) -> str:
-        return f"identity fails at d={self.d} with either b-sign"
+    Its message, ``identity fails at d=<d>``, is the one the CLI reports."""
 
 
 def psi_xi(d: int) -> KraitchikPair:
@@ -114,7 +109,7 @@ def psi_xi(d: int) -> KraitchikPair:
         pair = KraitchikPair(ctx, a, tuple(-v for v in ub[1:]) + tuple(-s * ub[n] for n in mirror))
         if verify_identity(pair).ok:
             return pair
-    raise IdentityGateError(d)
+    raise IdentityGateError(f"identity fails at d={d}")
 
 
 def _b_sign_predicted(d: int) -> int:

@@ -190,12 +190,13 @@ def _ln_bound(num: int, den: int, bits: int, roundup: bool) -> int:
     ln(num/den) = k ln 2 + 2^j (ln(c/2^TABLE_BITS) + ln m') for any c > 0,
     where 2^k puts the mantissa m in [1, 2), 2^j is the root taken of m, and
     m' = m^(1/2^j) * 2^TABLE_BITS/c.  c is 2^TABLE_BITS plus the top
-    TABLE_BITS bits of the computed m^(1/2^j) - 1, so the computed m' lies in
-    [1, 1 + 1/c] to within a unit.  For the lower bound (upper: swap every
-    floor for a ceiling and every lower bound for an upper one) each of the
-    three parts is a lower bound of its exact term: ln m' is the atanh series,
-    truncated to a lower bound, of m' rounded down at every step (the
-    mantissa, each root, the quotient by c), and ln is increasing;
+    TABLE_BITS bits of the computed m^(1/2^j) - 1, capped at
+    2^(TABLE_BITS+1) - 1, so the computed m' lies in [1, 1 + 1/c] to within a
+    unit.  For the lower bound (upper: swap every floor for a ceiling and
+    every lower bound for an upper one) each of the three parts is a lower
+    bound of its exact term: ln m' is the atanh series, truncated to a lower
+    bound, of m' rounded down at every step (the mantissa, each root, the
+    quotient by c), and ln is increasing;
     ln(c/2^TABLE_BITS) is the table's lower entry; and k ln 2 takes ln 2's
     lower bound for k > 0, its upper one for k < 0.
     """
@@ -219,8 +220,9 @@ def _ln_bound(num: int, den: int, bits: int, roundup: bool) -> int:
     for _ in range(j):
         m = _isqrt_ceil(m << ws) if roundup else isqrt(m << ws)
     one = 1 << ws
-    # table step; after a root m < 1 + 2^-TABLE_BITS, so t = 0
-    t = (m - one) >> (ws - TABLE_BITS)
+    # table step; after a root m < 1 + 2^-TABLE_BITS, so t = 0.  The ceiling
+    # can lift m to 2 exactly; that m stays with the last entry, as m' = 128/127
+    t = min((m - one) >> (ws - TABLE_BITS), (1 << TABLE_BITS) - 1)
     total = 0
     if t:
         c = (1 << TABLE_BITS) + t

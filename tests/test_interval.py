@@ -310,13 +310,14 @@ def test_random_trees_match_the_fraction_oracle(prec):
 
 def _ln_kernel_inputs(bits: int) -> list[Fraction]:
     """Seeded rationals, then each table boundary 1 + t/64, one unit of the
-    kernel's 2^-(bits+48) grid below it, the largest mantissa below 2, and 1,
-    each at exponents k of both signs."""
+    kernel's 2^-(bits+48) grid below it, the largest mantissa below 2 on that
+    grid, a mantissa below 2 by less than a unit of it (whose ceiling is 2),
+    and 1, each at exponents k of both signs."""
     rng = random.Random(bits)
     sample = [F(rng.getrandbits(rng.randint(1, 600)) + 1, rng.getrandbits(rng.randint(1, 600)) + 1) for _ in range(300)]
     ws = bits + 48
     table = [F(64 + t, 64) for t in range(64)] + [F(((64 + t) << (ws - 6)) - 1, 1 << ws) for t in range(1, 64)]
-    edges = table + [F((2 << ws) - 1, 1 << ws), F(1)]
+    edges = table + [F((2 << ws) - 1, 1 << ws), F((2 << (ws + 13)) - 1, 1 << (ws + 13)), F(1)]
     return sample + [m * F(2) ** k for m in edges for k in (-300, -7, -1, 0, 1, 9, 300)]
 
 
