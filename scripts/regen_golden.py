@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Regenerate the golden text table for the byte-exact CLI test.
 
-Refuses to overwrite unless every freshly computed row passes
-``verify_identity`` and still matches the classical coefficient lists, so a
-construction regression cannot silently rewrite the reference.
+Refuses to overwrite unless every freshly computed row passes the identity
+check and still matches the classical coefficient lists, so a construction
+regression cannot silently rewrite the reference.  The identity check is
+``psi_xi``'s own gate: it hands out only pairs that satisfy
+4*Phi_d = Psi_d^2 - D*Xi_d^2 exactly, and raises ``IdentityGateError`` otherwise.
 """
 
 import sys
 from pathlib import Path
 
 from kraitchik.cli import _table_text
-from kraitchik.construct import psi_xi, verify_identity
+from kraitchik.construct import IdentityGateError, psi_xi
 
 CLASSICAL = {
     5: ([2, 1, 2], [1, 0]),
@@ -23,9 +25,10 @@ CLASSICAL = {
 def main() -> int:
     pairs = []
     for d, (a, b) in CLASSICAL.items():
-        pair = psi_xi(d)
-        if not verify_identity(pair).ok:
-            print(f"refusing: identity 4*Phi_d = Psi_d^2 - D*Xi_d^2 fails at d={d}", file=sys.stderr)
+        try:
+            pair = psi_xi(d)
+        except IdentityGateError as exc:
+            print(f"refusing: {exc}", file=sys.stderr)
             return 1
         if list(pair.a) != a or list(pair.b) != b:
             print(f"refusing: computed row for d={d} deviates from the classical table", file=sys.stderr)

@@ -15,10 +15,11 @@ bits) is an argparse usage error: a message on stderr, nothing on stdout, exit
 code 2.  ``compute`` rejects invalid moduli with a diagnostic naming the
 violated condition and exit code 1; ``compute``, ``table`` and ``verify`` take
 moduli up to ``MAX_MODULUS`` only, and print no row that ``psi_xi``'s identity
-gate refuses: they print ``internal error: identity fails at d=<d>`` on stderr
-in its place and exit 1.  A ``table`` range or a ``verify --dmax`` whose work,
-the sum of d'^2 over its moduli, exceeds ``MAX_TABLE_WORK`` is a usage error.  ``table`` prints its json and csv rows as each one passes the
-identity gate, its text only once every row has.
+gate refuses: ``main`` reports the refusal, ``internal error: identity fails at
+d=<d>`` on stderr, and exits 1.  A ``table`` range or a ``verify --dmax`` whose
+work, the sum of d'^2 over its moduli, exceeds ``MAX_TABLE_WORK`` is a usage
+error.  ``table`` prints its json and csv rows as each one passes the identity
+gate, its text only once every row has.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from fractions import Fraction
 from functools import partial
 
 from .bounds import FALSIFIED, UNRESOLVED, VERIFIED, check_coefficient_bounds, check_explicit_bound
-from .construct import IdentityGateError, KraitchikPair, check_symmetry, psi_xi, verify_identity
+from .construct import IdentityGateError, KraitchikPair, check_symmetry, psi_xi
 from .interval import DEFAULT_MAX_PRECISION, MAX_PRECISION_CEILING, checked_precision
 from .numtheory import euler_phi, odd_squarefree_range
 from .poly import DensePoly, format_poly
@@ -120,10 +121,9 @@ Row = tuple[str, str, str]
 
 
 def _suite_identity(pair: KraitchikPair, precision_max: int) -> list[Row]:
-    rep = verify_identity(pair)
-    if rep.ok:
-        return [(f"d={pair.ctx.d}", VERIFIED, "")]
-    return [(f"d={pair.ctx.d}", FALSIFIED, f"(first mismatch at degree {rep.mismatch_index})")]
+    """``psi_xi`` hands out only pairs that passed its exact identity gate, so the
+    pair's existence is the verdict."""
+    return [(f"d={pair.ctx.d}", VERIFIED, "")]
 
 
 def _suite_symmetry(pair: KraitchikPair, precision_max: int) -> list[Row]:
@@ -291,15 +291,6 @@ def _checked_moduli(lo: int, hi: int, name: str) -> list[int]:
     return ds
 
 
-def _gated_pair(d: int) -> KraitchikPair | None:
-    """The pair for one modulus, or None (with a diagnostic) if psi_xi's identity gate refuses it."""
-    try:
-        return psi_xi(d)
-    except IdentityGateError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return None
-
-
 def cmd_compute(args) -> int:
     if args.d > MAX_MODULUS:
         print(f"invalid d={args.d}: too large (need d <= {MAX_MODULUS})", file=sys.stderr)
@@ -309,9 +300,7 @@ def cmd_compute(args) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 1
-    pair = _gated_pair(args.d)
-    if pair is None:
-        return 1
+    pair = psi_xi(args.d)
     if args.format == "json":
         print(row_json(pair))
     else:
@@ -325,9 +314,7 @@ def cmd_table(args) -> int:
     if args.format == "csv":
         print("d,n,a_n,b_n", flush=True)
     for d in odd_squarefree_range(lo, hi):
-        pair = _gated_pair(d)
-        if pair is None:
-            return 1
+        pair = psi_xi(d)
         if args.format == "json":
             print(row_json(pair), flush=True)
         elif args.format == "csv":
@@ -365,15 +352,11 @@ def cmd_verify(args) -> int:
         worker = partial(_rows_for_d, plan=plan, precision_max=precision_max)
         # never more workers than cores or moduli: fork starts all of them at once
         jobs = min(args.jobs, os.cpu_count() or 1, len(ds))
-        try:
-            if jobs > 1:
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    by_d = list(pool.map(worker, ds))
-            else:
-                by_d = [worker(d) for d in ds]
-        except IdentityGateError as exc:
-            print(f"internal error: {exc}", file=sys.stderr)
-            return 1
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                by_d = list(pool.map(worker, ds))
+        else:
+            by_d = [worker(d) for d in ds]
         results = [(s, [row for rows in by_d for row in rows[i]]) for i, (s, _) in enumerate(plan)]
         if args.suite == "all":
             results.append(("symfunc", _suite_symfunc(SYMFUNC_DEFAULT_M)))
@@ -432,6 +415,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
+    except IdentityGateError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from kraitchik.numtheory import odd_squarefree_range
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "golden" / "table_5_13.txt"
+VERIFY_ALL_35 = ROOT / "golden" / "verify_all_35.txt"
 
 
 def run(capsys, *argv):
@@ -70,8 +72,10 @@ def test_rows_are_gated_by_the_identity(capsys, monkeypatch, argv):
     assert err == "internal error: identity fails at d=5\n"
 
 
-def test_compute_runs_the_identity_gate_once(capsys, monkeypatch):
-    # psi_xi gates its own pair; a second check in the CLI would show as a second call
+@pytest.fixture
+def identity_calls(monkeypatch):
+    """The modulus of every identity check made, in call order, under every
+    name the package binds ``verify_identity`` to."""
     calls = []
     real = construct.verify_identity
 
@@ -79,22 +83,54 @@ def test_compute_runs_the_identity_gate_once(capsys, monkeypatch):
         calls.append(pair.d)
         return real(pair)
 
-    monkeypatch.setattr(construct, "verify_identity", counting)
-    monkeypatch.setattr(cli, "verify_identity", counting)
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "kraitchik":
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def test_compute_runs_the_identity_gate_once(capsys, identity_calls):
+    # psi_xi gates its own pair; a second check in the CLI would show as a second call
     code, _, err = run(capsys, "compute", "449")
     assert (code, err) == (0, "")
-    assert calls == [449]
+    assert identity_calls == [449]
 
 
-def test_regen_golden_refuses_a_failing_identity(capsys, monkeypatch):
+@pytest.mark.parametrize("suite", ["identity", "all"])
+def test_verify_checks_each_identity_once(capsys, identity_calls, suite):
+    # the identity suite reports psi_xi's gate; checking the pair again would double the count
+    _, _, err = run(capsys, "verify", suite, "--dmax", "75")
+    assert err == ""
+    assert identity_calls == odd_squarefree_range(5, 75)
+    assert len(identity_calls) == 29
+
+
+def load_regen_golden():
     spec = importlib.util.spec_from_file_location("regen_golden", ROOT / "scripts" / "regen_golden.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_regen_golden_refuses_a_failing_identity(capsys, monkeypatch):
+    script = load_regen_golden()
     before = GOLDEN.read_bytes()
-    monkeypatch.setattr(script, "verify_identity", failing_identity)
+    monkeypatch.setattr(construct, "verify_identity", failing_identity)
     assert script.main() == 1
     assert "refusing: identity" in capsys.readouterr().err
     assert GOLDEN.read_bytes() == before
+
+
+def test_regen_golden_checks_each_identity_once(tmp_path, monkeypatch, identity_calls):
+    script = load_regen_golden()
+    # main writes next to the script's parent; point that at a scratch tree
+    monkeypatch.setattr(script, "__file__", str(tmp_path / "scripts" / "regen_golden.py"))
+    (tmp_path / "golden").mkdir()
+    assert script.main() == 0
+    assert identity_calls == [5, 7, 11, 13]
+    assert (tmp_path / "golden" / "table_5_13.txt").read_bytes() == GOLDEN.read_bytes()
 
 
 @pytest.mark.parametrize("d", [cli.MAX_MODULUS + 1, cli.MAX_MODULUS + 2])
@@ -425,6 +461,16 @@ def test_verify_all_is_the_single_suites_joined(capsys, fmt):
     singles = [run(capsys, "verify", suite, "--dmax", "35", "--format", fmt)[1] for suite in SUITES[:-1]]
     singles.append(run(capsys, "verify", "symfunc", "--format", fmt)[1])  # --dmax bounds moduli, not m
     assert out == "".join(singles)
+
+
+def test_verify_all_matches_golden_bytes(capsys):
+    """Every suite's rows and summaries, byte for byte.  Regenerate, only after
+    checking the new output by hand, with
+    ``PYTHONPATH=src python -m kraitchik verify all --dmax 35 > golden/verify_all_35.txt``."""
+    code, out, err = run(capsys, "verify", "all", "--dmax", "35")
+    assert out.encode() == VERIFY_ALL_35.read_bytes()
+    assert code == 1  # ratio d=7 x=100 falsified
+    assert err == ""
 
 
 def test_verify_all_builds_each_pair_once(capsys, monkeypatch):
