@@ -3,21 +3,26 @@
 
     python3 scripts/bench.py --parent HEAD --out BENCH_6.json
 
-The parent is unpacked with ``git archive`` into a temporary directory, so
+Both sides are unpacked with ``git archive`` into a temporary directory, so
 each side runs its own ``perfbench/run.py`` (at its own default run length)
-on its own sources.  For each workload of ``BENCHMARK.json`` the two sides run
-in ten pairs with the same seed (pair i uses seed i + 1), alternating which
-side goes first, so that drift in the host's speed falls on both.  The entry
-records, per workload and end-to-end metric, each side's runs with their
-median and quartiles and the number of pairs in which the change was better;
-per side it records the tier-1 wall time and the Python line counts of
-``src/`` and ``tests/`` (with their change-minus-parent deltas, so an entry
-shows whether code was deleted or only moved into the tests), and for the
-working tree its HEAD and its uncommitted paths (``git status
---porcelain``), so the entry can be traced to the code it measured.  Both
-sides must carry the same ``BENCHMARK.json``.  After the untraced pairs, each
-side runs each workload once more with ``--trace 1`` at seed 1, and the entry
-records every per-layer value of those runs side by side.
+on its own sources, from the same kind of fresh tree: the parent from its
+revision, the change from ``HEAD`` when the working tree is clean and from a
+``git stash create`` commit of it otherwise.  Untracked ``.py`` files under
+``src/``, ``tests/`` or ``perfbench/`` are in neither, so the script refuses
+to run while any exist.  For each workload of ``BENCHMARK.json`` the two
+sides run in ten pairs with the same seed (pair i uses seed i + 1),
+alternating which side goes first, so that drift in the host's speed falls
+on both.  The entry records, per workload and end-to-end metric, each side's
+runs with their median and quartiles and the number of pairs in which the
+change was better; per side it records the tier-1 wall time and the Python
+line counts of ``src/`` and ``tests/`` (with their change-minus-parent
+deltas, so an entry shows whether code was deleted or only moved into the
+tests), and for the working tree its HEAD, its uncommitted paths (``git
+status --porcelain``) and the revision unpacked, so the entry can be traced
+to the code it measured.  Both sides must carry the same ``BENCHMARK.json``.
+After the untraced pairs, each side runs each workload once more with
+``--trace 1`` at seed 1, and the entry records every per-layer value of those
+runs side by side.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10  # the fewest pairs a claimed gain is judged on
+SOURCE_DIRS = ("src", "tests", "perfbench")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 
@@ -63,6 +69,17 @@ def git(*args: str) -> str:
 def working_tree_state() -> dict:
     """HEAD of the working tree and its uncommitted paths, one ``git status --porcelain`` line each."""
     return {"rev": git("rev-parse", "HEAD").strip(), "uncommitted": git("status", "--porcelain").splitlines()}
+
+
+def change_source() -> str:
+    """The revision whose tree is the working tree: ``HEAD`` when it is clean, else a
+    ``git stash create`` commit of its tracked and staged files.  ValueError when an
+    untracked ``.py`` file under SOURCE_DIRS would be left out of either."""
+    others = git("ls-files", "--others", "--exclude-standard", "--", *SOURCE_DIRS).splitlines()
+    untracked = [path for path in others if path.endswith(".py")]
+    if untracked:
+        raise ValueError(f"untracked Python files would not be measured: {', '.join(untracked)}")
+    return git("stash", "create").strip() or "HEAD"
 
 
 def run_once(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
@@ -133,15 +150,20 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", default="HEAD", help="git revision to compare against (default HEAD)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    change_state = working_tree_state()
+    try:
+        change_rev = change_source()
+    except ValueError as exc:
+        parser.error(str(exc))
+    change_state = {**working_tree_state(), "unpacked": git("rev-parse", change_rev).strip()}
 
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent = Path(tmp)
-        unpack(args.parent, parent)
-        if json.loads((parent / "BENCHMARK.json").read_text()) != spec:
+    with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+        sides = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
+        for side, rev in (("parent", args.parent), ("change", change_rev)):
+            sides[side].mkdir()
+            unpack(rev, sides[side])
+        spec, parent_spec = (json.loads((sides[side] / "BENCHMARK.json").read_text()) for side in ("change", "parent"))
+        if spec != parent_spec:
             parser.error(f"BENCHMARK.json differs between {args.parent} and the working tree")
-        sides = {"parent": parent, "change": ROOT}
         workloads = {}
         for workload in (w["name"] for w in spec["workloads"]):
             runs = {"parent": [], "change": []}

@@ -10,7 +10,7 @@ from .construct import (
     psi_xi,
     verify_identity,
 )
-from .powersums import DiscriminantContext, power_sum_s, ramanujan_h
+from .powersums import DiscriminantContext, power_sum_s
 from .qfield import QuadElem, cmp_surd
 
 __all__ = [
@@ -24,6 +24,5 @@ __all__ = [
     "cyclotomic",
     "power_sum_s",
     "psi_xi",
-    "ramanujan_h",
     "verify_identity",
 ]

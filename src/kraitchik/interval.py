@@ -11,11 +11,11 @@ and both return directed integer bounds with explicit tail bounds.  ln
 reduces its argument before its atanh series: by a power of two to a
 mantissa in [1, 2), then above 128 bits by square roots, and otherwise by
 the point 1 + t/64 at or below it, whose ln bounds come from a cached
-64-entry table, so that the series runs on z < 1/129.  Square roots are
-integer ones (``isqrt``) -- no floating point, and no Fraction in any
-operation.  There is no exp: each caller states its
-inequality in log space, where powers become sums and multiples of
-logarithms.  ``lo`` and ``hi`` read the endpoints back as Fractions.
+64-entry table, so that the series runs on z < 1/129.  The same series gives
+the table and ln 2 = 2 atanh(1/3).  Square roots are integer ones (``isqrt``)
+-- no floating point, and no Fraction in any operation.  There is no exp:
+each caller states its inequality in log space, where powers become sums and
+multiples of logarithms.
 
 ``decide`` is the one precision-ladder driver: it re-evaluates both sides of
 a strict inequality at each rung of a doubling precision ladder until the
@@ -28,7 +28,6 @@ that as failure-to-verify, never as verification.
 
 from __future__ import annotations
 
-from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -69,30 +68,6 @@ class DyadicInterval:
         self.lo_m = lo_m
         self.hi_m = hi_m
         self.prec = prec
-
-    @property
-    def lo(self) -> Fraction:
-        return Fraction(self.lo_m, 1 << (self.prec + GUARD_BITS))
-
-    @property
-    def hi(self) -> Fraction:
-        return Fraction(self.hi_m, 1 << (self.prec + GUARD_BITS))
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def contains(self, q: Fraction | int) -> bool:
-        q = Fraction(q)
-        scaled = q.numerator << (self.prec + GUARD_BITS)
-        return self.lo_m * q.denominator <= scaled <= self.hi_m * q.denominator
-
-    def __repr__(self) -> str:
-        # 17 significant digits rounded outward; float() overflows past 2^1024
-        scale = Decimal(1 << (self.prec + GUARD_BITS))
-        lo = Context(prec=17, rounding=ROUND_FLOOR).divide(Decimal(self.lo_m), scale)
-        hi = Context(prec=17, rounding=ROUND_CEILING).divide(Decimal(self.hi_m), scale)
-        return f"DyadicInterval({lo}, {hi}, prec={self.prec})"
 
 
 def _num_den(q: Fraction | int) -> tuple[int, int]:
@@ -160,22 +135,9 @@ def _atanh_series_scaled(zn: int, zd: int, ws: int, roundup: bool) -> int:
 
 
 @lru_cache(maxsize=None)
-def _ln2_bounds(bits: int) -> tuple[int, int]:
-    """ln 2 = 2 atanh(1/3) as mantissas over 2^(bits+16), exact powers of 3."""
-    ws = bits + 16
-    lo = hi = 0
-    qpow = 3
-    i = 0
-    while True:
-        t = (1 << ws) // (qpow * (2 * i + 1))
-        lo += t
-        hi += t + 1
-        if t == 0:
-            hi += 2
-            break
-        i += 1
-        qpow *= 9
-    return 2 * lo, 2 * hi
+def _ln2_bound(ws: int, roundup: bool) -> int:
+    """ln 2 = 2 atanh(1/3) * 2^ws, rounded down or up."""
+    return 2 * _atanh_series_scaled(1, 3, ws, roundup)
 
 
 @lru_cache(maxsize=None)
@@ -230,9 +192,8 @@ def _ln_bound(num: int, den: int, bits: int, roundup: bool) -> int:
         total = _ln_table(ws, roundup)[t]
     total = (total + (_atanh_series_scaled(m - one, m + one, ws, roundup) << 1)) << j
     if k != 0:
-        # ln 2 over 2^(bits+24); the bound matching k's sign and the rounding
-        l2lo, l2hi = _ln2_bounds(bits + 8)
-        total += k * ((l2hi if (k > 0) == roundup else l2lo) << 24)
+        # the bound of ln 2 matching k's sign and the rounding
+        total += k * _ln2_bound(ws, (k > 0) == roundup)
     return _ceil_shift(total, 48) if roundup else total >> 48
 
 

@@ -23,11 +23,6 @@ class DensePoly:
     def zero(cls) -> "DensePoly":
         return cls(())
 
-    @property
-    def degree(self) -> int:
-        """Degree; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -14,7 +14,8 @@ precision, ``DIGITS``, so that the closed form is checked against something
 independent: mpmath's interval arithmetic encloses cos and sin of 2*pi*a/d
 once per modulus, rounded outward to integer mantissas, and each sum over
 the residues is an exact integer sum of those mantissas.  The quadratic
-Gauss sum needs no enclosure of its own: it is 2*s - ramanujan_h(d, k).
+Gauss sum needs no enclosure of its own: it is 2*s - p, where p, the rational
+part of ``power_sum_doubled``, is the Ramanujan sum mu(d/f) phi(f).
 """
 
 from __future__ import annotations
@@ -70,26 +71,6 @@ def power_sum_s(ctx: DiscriminantContext, k: int) -> QuadElem:
     """Closed-form s_{d,k}, an element of Q(sqrt(D)) (rational when gcd > 1)."""
     p, q = power_sum_doubled(ctx, k)
     return QuadElem(Fraction(p, 2), Fraction(q, 2), ctx.D)
-
-
-def ramanujan_h(d: int, k: int) -> int:
-    """Sum of k-th powers of the primitive d-th roots of unity.
-
-    Computed as mu(d/f) * phi(d) / phi(d/f) with f = gcd(k, d), which for
-    squarefree d reduces to mu(d/f) * phi(f).  Accepts non-squarefree d since
-    the multiplicativity tests exercise products.
-    """
-    if d < 1 or k < 1:
-        raise ValueError("need positive d and k")
-    f = math.gcd(k, d)
-    cofactor = d // f
-    mu = mobius(cofactor)
-    if mu == 0:
-        return 0
-    q, r = divmod(euler_phi(d), euler_phi(cofactor))
-    if r:
-        raise ArithmeticError(f"phi({cofactor}) does not divide phi({d})")
-    return mu * q
 
 
 class ComplexEnclosure(NamedTuple):

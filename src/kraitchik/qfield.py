@@ -91,11 +91,6 @@ def cmp_surd(x: Rational, y: Rational, d: int, q: Rational) -> int:
     return -1 if lhs_sq > rhs_sq else 1 if lhs_sq < rhs_sq else 0
 
 
-def sign_real(x: QuadElem) -> int:
-    """Exact sign of a real quadratic element (radicand > 0 or rational)."""
-    return cmp_real(x, 0)
-
-
 def cmp_real(x: QuadElem, y: QuadElem | Rational) -> int:
     """Exact order of two real quadratic elements: the sign of x - y, taken
     in the field of whichever one is irrational."""
@@ -114,4 +109,4 @@ def cmp_real(x: QuadElem, y: QuadElem | Rational) -> int:
 
 def abs_real(x: QuadElem) -> QuadElem:
     """|x| for a real quadratic element, exact."""
-    return x if sign_real(x) >= 0 else QuadElem(-x.a, -x.b, x.r)
+    return x if cmp_real(x, 0) >= 0 else QuadElem(-x.a, -x.b, x.r)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .bounds import _same_field, ceil_multiple, l1_bound_base
+from .bounds import _require_minimum_modulus, _same_field, ceil_multiple, l1_bound_base
 from .construct import KraitchikPair
 from .interval import (
     DEFAULT_MAX_PRECISION,
@@ -102,8 +102,7 @@ def check_ratio_approx(
 ) -> RatioReport:
     """Verify |Xi(x)/Psi(x) - 1/(2x - mu(d))| < the closed-form envelope."""
     ctx = pair.ctx
-    if ctx.d < 5:
-        raise ValueError(f"ratio check needs d >= 5, got {ctx.d}")
+    _require_minimum_modulus(ctx.d)
     x = Fraction(x)
     g = gate_value(pair)
     _same_field(g.b, g.r, ctx.d)

@@ -44,8 +44,7 @@ def dense_identity(pair: KraitchikPair) -> tuple[bool, Optional[int]]:
     lhs = dense_cyclotomic(pair.d) * 4
     psi, xi = DensePoly(pair.a[::-1]), DensePoly(pair.b[::-1])
     rhs = psi * psi - (xi * xi) * pair.ctx.D
-    top = max(lhs.degree, rhs.degree)
-    for k in range(top + 1):
+    for k in range(max(len(lhs.coeffs), len(rhs.coeffs))):
         if lhs[k] != rhs[k]:
             return False, k
     return True, None

@@ -9,7 +9,8 @@ the integer-mantissa module must return bit-identical endpoints
 (``tests/test_interval.py``).  Its ``ln`` is the untabled kernel: it runs
 the atanh series on the mantissa in [1, 2) itself (after the same square-root
 reduction above 128 bits), without ``kraitchik.interval``'s table step, which
-is checked against it bit for bit.
+is checked against it bit for bit; both take ln 2 from that series at
+z = 1/3, on the kernel's own grid.
 
 ``iv_sqrt``, ``iv_exp``, ``iv_pow`` and the constant e live only here, for
 the two verdict oracles in direct form: ``three_bounds`` is the strict
@@ -18,12 +19,14 @@ bound's right side, t1, t2 and t3 as products of powers, and
 (1 - 1/x)^(-G) written as an exponential.  ``kraitchik.bounds`` and
 ``kraitchik.ratio`` decide the same inequalities in log space.
 ``to_mantissas`` turns an enclosure into the integer-mantissa form that
-``kraitchik.interval.decide`` reads.
+``kraitchik.interval.decide`` reads, and ``as_fractions`` turns one back for
+the tests to read its ends, width and containment; ``show`` prints either kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -187,22 +190,10 @@ def _atanh_series_scaled(zn: int, zd: int, ws: int, roundup: bool) -> int:
 
 
 @lru_cache(maxsize=None)
-def _ln2_bounds(bits: int) -> tuple[Fraction, Fraction]:
-    """ln 2 = 2 atanh(1/3), scaled-integer series with exact powers."""
-    ws = bits + 16
-    lo = hi = 0
-    qpow = 3
-    i = 0
-    while True:
-        t = (1 << ws) // (qpow * (2 * i + 1))
-        lo += t
-        hi += t + 1
-        if t == 0:
-            hi += 2
-            break
-        i += 1
-        qpow *= 9
-    return Fraction(2 * lo, 1 << ws), Fraction(2 * hi, 1 << ws)
+def _ln2_bounds(ws: int) -> tuple[Fraction, Fraction]:
+    """ln 2 = 2 atanh(1/3) on the 2^-ws grid, by the series that ``ln`` runs on its mantissa."""
+    lo, hi = (2 * _atanh_series_scaled(1, 3, ws, roundup) for roundup in (False, True))
+    return Fraction(lo, 1 << ws), Fraction(hi, 1 << ws)
 
 
 def _ln_point_bounds(t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
@@ -228,7 +219,7 @@ def _ln_point_bounds(t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     lnm_lo, lnm_hi = s_lo * scale, s_hi * scale
     if k == 0:
         return lnm_lo, lnm_hi
-    l2lo, l2hi = _ln2_bounds(bits + 8)
+    l2lo, l2hi = _ln2_bounds(ws)
     if k > 0:
         return lnm_lo + k * l2lo, lnm_hi + k * l2hi
     return lnm_lo + k * l2hi, lnm_hi + k * l2lo
@@ -305,11 +296,6 @@ def iv_const_pi(prec: int) -> DyadicInterval:
 
 def iv_const_e(prec: int) -> DyadicInterval:
     lo, hi = _e_bounds(prec + GUARD_BITS)
-    return _make(lo, hi, prec)
-
-
-def iv_const_ln2(prec: int) -> DyadicInterval:
-    lo, hi = _ln2_bounds(prec + GUARD_BITS)
     return _make(lo, hi, prec)
 
 
@@ -464,3 +450,19 @@ def to_mantissas(x: DyadicInterval) -> mantissa_interval.DyadicInterval:
     if lo.denominator != 1 or hi.denominator != 1:
         raise ValueError(f"{x!r} is off the 2^-{g} grid")
     return mantissa_interval.DyadicInterval(int(lo), int(hi), x.prec)
+
+
+def as_fractions(x) -> DyadicInterval:
+    """The enclosure ``x`` with Fraction ends: a mantissa interval exactly, and one of this module as it is."""
+    if isinstance(x, DyadicInterval):
+        return x
+    scale = 1 << (x.prec + GUARD_BITS)
+    return DyadicInterval(Fraction(x.lo_m, scale), Fraction(x.hi_m, scale), x.prec)
+
+
+def show(x) -> str:
+    """An enclosure with 17 significant digits rounded outward; float() overflows past 2^1024."""
+    x = as_fractions(x)
+    lo = Context(prec=17, rounding=ROUND_FLOOR).divide(x.lo.numerator, x.lo.denominator)
+    hi = Context(prec=17, rounding=ROUND_CEILING).divide(x.hi.numerator, x.hi.denominator)
+    return f"DyadicInterval({lo}, {hi}, prec={x.prec})"

@@ -12,7 +12,9 @@ binom(X, m) expanded as X(X-1)...(X-m+1)/m!, the reference for the collapse.
 and mirrored the rest: the integer recursion run to m = d', with no gate.
 ``growth_base`` is ``kraitchik.bounds``'s growth base as it was before it
 became one integer maximum: a Fraction floor from ``surd_base``, raised by
-each divisor's phi(f)/2 in turn.
+each divisor's phi(f)/2 in turn.  ``ramanujan_h`` is the sum of the k-th
+powers of the primitive d-th roots of unity for any d >= 1, the reference for
+the rational part of ``power_sum_doubled``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from fractions import Fraction
 
 from kraitchik.construct import KraitchikPair, _exact_quotient, _pair_dot
-from kraitchik.numtheory import divisors, euler_phi, squarefree_decompose
+from kraitchik.numtheory import divisors, euler_phi, mobius, squarefree_decompose
 from kraitchik.poly import DensePoly
 from kraitchik.powersums import DiscriminantContext, power_sum_doubled, power_sum_s
 from kraitchik.qfield import QuadElem, RadicandMismatch, cmp_surd
@@ -143,3 +145,10 @@ def growth_base(ctx: DiscriminantContext, n: int, floor_value: QuadElem) -> Quad
             if cmp_surd(best.a, best.b, best.r, cand) < 0:
                 best = QuadElem(cand, 0, best.r)
     return best
+
+
+def ramanujan_h(d: int, k: int) -> int:
+    """Sum of the k-th powers of the primitive d-th roots of unity for any d >= 1 (the tests
+    take products): mu(d/f) phi(d)/phi(d/f) with f = gcd(k, d), mu(d/f) phi(f) at squarefree d."""
+    cofactor = d // math.gcd(k, d)
+    return mobius(cofactor) * euler_phi(d) // euler_phi(cofactor)

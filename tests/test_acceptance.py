@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 
 import mpmath
+from interval_oracle import as_fractions
 from oracles import falling_factorial_poly, second_coefficient_closed_form, u_coefficients
 
 from kraitchik.bounds import check_coefficient_bounds, check_explicit_bound
@@ -184,7 +185,7 @@ def test_criterion_9_ratio_suite(pairs_149):
         assert spot.lhs_exact == F(1, 171)
         G = (1 + mpmath.sqrt(5)) / 2
         refs = (mpmath.log(1 + G / 4 + mpmath.sqrt(5) / 76), G * mpmath.log(mpmath.mpf(4) / 3))
-        for side, ref in zip(_log_sides(gate_value(pairs_149[5]), F(4), F(1, 76), 5, 64), refs):
+        for side, ref in zip(map(as_fractions, _log_sides(gate_value(pairs_149[5]), F(4), F(1, 76), 5, 64)), refs):
             assert _mp(side.lo) <= ref <= _mp(side.hi)
 
         # Every verdict must be the truth, as told by the mpmath oracle: a

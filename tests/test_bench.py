@@ -85,16 +85,49 @@ def test_line_deltas_tell_a_deletion_from_a_move_into_tests(bench, tmp_path):
     assert bench.line_deltas(same, same) == {"src_lines_delta": 0, "tests_lines_delta": 0}
 
 
-def test_working_tree_state_names_head_and_uncommitted_paths(bench, tmp_path, monkeypatch):
-    def git(*args):
-        return subprocess.run(["git", *args], cwd=tmp_path, check=True, capture_output=True, text=True).stdout
+def git_repo(root):
+    """A git repository at ``root`` with one commit of ``a.py``, and a runner of git in it."""
 
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True, text=True).stdout
+
+    root.mkdir(exist_ok=True)
     git("init", "-q")
-    (tmp_path / "a.py").write_text("x = 1\n")
+    git("config", "user.name", "t")
+    git("config", "user.email", "t@example.org")
+    (root / "a.py").write_text("x = 1\n")
     git("add", "a.py")
-    git("-c", "user.name=t", "-c", "user.email=t@example.org", "commit", "-qm", "one")
+    git("commit", "-qm", "one")
+    return git
+
+
+def test_working_tree_state_names_head_and_uncommitted_paths(bench, tmp_path, monkeypatch):
+    git = git_repo(tmp_path)
     monkeypatch.setattr(bench, "ROOT", tmp_path)
     head = git("rev-parse", "HEAD").strip()
     assert bench.working_tree_state() == {"rev": head, "uncommitted": []}
     (tmp_path / "a.py").write_text("x = 2\n")
     assert bench.working_tree_state() == {"rev": head, "uncommitted": [" M a.py"]}
+
+
+def test_change_side_is_unpacked_from_head_or_a_stash_commit(bench, tmp_path, monkeypatch):
+    repo, dest = tmp_path / "repo", tmp_path / "unpacked"
+    dest.mkdir()
+    git = git_repo(repo)
+    monkeypatch.setattr(bench, "ROOT", repo)
+
+    # untracked files that are not Python, or outside src/, tests/ and perfbench/, are not refused
+    write_tree(repo, {"notes.py": "n\n", "src/data.txt": "d\n"})
+    assert bench.change_source() == "HEAD"
+    # an edit and a staged new file are in the stash commit; the working tree is left as it was
+    write_tree(repo, {"a.py": "x = 2\n", "src/b.py": "y = 1\n"})
+    git("add", "src/b.py")
+    bench.unpack(bench.change_source(), dest)
+    unpacked = sorted((path.relative_to(dest).as_posix(), path.read_text()) for path in dest.rglob("*.py"))
+    assert unpacked == [("a.py", "x = 2\n"), ("src/b.py", "y = 1\n")]
+    assert git("status", "--porcelain", "--untracked-files=no").split() == ["M", "a.py", "A", "src/b.py"]
+    for sub in ("src", "tests", "perfbench"):
+        write_tree(repo, {f"{sub}/new.py": "z = 1\n"})
+        with pytest.raises(ValueError, match=f"{sub}/new.py"):
+            bench.change_source()
+        (repo / sub / "new.py").unlink()

@@ -372,6 +372,7 @@ def test_log_bounds_contain_the_mpmath_logarithms(prec):
         for d, n in sample:
             base = abs_bound_base(ctx(d), n)
             for got, ref in zip(bounds._log_bounds(base, n, prec), reference_log_bounds(base, n)):
+                got = interval_oracle.as_fractions(got)
                 lo, hi = got.lo, got.hi
                 assert mpmath.mpf(lo.numerator) / lo.denominator <= ref <= mpmath.mpf(hi.numerator) / hi.denominator
                 assert got.width < F(1, 2 ** (prec - 16)), (d, n)

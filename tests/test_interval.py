@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import interval_oracle
 import mpmath
 import pytest
+from interval_oracle import as_fractions, show
 
 from kraitchik import bounds, interval, ratio
 from kraitchik.interval import (
@@ -14,7 +15,6 @@ from kraitchik.interval import (
     VERIFIED,
     DyadicInterval,
     IntervalDomainError,
-    _ln2_bounds,
     decide,
     iv_add,
     iv_const_pi,
@@ -35,8 +35,8 @@ def as_mpf(q: Fraction) -> mpmath.mpf:
     return mpmath.mpf(q.numerator) / q.denominator
 
 
-def assert_contains(ivl: DyadicInterval, ref) -> None:
-    assert as_mpf(ivl.lo) <= ref <= as_mpf(ivl.hi), (float(ivl.lo), ref, float(ivl.hi))
+def assert_contains(ivl, ref) -> None:
+    assert as_mpf(as_fractions(ivl).lo) <= ref <= as_mpf(as_fractions(ivl).hi), (show(ivl), ref)
 
 
 def iv_abs(x: DyadicInterval, prec: int) -> DyadicInterval:
@@ -47,14 +47,9 @@ def iv_abs(x: DyadicInterval, prec: int) -> DyadicInterval:
     return DyadicInterval(0, max(-x.lo_m, x.hi_m), prec)
 
 
-def iv_const_ln2(prec: int) -> DyadicInterval:
-    lo, hi = _ln2_bounds(prec + GUARD_BITS)  # mantissas over 2^(prec + GUARD_BITS + 16)
-    return DyadicInterval(lo >> 16, -(-hi >> 16), prec)
-
-
 def test_from_rat_width_contract():
     for prec in (20, 64, 200):
-        ivl = iv_from_rat(F(1, 3), prec)
+        ivl = as_fractions(iv_from_rat(F(1, 3), prec))
         assert ivl.contains(F(1, 3))
         assert ivl.width <= F(2) ** (1 - prec)
 
@@ -63,11 +58,11 @@ def test_from_surd_examples():
     with mpmath.workdps(50):
         golden = iv_from_surd(F(1, 2), F(1, 2), 5, 64)
         assert_contains(golden, (1 + mpmath.sqrt(5)) / 2)
-        assert golden.width <= F(2) ** -63
-        assert iv_from_surd(F(0), F(0), 5, 64).contains(0)
+        assert as_fractions(golden).width <= F(2) ** -63
+        assert as_fractions(iv_from_surd(F(0), F(0), 5, 64)).contains(0)
         # cancellation between the parts must not defeat the width contract
         tight = iv_from_surd(F(-665857, 1), F(470832, 1), 2, 64)  # ~ -7.5e-7
-        assert tight.width <= F(2) ** -63
+        assert as_fractions(tight).width <= F(2) ** -63
         assert_contains(tight, -665857 + 470832 * mpmath.sqrt(2))
 
 
@@ -76,8 +71,7 @@ def test_constants():
         for prec in (30, 64, 128):
             pi = iv_const_pi(prec)
             assert_contains(pi, mpmath.pi)
-            assert pi.width <= F(2) ** (1 - prec)
-            assert_contains(iv_const_ln2(prec), mpmath.log(2))
+            assert as_fractions(pi).width <= F(2) ** (1 - prec)
 
 
 # exp and powers are the direct forms' kernels in the Fraction-endpoint oracle only
@@ -287,7 +281,7 @@ def test_random_trees_containment():
 def _outcome(tree: Node, prec: int, iv):
     """The enclosure's exact endpoints, or the domain error's name."""
     try:
-        ivl = tree.interval(prec, iv)
+        ivl = as_fractions(tree.interval(prec, iv))
     except (IntervalDomainError, interval_oracle.IntervalDomainError) as exc:
         return type(exc).__name__
     return ivl.lo, ivl.hi, ivl.prec
@@ -349,23 +343,39 @@ def test_ln_kernel_rounds_outward_next_to_grid_points(bits):
                     assert lo <= want[0] and want[1] <= hi and hi - lo <= 2, (t, k, side)
 
 
-@pytest.mark.parametrize("ws", [144, 336, 1104])
+# ln's working scale 2^-ws at each rung 64..4096: the table's entries, and ln 2 for the power of two
+@pytest.mark.parametrize("ws", [prec + GUARD_BITS + 48 for prec in precision_ladder()])
 def test_ln_table_encloses_the_logs_it_stands_for(ws):
     lows, highs = interval._ln_table(ws, False), interval._ln_table(ws, True)
     assert len(lows) == len(highs) == 1 << interval.TABLE_BITS
     with mpmath.workprec(ws + 64):
+        assert interval._ln2_bound(ws, False) < mpmath.ln2 * 2**ws < interval._ln2_bound(ws, True)
         for t, (lo, hi) in enumerate(zip(lows, highs)):
             ref = mpmath.log(1 + mpmath.mpf(t) / 64) * mpmath.mpf(2) ** ws
             assert lo <= ref <= hi, t
 
 
+@pytest.mark.parametrize("k", [1, -1, 64, -64, 1500, -1500])
+def test_ln_of_a_power_of_two_multiple_is_enclosed_at_every_rung(k):
+    # q = m * 2^k with ln q a hair below or above a point of the output grid, so that
+    # k ln 2 taken with the wrong directed bound shows; ln's kernel is called on q
+    # itself, since 2^-1500 lies below the grid of every rung that iv_ln reads
+    for prec in precision_ladder():  # the rungs 64..4096
+        bits = prec + GUARD_BITS
+        with mpmath.workprec(bits + 300):
+            n = int(mpmath.floor((mpmath.log(mpmath.mpf(3) / 2) + k * mpmath.ln2) * 2**bits))
+            for side in (-1, 1):
+                man, exp = (mpmath.exp(mpmath.mpf(n) / 2**bits) * (1 + side * mpmath.mpf(2) ** -(bits + 200))).man_exp
+                q = F(man) * F(2) ** exp
+                assert interval._ilog2_floor(q.numerator, q.denominator) == k
+                lo, hi = (interval._ln_bound(q.numerator, q.denominator, bits, up) for up in (False, True))
+                ref = mpmath.log(mpmath.mpf(man) * mpmath.mpf(2) ** exp) * 2**bits
+                assert lo <= ref <= hi and hi - lo <= 2, (prec, side)
+
+
 def test_constants_match_the_fraction_oracle():
     for prec in (30, 64, 256, 1024):
-        for new, old in [
-            (iv_const_pi(prec), ORACLE.iv_const_pi(prec)),
-            (iv_const_ln2(prec), ORACLE.iv_const_ln2(prec)),
-        ]:
-            assert (new.lo, new.hi) == (old.lo, old.hi)
+        assert as_fractions(iv_const_pi(prec)) == ORACLE.iv_const_pi(prec)
 
 
 @pytest.fixture(params=[64, 256])
@@ -405,7 +415,7 @@ def test_log_bounds_match_the_fraction_oracle(both_modules, cold_bounds_caches):
     cold_bounds_caches()
     old = [bounds._log_bounds(base, n, prec) for base, n in cases]
     for (base, n), ts, refs in zip(cases, new, old):
-        assert [(t.lo, t.hi) for t in ts] == [(t.lo, t.hi) for t in refs], (base, n)
+        assert list(map(as_fractions, ts)) == list(refs), (base, n)
 
 
 def test_ratio_envelopes_match_the_fraction_oracle(both_modules, monkeypatch, pairs_149):
@@ -424,7 +434,7 @@ def test_ratio_envelopes_match_the_fraction_oracle(both_modules, monkeypatch, pa
         for pair in pairs_149.values():
             for x in ratio.default_sample_points(pair):
                 ratio.check_ratio_approx(pair, x)
-        return [[(side.lo, side.hi) for side in sides] for sides in captured]
+        return [list(map(as_fractions, sides)) for sides in captured]
 
     new = log_sides()
     use(ratio, ORACLE)
@@ -441,12 +451,12 @@ def test_mixed_precisions_are_refused():
 def test_repr_past_the_float_range():
     # float() overflows at 2^1024, which would turn a failing assertion's report into a second crash
     big = iv_from_rat(2**1500, 64)
-    assert repr(big) == "DyadicInterval(3.5074662110434038E+451, 3.5074662110434039E+451, prec=64)"
+    assert show(big) == "DyadicInterval(3.5074662110434038E+451, 3.5074662110434039E+451, prec=64)"
     base = bounds.abs_bound_base(DiscriminantContext.for_modulus(6997), 3000)
     t3 = ORACLE.to_mantissas(ORACLE.three_bounds(base, 3000, 64)[2])
-    assert repr(t3).startswith("DyadicInterval(6.77") and repr(t3).endswith("E+915, prec=64)")
+    assert show(t3).startswith("DyadicInterval(6.77") and show(t3).endswith("E+915, prec=64)")
     # 17 digits rounded outward: the printed endpoints still enclose the value
-    assert repr(iv_from_rat(F(-1, 3), 64)) == "DyadicInterval(-0.33333333333333334, -0.33333333333333333, prec=64)"
+    assert show(iv_from_rat(F(-1, 3), 64)) == "DyadicInterval(-0.33333333333333334, -0.33333333333333333, prec=64)"
 
 
 def test_inverted_interval_message_survives_huge_mantissas():

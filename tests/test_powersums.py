@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import powersum_oracle
 import pytest
+from oracles import ramanujan_h
 from mpmath import iv
 from mpmath.libmp import to_rational
 
@@ -14,7 +15,6 @@ from kraitchik.powersums import (
     power_sum_doubled,
     power_sum_s,
     quad_in_enclosure,
-    ramanujan_h,
     residue_sum_enclosure,
 )
 from kraitchik.qfield import QuadElem

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from oracles import Quad
 
-from kraitchik.qfield import QuadElem, RadicandMismatch, abs_real, cmp_real, cmp_surd, sign_real
+from kraitchik.qfield import QuadElem, RadicandMismatch, abs_real, cmp_real, cmp_surd
 
 F = Fraction
 
@@ -116,13 +116,13 @@ def test_cmp_surd_against_highprec_decimal():
 
 
 def test_sign_helpers():
-    assert sign_real(q(F(1, 2), F(1, 2), 5)) == 1
-    assert sign_real(q(1, -1, 5)) == -1  # 1 - sqrt(5) < 0
-    assert sign_real(q(0, 0, 5)) == 0
+    assert cmp_real(q(F(1, 2), F(1, 2), 5), 0) == 1
+    assert cmp_real(q(1, -1, 5), 0) == -1  # 1 - sqrt(5) < 0
+    assert cmp_real(q(0, 0, 5), 0) == 0
     assert abs_real(q(1, -1, 5)) == q(-1, 1, 5)
     assert cmp_real(q(0, 1, 5), q(2, 0, 5)) == 1
     with pytest.raises(ValueError):
-        sign_real(q(1, 1, -7))
+        cmp_real(q(1, 1, -7), 0)
 
 
 def lift(v):
@@ -146,13 +146,13 @@ def test_cmp_real_and_abs_real_match_the_quad_difference(shape):
             with pytest.raises(RadicandMismatch):
                 lift(x) - lift(y)
             return
-        want = sign_real(lift(x) - lift(y))
+        want = cmp_real(lift(x) - lift(y), 0)
         assert cmp_real(x, y) == want
         if isinstance(y, QuadElem):
             assert cmp_real(y, x) == -want
         for v in (x, y):
             if isinstance(v, QuadElem):
-                assert abs_real(v) == (lift(v) if sign_real(v) >= 0 else -lift(v))
+                assert abs_real(v) == (lift(v) if cmp_real(v, 0) >= 0 else -lift(v))
                 assert abs_real(v).r == v.r
 
     run()

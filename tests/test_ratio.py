@@ -67,7 +67,7 @@ def test_spot_value_d5_x4(monkeypatch):
     with mpmath.workdps(50):
         G = (1 + mpmath.sqrt(5)) / 2
         refs = (mpmath.log(1 + G / 4 + mpmath.sqrt(5) / 76), G * mpmath.log(mpmath.mpf(4) / 3))
-        for side, ref in zip((decision.lhs, decision.rhs), refs):
+        for side, ref in zip(map(interval_oracle.as_fractions, (decision.lhs, decision.rhs)), refs):
             assert as_mpf(side.lo) <= ref <= as_mpf(side.hi)
 
 
@@ -96,7 +96,7 @@ def test_d7_x100_falsified_exactly(monkeypatch):
     rep, decision = deciding_sides(monkeypatch, psi_xi(7), 100)
     assert rep.verdict == "falsified"
     assert rep.lhs_exact == F(3367, 67331583)
-    assert decision.lhs.lo >= decision.rhs.hi
+    assert decision.lhs.lo_m >= decision.rhs.hi_m
 
 
 def test_large_x_sanity():

@@ -82,26 +82,42 @@ def test_src_reads_no_environment():
     assert found == []
 
 
-def test_every_public_src_name_has_a_non_test_user():
-    # code that only tests call belongs in tests/: each public function or class in src/
-    # is read outside its own definition by src/, scripts/ or perfbench/ (whose tracer
-    # names functions by string), or exported in kraitchik.__all__, the only thing that
-    # keeps ramanujan_h; imports alone do not count
-    import kraitchik
+def attribute_reads(node: ast.AST, member: str | None = None) -> set:
+    """The attribute names under ``node``, except those inside a function that name the function itself."""
+    if isinstance(node, ast.FunctionDef):
+        member = node.name
+    found = {node.attr} if isinstance(node, ast.Attribute) and node.attr != member else set()
+    for child in ast.iter_child_nodes(node):
+        found |= attribute_reads(child, member)
+    return found
 
-    used = set(kraitchik.__all__)
+
+def test_every_public_src_name_has_a_non_test_user():
+    # code that only tests call belongs in tests/: a public function or class of src/ is read
+    # outside its definition by src/, scripts/ or perfbench/, a public method or property as
+    # an attribute outside its own body by src/ or scripts/; perfbench/'s strings (its tracer
+    # names code) count for both, imports and __all__ not.  Dunders are checked by hand
+    names, members = set(), set()
     for sub in ("src", "scripts", "perfbench"):
         for path in sorted((SRC.parent.parent / sub).rglob("*.py")):
-            for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-                nodes = list(ast.walk(stmt))
-                found = {getattr(node, "id", None) or getattr(node, "attr", None) for node in nodes}
-                if sub == "perfbench":
-                    found |= {node.value for node in nodes if isinstance(node, ast.Constant)}
-                used |= found - {getattr(stmt, "name", None)}
-    unused = [
-        f"{path.name}:{node.name}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.parse(path.read_text(), filename=str(path)).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_") and node.name not in used
-    ]
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for stmt in tree.body:
+                found = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(stmt)}
+                names |= found - {getattr(stmt, "name", None)}
+            if sub == "perfbench":
+                strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+                names, members = names | strings, members | strings
+            else:
+                members |= attribute_reads(tree)
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_") and node.name not in names:
+                unused.append(f"{path.name}:{node.name}")
+            if isinstance(node, ast.ClassDef):
+                unused += [
+                    f"{path.name}:{node.name}.{m.name}"
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_") and m.name not in members
+                ]
     assert unused == []
