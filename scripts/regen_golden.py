@@ -6,8 +6,11 @@ check and still matches the classical coefficient lists, so a construction
 regression cannot silently rewrite the reference.  The identity check is
 ``psi_xi``'s own gate: it hands out only pairs that satisfy
 4*Phi_d = Psi_d^2 - D*Xi_d^2 exactly, and raises ``IdentityGateError`` otherwise.
+
+Usage: ``PYTHONPATH=src python scripts/regen_golden.py``; it takes no arguments.
 """
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -22,7 +25,10 @@ CLASSICAL = {
 }
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    argparse.ArgumentParser(
+        description="Rewrite golden/table_5_13.txt once every row passes the identity gate and the classical table."
+    ).parse_args(argv)
     pairs = []
     for d, (a, b) in CLASSICAL.items():
         try:
@@ -41,4 +47,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

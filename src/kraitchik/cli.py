@@ -33,14 +33,20 @@ import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from .bounds import FALSIFIED, UNRESOLVED, VERIFIED, check_coefficient_bounds, check_explicit_bound
 from .construct import IdentityGateError, KraitchikPair, check_symmetry, psi_xi
 from .interval import DEFAULT_MAX_PRECISION, MAX_PRECISION_CEILING, checked_precision
 from .numtheory import euler_phi, odd_squarefree_range
 from .poly import DensePoly, format_poly
-from .powersums import DiscriminantContext, power_sum_doubled, quad_in_enclosure, residue_sum_enclosure
+from .powersums import (
+    DiscriminantContext,
+    orbit_representatives,
+    power_sum_doubled,
+    quad_in_enclosure,
+    residue_sum_enclosure,
+)
 from .ratio import default_sample_points, ratio_table
 from .symfunc import (
     elementary_brute,
@@ -169,14 +175,22 @@ def _suite_ratio(pair: KraitchikPair, precision_max: int) -> list[Row]:
 
 
 def _suite_gauss_oracle(d: int) -> list[Row]:
-    """Closed-form power sums against validated enclosures; needs no pair."""
+    """Closed-form power sums against validated enclosures; needs no pair.
+
+    The residue sum is the same for every k of one orbit (``orbit_representatives``),
+    so each orbit's sum is enclosed once, at its least k.  Every k still has its own
+    closed form tested against that enclosure, once per distinct closed form."""
     ctx = DiscriminantContext.for_modulus(d)
-    verdicts = {}
-    for k in range(1, d + 1):
-        box = residue_sum_enclosure(d, k)
+    reps = orbit_representatives(d)
+    boxes = {rep: residue_sum_enclosure(d, rep) for rep in set(reps)}
+
+    @cache
+    def verdict(rep: int, p: int, q: int) -> str:
+        box = boxes[rep]
         wide = box.width_mantissa() * 10**9 > 1 << box.bits  # wider than 1e-9, exactly
-        inside = not wide and quad_in_enclosure(*power_sum_doubled(ctx, k), ctx.D, box)
-        verdicts[k] = VERIFIED if inside else FALSIFIED
+        return VERIFIED if not wide and quad_in_enclosure(p, q, ctx.D, box) else FALSIFIED
+
+    verdicts = {k: verdict(reps[k % d], *power_sum_doubled(ctx, k)) for k in range(1, d + 1)}
     return _modulus_row(d, verdicts, "k")
 
 

@@ -26,31 +26,10 @@ class DensePoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __getitem__(self, k: int):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DensePoly):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: "DensePoly") -> "DensePoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return DensePoly(out)
-
-    def __neg__(self) -> "DensePoly":
-        return DensePoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "DensePoly") -> "DensePoly":
-        return self + (-other)
 
     def __mul__(self, other) -> "DensePoly":
         if not isinstance(other, DensePoly):  # scalar
@@ -94,9 +73,6 @@ class DensePoly:
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * x + c
         return 0 if acc is None else acc
-
-    def __repr__(self) -> str:
-        return f"DensePoly({format_poly(self.coeffs)})"
 
 
 def _exact_div(c, lead):

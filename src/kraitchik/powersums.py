@@ -11,11 +11,15 @@ which the construction consumes exactly, doubled to the integer pair
 (p, q) meaning p + q sqrt(D) (``power_sum_doubled``).  The numeric side
 computes a validated complex enclosure of the same residue sum at one
 precision, ``DIGITS``, so that the closed form is checked against something
-independent: mpmath's interval arithmetic encloses cos and sin of 2*pi*a/d
-once per modulus, rounded outward to integer mantissas, and each sum over
-the residues is an exact integer sum of those mantissas.  The quadratic
-Gauss sum needs no enclosure of its own: it is 2*s - p, where p, the rational
-part of ``power_sum_doubled``, is the Ramanujan sum mu(d/f) phi(f).
+independent: mpmath's interval arithmetic encloses cos and sin of 2*pi/d
+once per modulus, rounded outward to integer mantissas; the other roots are
+its powers, outward-rounded integer complex products whose widths grow about
+linearly in d (``_root_table``); and each sum over the residues is an exact
+integer sum of those mantissas.  The residues R form a subgroup of the units
+mod d, so the sum is the same for every k of one orbit k*R and is enclosed
+once per orbit (``orbit_representatives``).  The quadratic Gauss sum needs
+no enclosure of its own: it is 2*s - p, where p, the rational part of
+``power_sum_doubled``, is the Ramanujan sum mu(d/f) phi(f).
 """
 
 from __future__ import annotations
@@ -99,28 +103,44 @@ class RootTable(NamedTuple):
     residues: tuple[int, ...]
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)  # the suite reads one modulus at a time
 def _root_table(d: int) -> RootTable:
-    """One table per modulus: mpmath encloses cos and sin for a <= d//2 only,
-    and cos(2pi(d-a)/d) = cos(2pi a/d), sin(2pi(d-a)/d) = -sin(2pi a/d)
-    give the rest.  Endpoints are floored (lo) and ceiled (hi) onto the grid
-    of 2^-(prec + GUARD_BITS), so every later sum is exact."""
+    """One table per modulus, from one enclosed root.  mpmath encloses cos and
+    sin of 2*pi/d; each endpoint is floored (lo) or ceiled (hi) onto the grid of
+    2^-(prec + GUARD_BITS), so every later sum is exact.  zeta^a for
+    2 <= a <= d//2 is the complex product zeta^(a-1) * zeta on those integer
+    mantissas: each real product ranges over its four corner products, and each
+    end is again floored or ceiled onto the grid.  cos(2pi(d-a)/d) = cos(2pi a/d)
+    and sin(2pi(d-a)/d) = -sin(2pi a/d) give the rest.
+
+    Each product widens zeta^(a-1)'s enclosure by at most a factor
+    cos(2pi/d) + sin(2pi/d) <= 1 + 2pi/d and adds about twice zeta's own width
+    plus two grid units, so after a <= d/2 products the width is below
+    a * e^pi times that increment: it grows about linearly in d.  At
+    DIGITS = 25 (86 bits) the widest root is about 2^-75 wide at d = 1001 and
+    2^-72 at d = 6997, far inside the gauss-oracle suite's 1e-9 (about 2^-30)."""
     old = iv.dps
     iv.dps = DIGITS
     try:
         bits = iv.prec + GUARD_BITS
-        two_pi = 2 * iv.pi
-        half = [(iv.cos(two_pi * a / d), iv.sin(two_pi * a / d)) for a in range(d // 2 + 1)]
+        angle = 2 * iv.pi / d
+        root = iv.cos(angle), iv.sin(angle)
     finally:
         iv.dps = old
-
-    def mantissas(xs):
-        lo = [to_int(mpf_shift(x._mpi_[0], bits), round_floor) for x in xs]
-        hi = [to_int(mpf_shift(x._mpi_[1], bits), round_ceiling) for x in xs]
-        return lo, hi
-
-    cos_lo, cos_hi = mantissas([c for c, _ in half])
-    sin_lo, sin_hi = mantissas([s for _, s in half])
+    (c_lo, c_hi), (s_lo, s_hi) = (
+        (to_int(mpf_shift(x._mpi_[0], bits), round_floor), to_int(mpf_shift(x._mpi_[1], bits), round_ceiling))
+        for x in root
+    )
+    cos_lo, cos_hi, sin_lo, sin_hi = [1 << bits, c_lo], [1 << bits, c_hi], [0, s_lo], [0, s_hi]
+    for _ in range(2, d // 2 + 1):
+        # (x + iy)(c + is) = (xc - ys) + i(xs + yc)
+        x, y = (cos_lo[-1], cos_hi[-1]), (sin_lo[-1], sin_hi[-1])
+        xc, ys = _product_range(*x, c_lo, c_hi), _product_range(*y, s_lo, s_hi)
+        xs, yc = _product_range(*x, s_lo, s_hi), _product_range(*y, c_lo, c_hi)
+        cos_lo.append((xc[0] - ys[1]) >> bits)
+        cos_hi.append(-((ys[0] - xc[1]) >> bits))
+        sin_lo.append((xs[0] + yc[0]) >> bits)
+        sin_hi.append(-(-(xs[1] + yc[1]) >> bits))
     m = d // 2  # a = m+1..d-1 mirrors d-a = m..1
     return RootTable(
         bits,
@@ -130,6 +150,32 @@ def _root_table(d: int) -> RootTable:
         tuple(sin_hi + [-lo for lo in sin_lo[m:0:-1]]),
         tuple(a for a in range(d) if jacobi(a, d) == 1),
     )
+
+
+def _product_range(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> tuple[int, int]:
+    """The least and greatest of a*b over a in [a_lo, a_hi], b in [b_lo, b_hi]."""
+    corners = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
+    return min(corners), max(corners)
+
+
+def orbit_representatives(d: int) -> tuple[int, ...]:
+    """For each k mod d, the least k' in 1..d of k's orbit k*R, where R is the
+    residues of d; k = 0, written d, is its own orbit.
+
+    R is a subgroup of the units mod d: it is the kernel of the character
+    a -> (a/d), a homomorphism because the Jacobi symbol is completely
+    multiplicative in a.  Multiplying by r in R therefore permutes R, so
+    {k*r*a mod d : a in R} = {k*a mod d : a in R} as multisets, and
+    s_{k*r} = s_k.  The enclosures agree too: ``residue_sum_enclosure`` sums
+    the same table entries for k*r as for k.  There are 3 orbits at prime d
+    (0, the residues, the non-residues) and 9 at d = 105, 935 and 1001."""
+    residues = _root_table(d).residues
+    rep = [0] * d
+    for k in range(1, d + 1):
+        if not rep[k % d]:
+            for r in residues:
+                rep[k * r % d] = k
+    return tuple(rep)
 
 
 def residue_sum_enclosure(d: int, k: int) -> ComplexEnclosure:

@@ -59,11 +59,6 @@ class QuadElem:
             return hash(self.a)
         return hash((self.a, self.b, self.r))
 
-    def __repr__(self) -> str:
-        if self.b == 0:
-            return f"QuadElem({self.a})"
-        return f"QuadElem({self.a} + {self.b}*sqrt({self.r}))"
-
 
 def cmp_surd(x: Rational, y: Rational, d: int, q: Rational) -> int:
     """Exact order of x + y*sqrt(d) versus q: returns -1, 0 or +1.

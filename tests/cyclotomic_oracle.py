@@ -3,7 +3,7 @@ identity gate in ``kraitchik.construct``.
 
 This is ``cyclotomic`` and ``verify_identity`` as they were before both moved
 onto integer coefficient lists, kept unchanged as a test oracle: ``Phi_d`` is
-the dense ``DensePoly`` product of the ``X^e - 1`` factors with mu(d/e) = 1,
+the dense ``Poly`` product of the ``X^e - 1`` factors with mu(d/e) = 1,
 divided by the product of those with mu(d/e) = -1 through the schoolbook
 ``divmod``, and the identity is compared coefficient by coefficient after two
 dense squarings (``tests/test_construct.py``).
@@ -13,16 +13,17 @@ from __future__ import annotations
 
 from typing import Optional
 
+from oracles import Poly
+
 from kraitchik.construct import KraitchikPair
 from kraitchik.numtheory import divisors, mobius
-from kraitchik.poly import DensePoly
 
 
-def dense_cyclotomic(d: int) -> DensePoly:
+def dense_cyclotomic(d: int) -> Poly:
     """Phi_d over the integers via the Mobius product of (X^e - 1) factors."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    num = den = DensePoly([1])
+    num = den = Poly([1])
     for e in divisors(d):
         mu = mobius(d // e)
         if mu == 1:
@@ -35,14 +36,14 @@ def dense_cyclotomic(d: int) -> DensePoly:
     return quo
 
 
-def _x_power_minus_one(e: int) -> DensePoly:
-    return DensePoly([-1] + [0] * (e - 1) + [1])
+def _x_power_minus_one(e: int) -> Poly:
+    return Poly([-1] + [0] * (e - 1) + [1])
 
 
 def dense_identity(pair: KraitchikPair) -> tuple[bool, Optional[int]]:
     """(ok, first differing coefficient degree) of 4*Phi_d = Psi_d^2 - D*Xi_d^2."""
     lhs = dense_cyclotomic(pair.d) * 4
-    psi, xi = DensePoly(pair.a[::-1]), DensePoly(pair.b[::-1])
+    psi, xi = Poly(pair.a[::-1]), Poly(pair.b[::-1])
     rhs = psi * psi - (xi * xi) * pair.ctx.D
     for k in range(max(len(lhs.coeffs), len(rhs.coeffs))):
         if lhs[k] != rhs[k]:

@@ -4,9 +4,11 @@ slow exact reference for ``kraitchik.construct`` and ``kraitchik.bounds``.
 ``kraitchik.qfield.QuadElem`` is a plain record; ``Quad`` adds the field
 operations the oracles need.  A rational element (b = 0) combines with any
 radicand, and combining two genuinely irrational radicands raises
-``RadicandMismatch``.  ``u_coefficients`` is the construction as it was
-before ``psi_xi`` moved onto integer pairs: the closed-form power sums fed
-through the generic ``newton_elementary``.  ``falling_factorial_poly`` is
+``RadicandMismatch``.  ``Poly`` adds indexing, +, - and a readable repr to
+``kraitchik.poly.DensePoly``, which keeps only what ``src/`` uses.
+``u_coefficients`` is the construction as it was before ``psi_xi`` moved onto
+integer pairs: the closed-form power sums fed through the generic
+``newton_elementary``.  ``falling_factorial_poly`` is
 binom(X, m) expanded as X(X-1)...(X-m+1)/m!, the reference for the collapse.
 ``psi_xi_full`` is ``psi_xi`` as it was before it stopped at h = max(d'//2, 1)
 and mirrored the rest: the integer recursion run to m = d', with no gate.
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 from kraitchik.construct import KraitchikPair, _exact_quotient, _pair_dot
 from kraitchik.numtheory import divisors, euler_phi, mobius, squarefree_decompose
-from kraitchik.poly import DensePoly
+from kraitchik.poly import DensePoly, format_poly
 from kraitchik.powersums import DiscriminantContext, power_sum_doubled, power_sum_s
 from kraitchik.qfield import QuadElem, RadicandMismatch, cmp_surd
 from kraitchik.symfunc import newton_elementary
@@ -70,6 +72,48 @@ class Quad(QuadElem):
     def conj(self) -> "Quad":
         """Algebraic conjugate a - b*sqrt(r)."""
         return Quad(self.a, -self.b, self.r)
+
+    def __repr__(self) -> str:
+        if self.b == 0:
+            return f"Quad({self.a})"
+        return f"Quad({self.a} + {self.b}*sqrt({self.r}))"
+
+
+class Poly(DensePoly):
+    """A ``DensePoly`` with indexing, +, - and a readable repr; its products and
+    quotients are ``Poly`` too."""
+
+    __slots__ = ()
+
+    def __getitem__(self, k: int):
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+
+    def __add__(self, other: DensePoly) -> "Poly":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = out[i] + c
+        return Poly(out)
+
+    def __neg__(self) -> "Poly":
+        return Poly([-c for c in self.coeffs])
+
+    def __sub__(self, other: DensePoly) -> "Poly":
+        return self + (-Poly(other.coeffs))
+
+    def __mul__(self, other) -> "Poly":
+        return Poly(super().__mul__(other).coeffs)
+
+    __rmul__ = __mul__
+
+    def __divmod__(self, other: DensePoly) -> tuple["Poly", "Poly"]:
+        quo, rem = super().__divmod__(other)
+        return Poly(quo.coeffs), Poly(rem.coeffs)
+
+    def __repr__(self) -> str:
+        return f"Poly({format_poly(self.coeffs)})"
 
 
 def u_coefficients(ctx: DiscriminantContext) -> tuple:

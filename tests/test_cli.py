@@ -118,7 +118,7 @@ def test_regen_golden_refuses_a_failing_identity(capsys, monkeypatch):
     script = load_regen_golden()
     before = GOLDEN.read_bytes()
     monkeypatch.setattr(construct, "verify_identity", failing_identity)
-    assert script.main() == 1
+    assert script.main([]) == 1
     assert "refusing: identity" in capsys.readouterr().err
     assert GOLDEN.read_bytes() == before
 
@@ -128,9 +128,23 @@ def test_regen_golden_checks_each_identity_once(tmp_path, monkeypatch, identity_
     # main writes next to the script's parent; point that at a scratch tree
     monkeypatch.setattr(script, "__file__", str(tmp_path / "scripts" / "regen_golden.py"))
     (tmp_path / "golden").mkdir()
-    assert script.main() == 0
+    assert script.main([]) == 0
     assert identity_calls == [5, 7, 11, 13]
     assert (tmp_path / "golden" / "table_5_13.txt").read_bytes() == GOLDEN.read_bytes()
+
+
+@pytest.mark.parametrize("argv,code", [(["--help"], 0), (["--dmax", "13"], 2)])
+def test_regen_golden_writes_nothing_for_arguments(tmp_path, monkeypatch, capsys, identity_calls, argv, code):
+    # --help prints usage and an unknown argument is refused; neither builds nor writes a row
+    script = load_regen_golden()
+    monkeypatch.setattr(script, "__file__", str(tmp_path / "scripts" / "regen_golden.py"))
+    (tmp_path / "golden").mkdir()
+    with pytest.raises(SystemExit) as exc:
+        script.main(argv)
+    assert exc.value.code == code
+    assert "usage: " in (capsys.readouterr().out if code == 0 else capsys.readouterr().err)
+    assert identity_calls == []
+    assert list((tmp_path / "golden").iterdir()) == []
 
 
 @pytest.mark.parametrize("d", [cli.MAX_MODULUS + 1, cli.MAX_MODULUS + 2])

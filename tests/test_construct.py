@@ -5,7 +5,7 @@ import cyclotomic_oracle as oracle
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
-from oracles import Quad, half_polys, pair_u, psi_xi_full, second_coefficient_closed_form, u_coefficients
+from oracles import Poly, Quad, half_polys, pair_u, psi_xi_full, second_coefficient_closed_form, u_coefficients
 
 import kraitchik.construct as construct
 from kraitchik.construct import IdentityGateError, check_symmetry, cyclotomic, psi_xi, verify_identity
@@ -258,7 +258,7 @@ def test_division_by_x_power_minus_one_refuses_a_remainder(monkeypatch):
     st.lists(st.integers(min_value=-3, max_value=3), max_size=6),
 )
 def test_division_by_x_power_minus_one_matches_divmod(quo, e, rem):
-    quotient, remainder = DensePoly(quo), DensePoly(rem[:e])
+    quotient, remainder = Poly(quo), Poly(rem[:e])
     num = quotient * DensePoly([-1] + [0] * (e - 1) + [1]) + remainder
     if quotient.is_zero() or not remainder.is_zero():
         with pytest.raises(ArithmeticError):

@@ -164,19 +164,78 @@ def test_planted_errors_fall_outside_the_rectangles():
     assert signs == {True, False}
 
 
-def test_gauss_oracle_suite_reports_a_planted_error(monkeypatch):
-    real = cli.power_sum_doubled
+def plant(monkeypatch, ks):
+    """Make ``cli.power_sum_doubled`` wrong by 2 in p at each k in ``ks``."""
+    real = powersums.power_sum_doubled
 
     def planted(ctx, k):
         p, q = real(ctx, k)
-        return (p + 2, q) if k == 4 else (p, q)
+        return (p + 2, q) if k in ks else (p, q)
 
     monkeypatch.setattr(cli, "power_sum_doubled", planted)
-    assert cli._suite_gauss_oracle(13) == [("d=13", cli.FALSIFIED, "(at k=[4])")]
 
 
-def test_gauss_oracle_builds_one_mirrored_table_per_modulus(monkeypatch, capsys):
-    calls = {"cos": {}, "sin": {}}
+# At d = 13 the residues are 1, 3, 4, 9, 10, 12: k = 4 and 10 lie in the orbit of
+# k = 1 and k = 5 in that of k = 2, so only k = 1 and k = 13 lead their orbits.
+def test_gauss_oracle_suite_reports_a_planted_error(monkeypatch):
+    for ks in ([4], [1], [5, 10], [1, 4, 13]):
+        plant(monkeypatch, ks)
+        assert cli._suite_gauss_oracle(13) == [("d=13", cli.FALSIFIED, f"(at k={ks})")]
+        assert powersum_oracle.gauss_oracle_rows(13) == cli._suite_gauss_oracle(13)
+
+
+def test_gauss_oracle_suite_matches_the_per_k_oracle():
+    for d in odd_squarefree_range(3, 255):
+        assert cli._suite_gauss_oracle(d) == powersum_oracle.gauss_oracle_rows(d), d
+
+
+def test_power_sums_are_constant_on_residue_orbits():
+    # s_{k*r} = s_k for every residue r: the lemma behind one enclosure per orbit.
+    # power_sum_doubled reduces k mod d, so its values at k = 1..d stand for every k
+    for d in odd_squarefree_range(3, 255):
+        ctx = DiscriminantContext.for_modulus(d)
+        s = [power_sum_doubled(ctx, k or d) for k in range(d)]  # s[k % d]
+        residues = [r for r in range(1, d) if jacobi(r, d) == 1]
+        for k in range(1, d + 1):
+            assert all(s[k * r % d] == s[k % d] for r in residues), (d, k)
+
+
+@pytest.mark.parametrize("d,orbits", [(3, 3), (5, 3), (105, 9), (935, 9), (1001, 9)])
+def test_orbit_representatives(d, orbits):
+    reps = powersums.orbit_representatives(d)
+    residues = [r for r in range(1, d) if jacobi(r, d) == 1]
+    assert len(set(reps)) == orbits
+    for k in range(1, d + 1):
+        rep = reps[k % d]
+        assert 1 <= rep <= k and reps[rep % d] == rep, (d, k)
+        assert any(rep * r % d == k % d for r in residues), (d, k)
+
+
+def test_product_range_covers_every_sign():
+    intervals = [(-5, -3), (-2, 3), (4, 7)]
+    for a in intervals:
+        for b in intervals:
+            products = [x * y for x in range(a[0], a[1] + 1) for y in range(b[0], b[1] + 1)]
+            assert powersums._product_range(*a, *b) == (min(products), max(products)), (a, b)
+
+
+# Each power of the one enclosed root must hold a 40-digit enclosure of its own
+# root and stay narrow.  On the coarse grid (guard -8) a product that rounds
+# inward loses the root within a few hundred powers.
+@pytest.mark.parametrize("coarse_grid", [powersums.GUARD_BITS, -8], indirect=True)
+@pytest.mark.parametrize("d", [3, 5, 105, 1001])
+def test_powers_of_one_root_enclose_each_root_narrowly(coarse_grid, d):
+    t = powersums._root_table(d)
+    scale = 2**t.bits
+    for a, (c, s) in enumerate(_roots_at_40_digits(d)):
+        for lo_m, hi_m, x in ((t.cos_lo[a], t.cos_hi[a], c), (t.sin_lo[a], t.sin_hi[a], s)):
+            lo, hi = (F(*to_rational(e)) for e in x._mpi_)
+            assert lo_m <= lo * scale and hi * scale <= hi_m, (d, a)
+            assert hi_m - lo_m < 2 ** (t.bits - 60), (d, a)
+
+
+def test_gauss_oracle_encloses_one_root_per_modulus(monkeypatch, capsys):
+    calls = {"cos": [], "sin": []}
     moduli = []
     suite = cli._suite_gauss_oracle
 
@@ -186,7 +245,7 @@ def test_gauss_oracle_builds_one_mirrored_table_per_modulus(monkeypatch, capsys)
 
     def counting(name, f):
         def wrapper(x):
-            calls[name][moduli[-1]] = calls[name].get(moduli[-1], 0) + 1
+            calls[name].append(moduli[-1])
             return f(x)
 
         return wrapper
@@ -198,7 +257,4 @@ def test_gauss_oracle_builds_one_mirrored_table_per_modulus(monkeypatch, capsys)
     assert cli.main(["verify", "gauss-oracle", "--dmax", "35"]) == 0
     capsys.readouterr()
     assert moduli == list(odd_squarefree_range(5, 35))
-    for name in ("cos", "sin"):
-        assert set(calls[name]) == set(moduli), name
-        for d in moduli:
-            assert calls[name][d] <= d // 2 + 1, (name, d, calls[name][d])
+    assert calls == {"cos": moduli, "sin": moduli}
