@@ -13,15 +13,26 @@ integer ``cmp_surd``, and the winner becomes the one ``QuadElem``
 phi(f)/2 or a floor whose radicand is a square, as 1 + 1155 = 34^2) keeps
 the radicand of the floor's field.
 ``rising_factorial_bound`` returns the bound as integers (P, Q, K) meaning
-(P + Q*sqrt(r))/K, and ``check_coefficient_bounds`` decides each inequality
-by one integer ``cmp_surd`` (no intervals, no Fractions), which is what lets
-the tight n = 0 equality pass without an equality-resolution dance.
+(P + Q*sqrt(r))/K, and each inequality is decided by one integer
+``cmp_surd`` (no intervals, no Fractions), which is what lets the tight
+n = 0 equality pass without an equality-resolution dance.
 
-``check_explicit_bound`` checks the strict three-way closed-form bound in log
-space, ln|a + b*sqrt(d)| < min(ln t1, ln t2, ln t3), so ln is the one interval
-kernel it needs (ln pi, ln n and ln(F - 1) are cached per rung).  It runs on a
-doubling precision ladder and reports ``unresolved`` if the ceiling is hit; a
-zero left side is decided exactly.
+Each check runs as one pass over the indices n of a modulus.  The base can
+change only at a divisor of d, so it is built at the first n and at each
+divisor; ``coefficient_bounds_pass`` seeds (P, Q, K) from
+``rising_factorial_bound`` where the base changes and carries it along n
+between, by the factor (p + 2(n-1), q) and K by 2n.
+``explicit_bound_pass`` checks the strict three-way closed-form bound in log
+space, ln|a + b*sqrt(d)| < min(ln t1, ln t2, ln t3), so ln is the one
+interval kernel it needs.  It takes the first rung of
+``precision_ladder(max_precision)`` and decides every n on it from bare
+integer mantissas (``_min_log_t``), rounded outward exactly as the ``iv_*``
+operations round them: ln 2, ln(e*pi) and each base's ln(F - 1) are computed
+once per rung, ln n is cached.  Only an n whose enclosures do not separate
+there, in either variant, goes to ``decide`` for the later rungs, and comes
+back ``unresolved`` if the ceiling is hit.  A zero left side is decided
+exactly.  The per-n entry points ``check_coefficient_bounds`` and
+``check_explicit_bound`` run the pass over their one n.
 """
 
 from __future__ import annotations
@@ -29,25 +40,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache, partial
+from typing import Callable, Iterator, Optional
 
 from .construct import KraitchikPair
 from .interval import (  # verdict constants re-exported: cli and perfbench read bounds.VERIFIED
     DEFAULT_MAX_PRECISION,
     FALSIFIED,
+    GUARD_BITS,
     UNRESOLVED,
     VERIFIED,
     DyadicInterval,
-    checked_precision,
+    IntervalDomainError,
     decide,
     iv_add,
     iv_const_pi,
-    iv_div,
     iv_from_rat,
     iv_from_surd,
     iv_ln,
-    iv_mul,
     iv_sub,
+    ln_mantissas,
     precision_ladder,
 )
 from .numtheory import divisors, euler_phi, squarefree_decompose
@@ -85,10 +97,10 @@ def l1_bound_base(ctx: DiscriminantContext, n: int) -> QuadElem:
 
 def doubled_parts(base: QuadElem) -> tuple[int, int]:
     """The integers (p, q) of a growth base (p + q*sqrt(r))/2."""
-    p, q = 2 * base.a, 2 * base.b
-    if p.denominator != 1 or q.denominator != 1:
+    a, b = base.a, base.b
+    if 2 % a.denominator or 2 % b.denominator:
         raise ValueError(f"growth base must be (p + q*sqrt(r))/2 with integer p, q, got {base}")
-    return p.numerator, q.numerator
+    return a.numerator * (2 // a.denominator), b.numerator * (2 // b.denominator)
 
 
 def rising_factorial_bound(base: QuadElem, n: int) -> tuple[int, int, int]:
@@ -125,6 +137,50 @@ def ceil_multiple(base: QuadElem, k: int) -> int:
     return _ceil_half_surd(k * p, k * q, base.r)
 
 
+def _require_minimum_modulus(d: int) -> None:
+    if d < 5:
+        raise ValueError(f"bound checks need d >= 5, got {d}")
+
+
+def _indices(pair: KraitchikPair, ns: Optional[range], lo: int) -> range:
+    """``ns``, or lo..d' when None; ValueError unless it is a step-1 range inside lo..d'."""
+    ctx = pair.ctx
+    _require_minimum_modulus(ctx.d)
+    if ns is None:
+        return range(lo, ctx.dprime + 1)
+    if ns.step != 1 or ns.start < lo or ns.stop > ctx.dprime + 1:
+        raise ValueError(f"n out of range: {ns.start}..{ns.stop - 1} (need {lo}..{ctx.dprime})")
+    return ns
+
+
+def _bases(ctx: DiscriminantContext, ns: range, base_at) -> Iterator[tuple[int, QuadElem, bool]]:
+    """(n, base, fresh) for each n of ``ns``: ``base_at(ctx, n)`` is built at the first n and
+    at each divisor of d, the only places it can change, and ``fresh`` marks where it did."""
+    stops = set(divisors(ctx.d)) if len(ns) > 1 else ()
+    base = None
+    for n in ns:
+        fresh = False
+        if base is None or n in stops:
+            new = base_at(ctx, n)
+            fresh = base is None or new != base
+            base = new
+        yield n, base, fresh
+
+
+def _carried_bounds(ctx: DiscriminantContext, ns: range, base_at) -> Iterator[tuple[int, int, int, int]]:
+    """(r, P, Q, K) of ``rising_factorial_bound(base_at(ctx, n), n)`` for each n of ``ns``:
+    seeded where the base changes, then carried along n by the factor (p + 2(n-1), q)
+    and K by 2n."""
+    for n, base, fresh in _bases(ctx, ns, base_at):
+        if fresh:
+            (p, q), r = doubled_parts(base), base.r
+            P, Q, K = rising_factorial_bound(base, n)
+        else:
+            u = p + 2 * (n - 1)
+            P, Q, K = P * u + Q * q * r, P * q + Q * u, K * 2 * n
+        yield r, P, Q, K
+
+
 @dataclass(frozen=True)
 class CoefficientBoundsReport:
     d: int
@@ -137,46 +193,42 @@ class CoefficientBoundsReport:
         return VERIFIED if (self.abs_ok and self.l1_ok) else FALSIFIED
 
 
-def _require_minimum_modulus(d: int) -> None:
-    if d < 5:
-        raise ValueError(f"bound checks need d >= 5, got {d}")
-
-
 def _same_field(Q: int, r: int, d: int) -> None:
     if Q != 0 and r != d:
         raise RadicandMismatch(f"bound in Q(sqrt({r})) cannot be compared in Q(sqrt({d}))")
 
 
-def check_coefficient_bounds(pair: KraitchikPair, n: int) -> CoefficientBoundsReport:
-    """Both coefficient inequalities for one (d, n), each one integer surd comparison.
+def coefficient_bounds_pass(pair: KraitchikPair, ns: Optional[range] = None) -> list[CoefficientBoundsReport]:
+    """Both coefficient inequalities at each n of ``ns`` (default 0..d'), each one integer
+    surd comparison.
 
     With the bound (P + Q*sqrt(r))/K, the inequalities are cleared of K (and,
     for D < 0, squared) so that ``cmp_surd`` sees integers only.
     """
+    ns = _indices(pair, ns, 0)
     ctx = pair.ctx
-    _require_minimum_modulus(ctx.d)
-    if not 0 <= n <= ctx.dprime:
-        raise ValueError(f"n out of range: {n}")
-    a_n, b_n = pair.a[n], pair.b_coeff(n)
     d = ctx.d
+    reports = []
+    abs_bounds, l1_bounds = _carried_bounds(ctx, ns, abs_bound_base), _carried_bounds(ctx, ns, l1_bound_base)
+    for n, (r, P, Q, K), (r1, P1, Q1, K1) in zip(ns, abs_bounds, l1_bounds):
+        a_n, b_n = pair.a[n], pair.b_coeff(n)
+        if ctx.D > 0:
+            # K*|a + b*sqrt(d)| <= P + Q*sqrt(d)
+            _same_field(Q, r, d)
+            s = 1 if cmp_surd(a_n, b_n, d, 0) >= 0 else -1
+            abs_ok = cmp_surd(P - K * s * a_n, Q - K * s * b_n, d, 0) >= 0
+        else:
+            # K^2*(a^2 + d*b^2) <= (P + Q*sqrt(r))^2
+            abs_ok = cmp_surd(P * P + Q * Q * r - K * K * (a_n * a_n + d * b_n * b_n), 2 * P * Q, r, 0) >= 0
+        _same_field(Q1, r1, d)
+        l1_ok = cmp_surd(P1 - K1 * abs(a_n), Q1 - K1 * abs(b_n), d, 0) >= 0
+        reports.append(CoefficientBoundsReport(d, n, abs_ok, l1_ok))
+    return reports
 
-    abs_base = abs_bound_base(ctx, n)
-    P, Q, K = rising_factorial_bound(abs_base, n)
-    if ctx.D > 0:
-        # K*|a + b*sqrt(d)| <= P + Q*sqrt(d)
-        _same_field(Q, abs_base.r, d)
-        s = 1 if cmp_surd(a_n, b_n, d, 0) >= 0 else -1
-        abs_ok = cmp_surd(P - K * s * a_n, Q - K * s * b_n, d, 0) >= 0
-    else:
-        # K^2*(a^2 + d*b^2) <= (P + Q*sqrt(r))^2
-        r = abs_base.r
-        abs_ok = cmp_surd(P * P + Q * Q * r - K * K * (a_n * a_n + d * b_n * b_n), 2 * P * Q, r, 0) >= 0
 
-    l1_base = l1_bound_base(ctx, n)
-    P, Q, K = rising_factorial_bound(l1_base, n)
-    _same_field(Q, l1_base.r, d)
-    l1_ok = cmp_surd(P - K * abs(a_n), Q - K * abs(b_n), d, 0) >= 0
-    return CoefficientBoundsReport(ctx.d, n, abs_ok, l1_ok)
+def check_coefficient_bounds(pair: KraitchikPair, n: int) -> CoefficientBoundsReport:
+    """Both coefficient inequalities for one (d, n): the pass over n alone."""
+    return coefficient_bounds_pass(pair, range(n, n + 1))[0]
 
 
 @dataclass(frozen=True)
@@ -189,78 +241,150 @@ class ExplicitBoundReport:
     verdict_disc_radicand: str
 
 
+# Each enclosure below is a mantissa pair (lo_m, hi_m) over 2^(prec + GUARD_BITS),
+# rounded outward exactly as the interval module's iv_* operations round it.
+
+Mantissas = tuple[int, int]
+
+
+def _mul(al: int, ah: int, bl: int, bh: int, g: int) -> Mantissas:
+    cands = (al * bl, al * bh, ah * bl, ah * bh)
+    return min(cands) >> g, -(-max(cands) >> g)
+
+
 @lru_cache(maxsize=64)
-def _ln_pi(prec: int) -> DyadicInterval:
-    return iv_ln(iv_const_pi(prec), prec)
+def _rung_logs(prec: int) -> tuple[int, int, int, int]:
+    """ln 2 and ln(e*pi) = ln pi + 1."""
+    ln_epi = iv_add(iv_ln(iv_const_pi(prec), prec), 1, prec)
+    return (*_ln_int(2, prec), ln_epi.lo_m, ln_epi.hi_m)
 
 
 @lru_cache(maxsize=4096)
-def _ln_int(n: int, prec: int) -> DyadicInterval:
-    return iv_ln(iv_from_rat(n, prec), prec)
+def _ln_int(n: int, prec: int) -> Mantissas:
+    ln_n = iv_ln(iv_from_rat(n, prec), prec)
+    return ln_n.lo_m, ln_n.hi_m
 
 
 @lru_cache(maxsize=1024)
-def _ln_base_minus_one(base: QuadElem, prec: int) -> DyadicInterval:
-    # equal bases are the same real number, whatever radicand a rational one carries
-    return iv_ln(iv_sub(iv_from_surd(base.a, base.b, base.r, prec), 1, prec), prec)
+def _base_logs(base: tuple[int, int, int], prec: int) -> tuple[int, int, int, int]:
+    """F and ln(F - 1) for a growth base F = (p + q*sqrt(r))/2 given as (p, q, r)."""
+    p, q, r = base
+    f = iv_from_surd(Fraction(p, 2), Fraction(q, 2), r, prec)
+    ln_fm1 = iv_ln(iv_sub(f, 1, prec), prec)
+    return f.lo_m, f.hi_m, ln_fm1.lo_m, ln_fm1.hi_m
 
 
-def _log_bounds(base: QuadElem, n: int, prec: int) -> tuple[DyadicInterval, ...]:
-    """ln t1, ln t2, ln t3 at growth base F and index n, each a short sum of logarithms.
+def _ln_t(c: Mantissas, ln_x: Mantissas, y: Mantissas, w: Mantissas, g: int) -> Mantissas:
+    """(c - ln x)/2 + y*w."""
+    m_lo, m_hi = _mul(*y, *w, g)
+    return ((c[0] - ln_x[1]) >> 1) + m_lo, -((ln_x[0] - c[1]) >> 1) + m_hi
+
+
+def _min_log_t(base: tuple[int, int, int], n: int, prec: int) -> Mantissas:
+    """min(ln t1, ln t2, ln t3) at growth base F and index n, each a short sum of logarithms.
 
     t1 and t2 are sqrt(stir2/(e*pi*x)) * (e*(F+n-1)/y)^(y + 1/2) with (x, y) = (n, F - 1)
-    and (F - 1, n), where ln stir2 = ln 2 + 1/(6(F+n)) exactly; t3 = 2^(F+n).
+    and (F - 1, n), where ln stir2 = ln 2 + 1/(6(F+n)) exactly; t3 = 2^(F+n).  min is
+    monotone in each argument, so the endpoint minima enclose it.  The base F is given
+    as the integers (p, q, r) of (p + q*sqrt(r))/2.
     """
-    F = iv_from_surd(base.a, base.b, base.r, prec)
-    Fn = iv_add(F, n, prec)
-    ln2, ln_n, ln_Fm1 = _ln_int(2, prec), _ln_int(n, prec), _ln_base_minus_one(base, prec)
-    lift = iv_add(iv_ln(iv_sub(Fn, 1, prec), prec), 1, prec)  # ln(e*(F+n-1))
-    ln_stir2 = iv_add(ln2, iv_div(1, iv_mul(6, Fn, prec), prec), prec)
-    c = iv_sub(ln_stir2, iv_add(_ln_pi(prec), 1, prec), prec)  # ln(stir2/(e*pi))
+    g = prec + GUARD_BITS
+    one, half = 1 << g, 1 << (g - 1)
+    ln2_lo, ln2_hi, epi_lo, epi_hi = _rung_logs(prec)
+    f_lo, f_hi, lf_lo, lf_hi = _base_logs(base, prec)
+    ln_n = _ln_int(n, prec)
+    fn_lo, fn_hi = f_lo + (n << g), f_hi + (n << g)  # F + n > 1
+    lift_lo, lift_hi = ln_mantissas(fn_lo - one, fn_hi - one, prec)
+    lift_lo, lift_hi = lift_lo + one, lift_hi + one  # ln(e*(F+n-1))
+    # ln(stir2/(e*pi)), with 1/(6(F+n)) rounded outward
+    c = ln2_lo + (one << g) // (6 * fn_hi) - epi_hi, ln2_hi - (-(one << g) // (6 * fn_lo)) - epi_lo
+    t1 = _ln_t(c, ln_n, (f_lo - half, f_hi - half), (lift_lo - lf_hi, lift_hi - lf_lo), g)
+    t2 = _ln_t(c, (lf_lo, lf_hi), ((2 * n + 1) * half,) * 2, (lift_lo - ln_n[1], lift_hi - ln_n[0]), g)
+    t3 = _mul(fn_lo, fn_hi, ln2_lo, ln2_hi, g)
+    return min(t1[0], t2[0], t3[0]), min(t1[1], t2[1], t3[1])
 
-    def ln_t(ln_x: DyadicInterval, y_plus_half, ln_y: DyadicInterval) -> DyadicInterval:
-        root = iv_div(iv_sub(c, ln_x, prec), 2, prec)
-        return iv_add(root, iv_mul(y_plus_half, iv_sub(lift, ln_y, prec), prec), prec)
 
-    lt1 = ln_t(ln_n, iv_sub(F, Fraction(1, 2), prec), ln_Fm1)
-    return lt1, ln_t(ln_Fm1, Fraction(2 * n + 1, 2), ln_n), iv_mul(Fn, ln2, prec)
+def _ln_surd(a: int, b: int, d: int, prec: int) -> Mantissas:
+    """ln(a + b*sqrt(d)) for a positive surd."""
+    box = iv_from_surd(a, b, d, prec)
+    return ln_mantissas(box.lo_m, box.hi_m, prec)
+
+
+def _half_ln_int(m: int, prec: int) -> Mantissas:
+    """ln(m)/2 = ln sqrt(m) for an integer m >= 1."""
+    g = prec + GUARD_BITS
+    lo, hi = ln_mantissas(m << g, m << g, prec)
+    return lo >> 1, -(-hi >> 1)
+
+
+def _verdict(
+    lhs: Callable[[int], Mantissas],
+    rhs: Callable[[int], Mantissas],
+    first: Optional[int],
+    rhs_first: Optional[Mantissas],
+    rest: Callable[[], tuple[int, ...]],
+) -> str:
+    """lhs < rhs on the first rung from mantissa pairs (``rhs_first``, None if it had no
+    enclosure), else through ``decide`` on the rungs after it."""
+    if rhs_first is not None:
+        try:
+            lo, hi = lhs(first)
+            if hi < rhs_first[0]:
+                return VERIFIED
+            if lo >= rhs_first[1]:
+                return FALSIFIED
+        except IntervalDomainError:
+            pass  # no enclosure on this rung: the later ones decide
+
+    def interval(side):
+        return lambda p: DyadicInterval(*side(p), p)
+
+    return decide(interval(lhs), interval(rhs), rest()).verdict
+
+
+def explicit_bound_pass(
+    pair: KraitchikPair, max_precision: int = DEFAULT_MAX_PRECISION, ns: Optional[range] = None
+) -> list[ExplicitBoundReport]:
+    """Strict three-way bound on |a_{d,n} + b_{d,n} sqrt(d)| at each n of ``ns`` (default 1..d')."""
+    ns = _indices(pair, ns, 1)
+    ctx = pair.ctx
+    d = ctx.d
+    # the ceiling is checked here, before any enclosure is built
+    ladder = iter(precision_ladder(max_precision))
+    first = next(ladder, None)
+    rest = cache(lambda: tuple(ladder))  # the later rungs, taken only if some n needs them
+    reports = []
+    for n, base, fresh in _bases(ctx, ns, abs_bound_base):
+        if fresh:
+            if cmp_surd(base.a, base.b, base.r, 1) <= 0:
+                raise ArithmeticError(f"growth base must exceed 1, got {base} at d={d}, n={n}")
+            key = (*doubled_parts(base), base.r)
+        a_n, b_n = pair.a[n], pair.b_coeff(n)
+        if a_n == b_n == 0:
+            # every t_i is a positive product, so 0 < min(t1, t2, t3) holds exactly; ln 0 has no enclosure
+            reports.append(ExplicitBoundReport(d, n, VERIFIED, VERIFIED))
+            continue
+        rhs = partial(_min_log_t, key, n)
+        rhs_first = None
+        if first is not None:
+            try:
+                rhs_first = rhs(first)
+            except IntervalDomainError:
+                pass
+        sign = cmp_surd(a_n, b_n, d, 0)
+        aa, bb = (a_n, b_n) if sign >= 0 else (-a_n, -b_n)
+        verdict = _verdict(partial(_ln_surd, aa, bb, d), rhs, first, rhs_first, rest)
+        if ctx.D > 0:
+            verdict_disc = verdict
+        else:
+            mod_sq = a_n * a_n + d * b_n * b_n
+            verdict_disc = _verdict(partial(_half_ln_int, mod_sq), rhs, first, rhs_first, rest)
+        reports.append(ExplicitBoundReport(d, n, verdict, verdict_disc))
+    return reports
 
 
 def check_explicit_bound(
     pair: KraitchikPair, n: int, max_precision: int = DEFAULT_MAX_PRECISION
 ) -> ExplicitBoundReport:
-    """Strict three-way bound on |a_{d,n} + b_{d,n} sqrt(d)| for 1 <= n <= d'."""
-    ctx = pair.ctx
-    _require_minimum_modulus(ctx.d)
-    if not 1 <= n <= ctx.dprime:
-        raise ValueError(f"n out of range for the strict bound: {n}")
-    base = abs_bound_base(ctx, n)
-    if cmp_surd(base.a, base.b, base.r, 1) <= 0:
-        raise ArithmeticError(f"growth base must exceed 1, got {base} at d={ctx.d}, n={n}")
-    a_n, b_n = pair.a[n], pair.b_coeff(n)
-    d = ctx.d
-    if a_n == b_n == 0:
-        # every t_i is a positive product, so 0 < min(t1, t2, t3) holds exactly; ln 0 has no enclosure
-        checked_precision(max_precision, "max_precision")
-        return ExplicitBoundReport(ctx.d, n, VERIFIED, VERIFIED)
-
-    @lru_cache(maxsize=None)
-    def min_log_bound(prec: int) -> DyadicInterval:
-        # min is monotone in each argument, so the endpoint minima enclose it
-        ts = _log_bounds(base, n, prec)
-        return DyadicInterval(min(t.lo_m for t in ts), min(t.hi_m for t in ts), prec)
-
-    sign = cmp_surd(a_n, b_n, d, 0)
-    aa, bb = (a_n, b_n) if sign >= 0 else (-a_n, -b_n)
-    verdict = decide(
-        lambda p: iv_ln(iv_from_surd(aa, bb, d, p), p), min_log_bound, precision_ladder(max_precision)
-    ).verdict
-
-    if ctx.D > 0:
-        verdict_disc = verdict
-    else:
-        mod_sq = a_n * a_n + d * b_n * b_n
-        verdict_disc = decide(
-            lambda p: iv_div(iv_ln(iv_from_rat(mod_sq, p), p), 2, p), min_log_bound, precision_ladder(max_precision)
-        ).verdict
-    return ExplicitBoundReport(ctx.d, n, verdict, verdict_disc)
+    """Strict three-way bound on |a_{d,n} + b_{d,n} sqrt(d)| for one 1 <= n <= d': the pass over n alone."""
+    return explicit_bound_pass(pair, max_precision, range(n, n + 1))[0]

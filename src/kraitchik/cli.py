@@ -35,7 +35,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import cache, partial
 
-from .bounds import FALSIFIED, UNRESOLVED, VERIFIED, check_coefficient_bounds, check_explicit_bound
+from .bounds import FALSIFIED, UNRESOLVED, VERIFIED, coefficient_bounds_pass, explicit_bound_pass
 from .construct import IdentityGateError, KraitchikPair, check_symmetry, psi_xi
 from .interval import DEFAULT_MAX_PRECISION, MAX_PRECISION_CEILING, checked_precision
 from .numtheory import euler_phi, odd_squarefree_range
@@ -156,12 +156,12 @@ def _modulus_row(d: int, verdicts_by_index: dict[int, str], var: str, note: str 
 
 
 def _suite_bounds(pair: KraitchikPair, precision_max: int) -> list[Row]:
-    verdicts = {n: check_coefficient_bounds(pair, n).verdict for n in range(pair.ctx.dprime + 1)}
+    verdicts = {r.n: r.verdict for r in coefficient_bounds_pass(pair)}
     return _modulus_row(pair.ctx.d, verdicts, "n")
 
 
 def _suite_corollary(pair: KraitchikPair, precision_max: int) -> list[Row]:
-    reports = [check_explicit_bound(pair, n, precision_max) for n in range(1, pair.ctx.dprime + 1)]
+    reports = explicit_bound_pass(pair, precision_max)
     disc_bad = [r.n for r in reports if r.verdict_disc_radicand != r.verdict]
     note = f" note: sqrt(D)-variant differs at n={disc_bad}" if disc_bad else ""
     return _modulus_row(pair.ctx.d, {r.n: r.verdict for r in reports}, "n", note)

@@ -4,10 +4,11 @@ An interval at precision ``prec`` holds two integer mantissas ``lo_m`` and
 ``hi_m`` over the fixed scale 2^(prec+32).  Every operation rounds outward to
 that grid (floor for the lower end, ceiling for the upper), so the exact image
 of the inputs is always contained in the output, and every operation runs on
-Python ints: add and sub are integer adds, mul and div are integer products
-or floor/ceiling quotients followed by one directed shift.  The kernels are
-ln and pi: ln takes an exact rational as (numerator, denominator) integers,
-and both return directed integer bounds with explicit tail bounds.  ln
+Python ints: add and sub are integer adds, mul is an integer product
+followed by one directed shift.  The kernels are ln and pi: ln takes an
+exact rational as (numerator, denominator) integers, and both return
+directed integer bounds with explicit tail bounds; ``ln_mantissas`` is ln on
+a bare mantissa pair, for callers that keep no interval objects.  ln
 reduces its argument before its atanh series: by a power of two to a
 mantissa in [1, 2), then above 128 bits by square roots, and otherwise by
 the point 1 + t/64 at or below it, whose ln bounds come from a cached
@@ -290,26 +291,18 @@ def iv_mul(x, y, prec: int) -> DyadicInterval:
     return DyadicInterval(min(cands) >> g, _ceil_shift(max(cands), g), prec)
 
 
-def iv_div(x, y, prec: int) -> DyadicInterval:
-    x, y = _coerce(x, prec), _coerce(y, prec)
-    if y.lo_m <= 0 <= y.hi_m:
-        raise IntervalDomainError("division by an interval containing zero")
-    xl, xh, yl, yh = x.lo_m, x.hi_m, y.lo_m, y.hi_m
-    if yh < 0:  # x/y = (-x)/(-y)
-        xl, xh, yl, yh = -xh, -xl, -yh, -yl
-    # y > 0: x/y grows with x, and falls (x >= 0) or grows (x < 0) with y
+def ln_mantissas(lo_m: int, hi_m: int, prec: int) -> tuple[int, int]:
+    """The mantissas of ``iv_ln``'s enclosure of ln over [lo_m, hi_m] / 2^(prec + GUARD_BITS),
+    for callers that keep an enclosure as a bare mantissa pair."""
+    if lo_m <= 0:
+        raise IntervalDomainError(f"log needs a strictly positive interval, lo_m={lo_m:#x}")
     g = prec + GUARD_BITS
-    lo = (xl << g) // (yh if xl >= 0 else yl)
-    hi = -(-(xh << g) // (yl if xh >= 0 else yh))
-    return DyadicInterval(lo, hi, prec)
+    return _ln_bound(lo_m, 1 << g, g, False), _ln_bound(hi_m, 1 << g, g, True)
 
 
 def iv_ln(x, prec: int) -> DyadicInterval:
     x = _coerce(x, prec)
-    if x.lo_m <= 0:
-        raise IntervalDomainError(f"log needs a strictly positive interval, lo_m={x.lo_m:#x}")
-    g = prec + GUARD_BITS
-    return DyadicInterval(_ln_bound(x.lo_m, 1 << g, g, False), _ln_bound(x.hi_m, 1 << g, g, True), prec)
+    return DyadicInterval(*ln_mantissas(x.lo_m, x.hi_m, prec), prec)
 
 
 # ---------------------------------------------------------------------------

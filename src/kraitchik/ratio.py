@@ -97,14 +97,11 @@ def _log_sides(g: QuadElem, x: Fraction, c: Fraction, d: int, prec: int) -> tupl
     return lhs, rhs
 
 
-def check_ratio_approx(
-    pair: KraitchikPair, x: Fraction | int, max_precision: int = DEFAULT_MAX_PRECISION
-) -> RatioReport:
-    """Verify |Xi(x)/Psi(x) - 1/(2x - mu(d))| < the closed-form envelope."""
+def _check_past_gate(pair: KraitchikPair, g: QuadElem, x: Fraction | int, max_precision: int) -> RatioReport:
+    """``check_ratio_approx`` with the gate value G_d = ``g`` already built."""
     ctx = pair.ctx
     _require_minimum_modulus(ctx.d)
     x = Fraction(x)
-    g = gate_value(pair)
     _same_field(g.b, g.r, ctx.d)
     if not _past_gate(g, x):
         raise GateError(f"x = {x} does not exceed twice the gate value for d = {ctx.d}")
@@ -127,14 +124,22 @@ def check_ratio_approx(
     return RatioReport(ctx.d, x, lhs, decision.verdict)
 
 
+def check_ratio_approx(
+    pair: KraitchikPair, x: Fraction | int, max_precision: int = DEFAULT_MAX_PRECISION
+) -> RatioReport:
+    """Verify |Xi(x)/Psi(x) - 1/(2x - mu(d))| < the closed-form envelope."""
+    return _check_past_gate(pair, gate_value(pair), x, max_precision)
+
+
 def ratio_table(
     pair: KraitchikPair, xs: Sequence[Fraction | int], max_precision: int = DEFAULT_MAX_PRECISION
 ) -> list[RatioReport]:
-    """One report per sample point; gate failures become 'rejected' rows."""
+    """One report per sample point, all against one gate value; gate failures become 'rejected' rows."""
+    g = gate_value(pair)
     out = []
     for x in xs:
         try:
-            out.append(check_ratio_approx(pair, x, max_precision))
+            out.append(_check_past_gate(pair, g, x, max_precision))
         except GateError:
             out.append(RatioReport(pair.ctx.d, Fraction(x), None, REJECTED))
     return out

@@ -16,15 +16,37 @@ and mirrored the rest: the integer recursion run to m = d', with no gate.
 became one integer maximum: a Fraction floor from ``surd_base``, raised by
 each divisor's phi(f)/2 in turn.  ``ramanujan_h`` is the sum of the k-th
 powers of the primitive d-th roots of unity for any d >= 1, the reference for
-the rational part of ``power_sum_doubled``.
+the rational part of ``power_sum_doubled``.  ``log_bounds`` and
+``explicit_bound_verdicts`` are the strict bound as ``kraitchik.bounds``
+decided it before its per-modulus pass: one (d, n) at a time, ln t1, ln t2
+and ln t3 built by the ``iv_*`` operations (``iv_div`` among them, kept here
+since ``src/`` stopped dividing intervals), every rung through ``decide``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
+from kraitchik.bounds import abs_bound_base
 from kraitchik.construct import KraitchikPair, _exact_quotient, _pair_dot
+from kraitchik.interval import (
+    DEFAULT_MAX_PRECISION,
+    GUARD_BITS,
+    DyadicInterval,
+    IntervalDomainError,
+    _coerce,
+    decide,
+    iv_add,
+    iv_const_pi,
+    iv_from_rat,
+    iv_from_surd,
+    iv_ln,
+    iv_mul,
+    iv_sub,
+    precision_ladder,
+)
 from kraitchik.numtheory import divisors, euler_phi, mobius, squarefree_decompose
 from kraitchik.poly import DensePoly, format_poly
 from kraitchik.powersums import DiscriminantContext, power_sum_doubled, power_sum_s
@@ -196,3 +218,91 @@ def ramanujan_h(d: int, k: int) -> int:
     take products): mu(d/f) phi(d)/phi(d/f) with f = gcd(k, d), mu(d/f) phi(f) at squarefree d."""
     cofactor = d // math.gcd(k, d)
     return mobius(cofactor) * euler_phi(d) // euler_phi(cofactor)
+
+
+def iv_div(x, y, prec: int) -> DyadicInterval:
+    """Outward-rounded x/y on integer mantissas, the division ``kraitchik.interval`` had
+    before the strict bound's pass inlined its two quotients."""
+    x, y = _coerce(x, prec), _coerce(y, prec)
+    if y.lo_m <= 0 <= y.hi_m:
+        raise IntervalDomainError("division by an interval containing zero")
+    xl, xh, yl, yh = x.lo_m, x.hi_m, y.lo_m, y.hi_m
+    if yh < 0:  # x/y = (-x)/(-y)
+        xl, xh, yl, yh = -xh, -xl, -yh, -yl
+    # y > 0: x/y grows with x, and falls (x >= 0) or grows (x < 0) with y
+    g = prec + GUARD_BITS
+    lo = (xl << g) // (yh if xl >= 0 else yl)
+    hi = -(-(xh << g) // (yl if xh >= 0 else yh))
+    return DyadicInterval(lo, hi, prec)
+
+
+@lru_cache(maxsize=64)
+def _ln_pi(prec: int) -> DyadicInterval:
+    return iv_ln(iv_const_pi(prec), prec)
+
+
+@lru_cache(maxsize=4096)
+def _ln_int(n: int, prec: int) -> DyadicInterval:
+    return iv_ln(iv_from_rat(n, prec), prec)
+
+
+@lru_cache(maxsize=1024)
+def _ln_base_minus_one(base: QuadElem, prec: int) -> DyadicInterval:
+    # equal bases are the same real number, whatever radicand a rational one carries
+    return iv_ln(iv_sub(iv_from_surd(base.a, base.b, base.r, prec), 1, prec), prec)
+
+
+def log_bounds(base: QuadElem, n: int, prec: int) -> tuple[DyadicInterval, ...]:
+    """ln t1, ln t2, ln t3 at growth base F and index n, each a short sum of logarithms.
+
+    t1 and t2 are sqrt(stir2/(e*pi*x)) * (e*(F+n-1)/y)^(y + 1/2) with (x, y) = (n, F - 1)
+    and (F - 1, n), where ln stir2 = ln 2 + 1/(6(F+n)) exactly; t3 = 2^(F+n).
+    """
+    F = iv_from_surd(base.a, base.b, base.r, prec)
+    Fn = iv_add(F, n, prec)
+    ln2, ln_n, ln_Fm1 = _ln_int(2, prec), _ln_int(n, prec), _ln_base_minus_one(base, prec)
+    lift = iv_add(iv_ln(iv_sub(Fn, 1, prec), prec), 1, prec)  # ln(e*(F+n-1))
+    ln_stir2 = iv_add(ln2, iv_div(1, iv_mul(6, Fn, prec), prec), prec)
+    c = iv_sub(ln_stir2, iv_add(_ln_pi(prec), 1, prec), prec)  # ln(stir2/(e*pi))
+
+    def ln_t(ln_x: DyadicInterval, y_plus_half, ln_y: DyadicInterval) -> DyadicInterval:
+        root = iv_div(iv_sub(c, ln_x, prec), 2, prec)
+        return iv_add(root, iv_mul(y_plus_half, iv_sub(lift, ln_y, prec), prec), prec)
+
+    lt1 = ln_t(ln_n, iv_sub(F, Fraction(1, 2), prec), ln_Fm1)
+    return lt1, ln_t(ln_Fm1, Fraction(2 * n + 1, 2), ln_n), iv_mul(Fn, ln2, prec)
+
+
+def min_log_bound(base: QuadElem, n: int, prec: int) -> DyadicInterval:
+    # min is monotone in each argument, so the endpoint minima enclose it
+    ts = log_bounds(base, n, prec)
+    return DyadicInterval(min(t.lo_m for t in ts), min(t.hi_m for t in ts), prec)
+
+
+def explicit_bound_sides(pair: KraitchikPair, n: int) -> tuple:
+    """(lhs, lhs_disc, rhs) of the strict bound at (d, n) in log space, each a function of the
+    precision; lhs_disc, the left side against sqrt(D), is None when D > 0."""
+    ctx = pair.ctx
+    a_n, b_n, d = pair.a[n], pair.b_coeff(n), ctx.d
+    base = abs_bound_base(ctx, n)
+    aa, bb = (a_n, b_n) if cmp_surd(a_n, b_n, d, 0) >= 0 else (-a_n, -b_n)
+    mod_sq = a_n * a_n + d * b_n * b_n
+
+    def lhs(p):
+        return iv_ln(iv_from_surd(aa, bb, d, p), p)
+
+    def lhs_disc(p):
+        return iv_div(iv_ln(iv_from_rat(mod_sq, p), p), 2, p)
+
+    @lru_cache(maxsize=None)
+    def rhs(p):
+        return min_log_bound(base, n, p)
+
+    return lhs, None if ctx.D > 0 else lhs_disc, rhs
+
+
+def explicit_bound_verdicts(pair: KraitchikPair, n: int, max_precision: int = DEFAULT_MAX_PRECISION) -> tuple[str, str]:
+    """(verdict, verdict_disc_radicand) of the strict bound at (d, n), a nonzero left side."""
+    lhs, lhs_disc, rhs = explicit_bound_sides(pair, n)
+    verdict = decide(lhs, rhs, precision_ladder(max_precision)).verdict
+    return verdict, verdict if lhs_disc is None else decide(lhs_disc, rhs, precision_ladder(max_precision)).verdict

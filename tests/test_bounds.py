@@ -11,6 +11,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracles
 from oracles import Quad, growth_base, surd_base
 
 import kraitchik.bounds as bounds
@@ -19,11 +20,14 @@ from kraitchik.bounds import (
     abs_bound_base,
     check_coefficient_bounds,
     check_explicit_bound,
+    coefficient_bounds_pass,
+    doubled_parts,
+    explicit_bound_pass,
     l1_bound_base,
     rising_factorial_bound,
 )
 from kraitchik.construct import psi_xi
-from kraitchik.interval import DyadicInterval, decide, precision_ladder
+from kraitchik.interval import DEFAULT_MAX_PRECISION, DyadicInterval, decide, precision_ladder
 from kraitchik.numtheory import is_squarefree, odd_squarefree_range, squarefree_decompose
 from kraitchik.powersums import DiscriminantContext
 from kraitchik.qfield import QuadElem, RadicandMismatch, abs_real, cmp_real, cmp_surd
@@ -306,8 +310,9 @@ def refuse_interval_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("interval work ran")
 
+    # the iv_* operations, and the bare-mantissa kernel of the per-modulus pass
     for name in dir(bounds):
-        if name.startswith("iv_"):
+        if name.startswith("iv_") or name in ("ln_mantissas", "_min_log_t"):
             monkeypatch.setattr(bounds, name, refuse)
 
 
@@ -371,11 +376,15 @@ def test_log_bounds_contain_the_mpmath_logarithms(prec):
     with mpmath.workprec(2 * prec + 128):  # at least 50 digits, and finer than the enclosures
         for d, n in sample:
             base = abs_bound_base(ctx(d), n)
-            for got, ref in zip(bounds._log_bounds(base, n, prec), reference_log_bounds(base, n)):
+            ts = oracles.log_bounds(base, n, prec)
+            for got, ref in zip(ts, reference_log_bounds(base, n)):
                 got = interval_oracle.as_fractions(got)
                 lo, hi = got.lo, got.hi
                 assert mpmath.mpf(lo.numerator) / lo.denominator <= ref <= mpmath.mpf(hi.numerator) / hi.denominator
                 assert got.width < F(1, 2 ** (prec - 16)), (d, n)
+            # the pass's kernel is the minimum of the same three enclosures, bit for bit
+            key = (*doubled_parts(base), base.r)
+            assert bounds._min_log_t(key, n, prec) == (min(t.lo_m for t in ts), min(t.hi_m for t in ts)), (d, n)
 
 
 @pytest.mark.parametrize("d", [5, 7])  # D > 0, then D < 0
@@ -390,6 +399,128 @@ def test_zero_left_side_is_verified_without_a_logarithm(d, monkeypatch):
     assert (rep.verdict, rep.verdict_disc_radicand) == ("verified", "verified")
     with pytest.raises(ValueError, match="max_precision"):
         check_explicit_bound(planted, n, max_precision=65537)
+
+
+# -- the per-modulus pass against the per-n paths it replaced
+
+
+def test_coefficient_pass_matches_the_field_oracle(pairs_255):
+    # the carried triples over every n of a modulus, against the Quad product at each n alone
+    checked = 0
+    for d, pair in pairs_255.items():
+        for rep in coefficient_bounds_pass(pair):
+            assert (rep.d, rep.abs_ok, rep.l1_ok) == (d, *oracle_bounds(pair, rep.n)), (d, rep.n)
+            checked += 1
+    assert checked == sum(p.ctx.dprime + 1 for p in pairs_255.values()) > 5000
+
+
+@pytest.mark.parametrize("max_precision", [DEFAULT_MAX_PRECISION, 32])
+def test_explicit_pass_matches_the_per_n_oracle(pairs_255, max_precision, monkeypatch):
+    # every (d, n) of odd squarefree d <= 255: both variants' verdicts against the per-n decide
+    # path, and every enclosure the pass built on its first rung against that path's, mantissa
+    # for mantissa.  Under 32 bits the ladder has no rung: nothing is built, nothing resolves
+    built = []
+
+    def record(name):
+        real = getattr(bounds, name)
+
+        def wrapper(*args):
+            out = real(*args)
+            built.append((name, args[-1], out))
+            return out
+
+        monkeypatch.setattr(bounds, name, wrapper)
+
+    for name in ("_min_log_t", "_ln_surd", "_half_ln_int"):
+        record(name)
+    first = precision_ladder(max_precision)[:1]
+    checked = 0
+    for d, pair in pairs_255.items():
+        built.clear()
+        want = []
+        for rep in explicit_bound_pass(pair, max_precision):
+            assert rep.d == d and (first or (rep.verdict, rep.verdict_disc_radicand) == ("unresolved",) * 2)
+            assert (rep.verdict, rep.verdict_disc_radicand) == oracles.explicit_bound_verdicts(
+                pair, rep.n, max_precision
+            ), (d, rep.n)
+            lhs, lhs_disc, rhs = oracles.explicit_bound_sides(pair, rep.n)
+            sides = [("_min_log_t", rhs), ("_ln_surd", lhs)] + ([("_half_ln_int", lhs_disc)] if lhs_disc else [])
+            want += [(name, p, (side(p).lo_m, side(p).hi_m)) for p in first for name, side in sides]
+            checked += 1
+        assert [b for b in built if b[1] in first] == want, d
+    assert checked == sum(p.ctx.dprime for p in pairs_255.values()) > 5000
+    if not first:
+        assert built == []
+
+
+def planted(pair, n: int, a: int, b: int = 0):
+    """``pair`` with (a_n, b_n) replaced by (a, b)."""
+    return dataclasses.replace(pair, a=pair.a[:n] + (a,) + pair.a[n + 1 :], b=pair.b[: n - 1] + (b,) + pair.b[n:])
+
+
+def falsified_at(reports) -> list[int]:
+    return [r.n for r in reports if r.verdict != "verified"]
+
+
+def test_a_coefficient_just_past_its_bound_is_falsified_at_that_n_only():
+    # d = 105: from n = 21 the base is phi(21)/2 = 6, so the bound 2*(6)_n/n! = 2*C(n + 5, 5) is an integer
+    pair, n = psi_xi(105), 22
+    bound = 2 * math.comb(n + 5, 5)
+    assert abs_bound_base(pair.ctx, n) == 6 and bound == 161460
+    tight, past = planted(pair, n, bound), planted(pair, n, bound + 1)
+    assert falsified_at(coefficient_bounds_pass(tight)) == []
+    assert falsified_at(coefficient_bounds_pass(past)) == [n]
+    assert falsified_at(check_coefficient_bounds(past, m) for m in range(pair.ctx.dprime + 1)) == [n]
+
+
+@pytest.mark.parametrize("d,n", [(105, 22), (35, 6)])  # D > 0, then D < 0 with both variants
+def test_a_coefficient_just_past_the_strict_bound_is_falsified_at_that_n_only(d, n):
+    pair = psi_xi(d)
+    with mpmath.workdps(60):
+        mint = mpmath.exp(min(reference_log_bounds(abs_bound_base(pair.ctx, n), n)))
+        edge = int(mpmath.floor(mint))
+        assert edge + 1e-9 < mint < edge + 1 - 1e-9
+    inside, past = planted(pair, n, edge), planted(pair, n, edge + 1)
+    reps = explicit_bound_pass(past)
+    assert falsified_at(explicit_bound_pass(inside)) == []
+    assert falsified_at(reps) == [n] and (reps[n - 1].verdict, reps[n - 1].verdict_disc_radicand) == ("falsified",) * 2
+    assert explicit_bound_pass(past, 64) == reps  # all decided on the first rung
+    assert [check_explicit_bound(past, m) for m in range(1, pair.ctx.dprime + 1)] == reps
+    assert oracles.explicit_bound_verdicts(past, n) == ("falsified", "falsified")
+
+
+def test_an_n_open_on_the_first_rung_goes_up_the_ladder():
+    # a_1 + b_1*sqrt(5) = (9 - 4*sqrt(5))^24 ~ 2^-100, a unit's power: its enclosure straddles 0
+    # at 64 bits, where ln has no enclosure, and is positive from 128 bits on
+    x, y = 1, 0
+    for _ in range(24):
+        x, y = 9 * x + 20 * y, 4 * x + 9 * y
+    pair = planted(psi_xi(5), 1, x, -y)
+    assert cmp_surd(x, -y, 5, F(1, 2**99)) < 0 < cmp_surd(x, -y, 5, 0)
+    assert [(r.verdict, r.verdict_disc_radicand) for r in explicit_bound_pass(pair)] == [("verified",) * 2] * 2
+    assert oracles.explicit_bound_verdicts(pair, 1) == ("verified",) * 2
+    assert explicit_bound_pass(pair, 127)[0].verdict == "unresolved" == oracles.explicit_bound_verdicts(pair, 1, 127)[0]
+
+
+def test_a_short_seed_at_a_base_breakpoint_is_carried_forward(monkeypatch):
+    # d = 105 (d' = 24): the base changes once past n = 0, to phi(21)/2 = 6 at n = 21.  With
+    # a_n on its bound 2*C(n + 5, 5) for n >= 21, a seed one unit short at n = 21 is caught
+    # there, and the pass carries it to n = 22..24; the per-n entry point seeds each n itself
+    pair = psi_xi(105)
+    for n in range(21, 25):
+        pair = planted(pair, n, 2 * math.comb(n + 5, 5))
+    assert falsified_at(coefficient_bounds_pass(pair)) == []
+    real, seeds = rising_factorial_bound, []
+
+    def one_short_at_21(base, n):
+        seeds.append(n)
+        P, Q, K = real(base, n)
+        return (P - 1, Q, K) if n == 21 else (P, Q, K)
+
+    monkeypatch.setattr(bounds, "rising_factorial_bound", one_short_at_21)
+    assert falsified_at(coefficient_bounds_pass(pair)) == [21, 22, 23, 24]
+    assert sorted(seeds) == [0, 0, 21, 21]  # abs and L1, at n = 0 and at the breakpoint only
+    assert falsified_at(check_coefficient_bounds(pair, n) for n in range(25)) == [21]
 
 
 def test_suite_small_range(pairs_149):

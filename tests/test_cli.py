@@ -308,13 +308,13 @@ def test_corollary_note_names_only_a_differing_variant(capsys, monkeypatch):
     # unresolved in both variants is no difference
     code, out, _ = run(capsys, "verify", "corollary", "--dmax", "35", "--precision-max", "32")
     assert code == 2 and "corollary d=35 unresolved" in out and "note" not in out
-    real = cli.check_explicit_bound
+    real = cli.explicit_bound_pass
 
-    def disc_falsified_at_2(pair, n, precision_max):
-        rep = real(pair, n, precision_max)
-        return dataclasses.replace(rep, verdict_disc_radicand="falsified") if n == 2 else rep
+    def disc_falsified_at_2(pair, precision_max):
+        reps = real(pair, precision_max)
+        return [dataclasses.replace(r, verdict_disc_radicand="falsified") if r.n == 2 else r for r in reps]
 
-    monkeypatch.setattr(cli, "check_explicit_bound", disc_falsified_at_2)
+    monkeypatch.setattr(cli, "explicit_bound_pass", disc_falsified_at_2)
     code, out, _ = run(capsys, "verify", "corollary", "--dmax", "5")
     assert out.splitlines()[0] == "corollary d=5 verified (n=1..2) note: sqrt(D)-variant differs at n=[2]"
 

@@ -4,8 +4,10 @@ from types import SimpleNamespace
 
 import interval_oracle
 import mpmath
+import oracles
 import pytest
 from interval_oracle import as_fractions, show
+from oracles import iv_div
 
 from kraitchik import bounds, interval, ratio
 from kraitchik.interval import (
@@ -18,7 +20,6 @@ from kraitchik.interval import (
     decide,
     iv_add,
     iv_const_pi,
-    iv_div,
     iv_from_rat,
     iv_from_surd,
     iv_ln,
@@ -183,7 +184,9 @@ def test_precision_ladder_checks_its_ceiling():
 # bit-identical endpoints against the Fraction-endpoint oracle
 
 # the integer-mantissa module and the oracle under one set of names
-NEW = SimpleNamespace(**{k: getattr(interval, k) for k in dir(interval) if k.startswith("iv_")}, iv_abs=iv_abs)
+NEW = SimpleNamespace(
+    **{k: getattr(interval, k) for k in dir(interval) if k.startswith("iv_")}, iv_abs=iv_abs, iv_div=iv_div
+)
 ORACLE = interval_oracle
 
 
@@ -390,30 +393,33 @@ def both_modules(request, monkeypatch):
     return request.param, use
 
 
-def clear_bounds_caches():
-    for cache in (bounds._ln_pi, bounds._ln_int, bounds._ln_base_minus_one):
+def clear_oracle_caches():
+    for cache in (oracles._ln_pi, oracles._ln_int, oracles._ln_base_minus_one):
         cache.cache_clear()
 
 
 @pytest.fixture
-def cold_bounds_caches():
-    """Empty ``bounds``' logarithm caches before and after, so no enclosure outlives its module."""
-    clear_bounds_caches()
-    yield clear_bounds_caches
-    clear_bounds_caches()
+def cold_oracle_caches():
+    """Empty the per-n strict-bound oracle's logarithm caches before and after, so no
+    enclosure outlives the interval module that built it."""
+    clear_oracle_caches()
+    yield clear_oracle_caches
+    clear_oracle_caches()
 
 
-def test_log_bounds_match_the_fraction_oracle(both_modules, cold_bounds_caches):
+def test_log_bounds_match_the_fraction_oracle(both_modules, cold_oracle_caches):
+    # the per-n ``oracles.log_bounds`` on the iv_* operations against the same on Fraction
+    # endpoints; tests/test_bounds.py ties ``bounds._min_log_t`` to ``oracles.log_bounds``
     prec, use = both_modules
     cases = []
     for d in odd_squarefree_range(5, 149):
         ctx = DiscriminantContext.for_modulus(d)
         cases += [(bounds.abs_bound_base(ctx, n), n) for n in range(1, ctx.dprime + 1)]
     assert len(cases) == 1905
-    new = [bounds._log_bounds(base, n, prec) for base, n in cases]
-    use(bounds, ORACLE)
-    cold_bounds_caches()
-    old = [bounds._log_bounds(base, n, prec) for base, n in cases]
+    new = [oracles.log_bounds(base, n, prec) for base, n in cases]
+    use(oracles, ORACLE)
+    cold_oracle_caches()
+    old = [oracles.log_bounds(base, n, prec) for base, n in cases]
     for (base, n), ts, refs in zip(cases, new, old):
         assert list(map(as_fractions, ts)) == list(refs), (base, n)
 

@@ -181,6 +181,17 @@ def test_gate_value_outside_the_field_is_refused(monkeypatch):
         check_ratio_approx(psi_xi(7), 100)
 
 
+def test_ratio_table_builds_the_gate_once(monkeypatch):
+    # one gate value per modulus, however many points; each point's verdict as check_ratio_approx's
+    pair, calls = psi_xi(7), []
+    xs = default_sample_points(pair) + [F(9, 2), 1]  # 9/2 is past the gate 2G = 1 + sqrt(7), 1 is not
+    monkeypatch.setattr(ratio, "gate_value", lambda p: calls.append(p.ctx.d) or gate_value(p))
+    rows = ratio_table(pair, xs)
+    assert calls == [7]
+    assert [r.verdict for r in rows] == [check_ratio_approx(pair, x).verdict for x in xs[:-1]] + ["rejected"]
+    assert calls == [7] * len(xs)
+
+
 def test_nonpositive_psi_is_refused():
     # Psi_5 = 2X^2 + X + 2 negated: P = v^2 * Psi(x) < 0 at x = 4 and x = 9/2
     p5 = psi_xi(5)
