@@ -60,6 +60,7 @@ from .interval import (  # verdict constants re-exported: cli and perfbench read
     iv_ln,
     iv_sub,
     ln_mantissas,
+    mul_mantissas,
     precision_ladder,
 )
 from .numtheory import divisors, euler_phi, squarefree_decompose
@@ -247,11 +248,6 @@ class ExplicitBoundReport:
 Mantissas = tuple[int, int]
 
 
-def _mul(al: int, ah: int, bl: int, bh: int, g: int) -> Mantissas:
-    cands = (al * bl, al * bh, ah * bl, ah * bh)
-    return min(cands) >> g, -(-max(cands) >> g)
-
-
 @lru_cache(maxsize=64)
 def _rung_logs(prec: int) -> tuple[int, int, int, int]:
     """ln 2 and ln(e*pi) = ln pi + 1."""
@@ -274,9 +270,9 @@ def _base_logs(base: tuple[int, int, int], prec: int) -> tuple[int, int, int, in
     return f.lo_m, f.hi_m, ln_fm1.lo_m, ln_fm1.hi_m
 
 
-def _ln_t(c: Mantissas, ln_x: Mantissas, y: Mantissas, w: Mantissas, g: int) -> Mantissas:
+def _ln_t(c: Mantissas, ln_x: Mantissas, y: Mantissas, w: Mantissas, prec: int) -> Mantissas:
     """(c - ln x)/2 + y*w."""
-    m_lo, m_hi = _mul(*y, *w, g)
+    m_lo, m_hi = mul_mantissas(*y, *w, prec)
     return ((c[0] - ln_x[1]) >> 1) + m_lo, -((ln_x[0] - c[1]) >> 1) + m_hi
 
 
@@ -298,9 +294,9 @@ def _min_log_t(base: tuple[int, int, int], n: int, prec: int) -> Mantissas:
     lift_lo, lift_hi = lift_lo + one, lift_hi + one  # ln(e*(F+n-1))
     # ln(stir2/(e*pi)), with 1/(6(F+n)) rounded outward
     c = ln2_lo + (one << g) // (6 * fn_hi) - epi_hi, ln2_hi - (-(one << g) // (6 * fn_lo)) - epi_lo
-    t1 = _ln_t(c, ln_n, (f_lo - half, f_hi - half), (lift_lo - lf_hi, lift_hi - lf_lo), g)
-    t2 = _ln_t(c, (lf_lo, lf_hi), ((2 * n + 1) * half,) * 2, (lift_lo - ln_n[1], lift_hi - ln_n[0]), g)
-    t3 = _mul(fn_lo, fn_hi, ln2_lo, ln2_hi, g)
+    t1 = _ln_t(c, ln_n, (f_lo - half, f_hi - half), (lift_lo - lf_hi, lift_hi - lf_lo), prec)
+    t2 = _ln_t(c, (lf_lo, lf_hi), ((2 * n + 1) * half,) * 2, (lift_lo - ln_n[1], lift_hi - ln_n[0]), prec)
+    t3 = mul_mantissas(fn_lo, fn_hi, ln2_lo, ln2_hi, prec)
     return min(t1[0], t2[0], t3[0]), min(t1[1], t2[1], t3[1])
 
 

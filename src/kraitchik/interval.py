@@ -7,8 +7,9 @@ of the inputs is always contained in the output, and every operation runs on
 Python ints: add and sub are integer adds, mul is an integer product
 followed by one directed shift.  The kernels are ln and pi: ln takes an
 exact rational as (numerator, denominator) integers, and both return
-directed integer bounds with explicit tail bounds; ``ln_mantissas`` is ln on
-a bare mantissa pair, for callers that keep no interval objects.  ln
+directed integer bounds with explicit tail bounds; ``mul_mantissas`` and
+``ln_mantissas`` are mul and ln on bare mantissa pairs, for callers that keep
+no interval objects.  ln
 reduces its argument before its atanh series: by a power of two to a
 mantissa in [1, 2), then above 128 bits by square roots, and otherwise by
 the point 1 + t/64 at or below it, whose ln bounds come from a cached
@@ -284,16 +285,21 @@ def iv_sub(x, y, prec: int) -> DyadicInterval:
     return DyadicInterval(x.lo_m - y.hi_m, x.hi_m - y.lo_m, prec)
 
 
+def mul_mantissas(xl: int, xh: int, yl: int, yh: int, prec: int) -> tuple[int, int]:
+    """The mantissas of ``iv_mul``'s enclosure of [xl, xh] * [yl, yh], all over
+    2^(prec + GUARD_BITS), for callers that keep enclosures as bare mantissa pairs."""
+    cands = (xl * yl, xl * yh, xh * yl, xh * yh)
+    g = prec + GUARD_BITS
+    return min(cands) >> g, _ceil_shift(max(cands), g)
+
+
 def iv_mul(x, y, prec: int) -> DyadicInterval:
     x, y = _coerce(x, prec), _coerce(y, prec)
-    cands = (x.lo_m * y.lo_m, x.lo_m * y.hi_m, x.hi_m * y.lo_m, x.hi_m * y.hi_m)
-    g = prec + GUARD_BITS
-    return DyadicInterval(min(cands) >> g, _ceil_shift(max(cands), g), prec)
+    return DyadicInterval(*mul_mantissas(x.lo_m, x.hi_m, y.lo_m, y.hi_m, prec), prec)
 
 
 def ln_mantissas(lo_m: int, hi_m: int, prec: int) -> tuple[int, int]:
-    """The mantissas of ``iv_ln``'s enclosure of ln over [lo_m, hi_m] / 2^(prec + GUARD_BITS),
-    for callers that keep an enclosure as a bare mantissa pair."""
+    """The mantissas of ``iv_ln``'s enclosure of ln over [lo_m, hi_m] / 2^(prec + GUARD_BITS)."""
     if lo_m <= 0:
         raise IntervalDomainError(f"log needs a strictly positive interval, lo_m={lo_m:#x}")
     g = prec + GUARD_BITS
