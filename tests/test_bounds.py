@@ -8,10 +8,10 @@ from types import SimpleNamespace
 
 import interval_oracle
 import mpmath
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-import oracles
 from oracles import Quad, growth_base, surd_base
 
 import kraitchik.bounds as bounds
