@@ -24,15 +24,14 @@ divisor; ``coefficient_bounds_pass`` seeds (P, Q, K) from
 between, by the factor (p + 2(n-1), q) and K by 2n.
 ``explicit_bound_pass`` checks the strict three-way closed-form bound in log
 space, ln|a + b*sqrt(d)| < min(ln t1, ln t2, ln t3), so ln is the one
-interval kernel it needs.  It takes the first rung of
-``precision_ladder(max_precision)`` and decides every n on it from bare
-integer mantissas (``_min_log_t``), rounded outward exactly as the ``iv_*``
+interval kernel it needs.  Every n of the modulus is one case of a single
+``decide`` (for D < 0 with a second case, the left side against sqrt(D),
+sharing the n's right side).  The right side comes from bare integer
+mantissas (``_min_log_t``), rounded outward exactly as the ``iv_*``
 operations round them: ln 2, ln(e*pi) and each base's ln(F - 1) are computed
-once per rung, ln n is cached.  Only an n whose enclosures do not separate
-there, in either variant, goes to ``decide`` for the later rungs, and comes
-back ``unresolved`` if the ceiling is hit.  A zero left side is decided
-exactly.  The per-n entry points ``check_coefficient_bounds`` and
-``check_explicit_bound`` run the pass over their one n.
+once per rung, ln n is cached.  A zero left side is decided exactly.  The
+per-n entry points ``check_coefficient_bounds`` and ``check_explicit_bound``
+run the pass over their one n.
 """
 
 from __future__ import annotations
@@ -40,8 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, partial
-from typing import Callable, Iterator, Optional
+from functools import lru_cache, partial
+from typing import Iterator, Optional
 
 from .construct import KraitchikPair
 from .interval import (  # verdict constants re-exported: cli and perfbench read bounds.VERIFIED
@@ -51,7 +50,6 @@ from .interval import (  # verdict constants re-exported: cli and perfbench read
     UNRESOLVED,
     VERIFIED,
     DyadicInterval,
-    IntervalDomainError,
     decide,
     iv_add,
     iv_const_pi,
@@ -276,7 +274,7 @@ def _ln_t(c: Mantissas, ln_x: Mantissas, y: Mantissas, w: Mantissas, prec: int) 
     return ((c[0] - ln_x[1]) >> 1) + m_lo, -((ln_x[0] - c[1]) >> 1) + m_hi
 
 
-def _min_log_t(base: tuple[int, int, int], n: int, prec: int) -> Mantissas:
+def _min_log_t(base: tuple[int, int, int], n: int, prec: int) -> DyadicInterval:
     """min(ln t1, ln t2, ln t3) at growth base F and index n, each a short sum of logarithms.
 
     t1 and t2 are sqrt(stir2/(e*pi*x)) * (e*(F+n-1)/y)^(y + 1/2) with (x, y) = (n, F - 1)
@@ -297,59 +295,31 @@ def _min_log_t(base: tuple[int, int, int], n: int, prec: int) -> Mantissas:
     t1 = _ln_t(c, ln_n, (f_lo - half, f_hi - half), (lift_lo - lf_hi, lift_hi - lf_lo), prec)
     t2 = _ln_t(c, (lf_lo, lf_hi), ((2 * n + 1) * half,) * 2, (lift_lo - ln_n[1], lift_hi - ln_n[0]), prec)
     t3 = mul_mantissas(fn_lo, fn_hi, ln2_lo, ln2_hi, prec)
-    return min(t1[0], t2[0], t3[0]), min(t1[1], t2[1], t3[1])
+    return DyadicInterval(min(t1[0], t2[0], t3[0]), min(t1[1], t2[1], t3[1]), prec)
 
 
-def _ln_surd(a: int, b: int, d: int, prec: int) -> Mantissas:
+def _ln_surd(a: int, b: int, d: int, prec: int) -> DyadicInterval:
     """ln(a + b*sqrt(d)) for a positive surd."""
-    box = iv_from_surd(a, b, d, prec)
-    return ln_mantissas(box.lo_m, box.hi_m, prec)
+    return iv_ln(iv_from_surd(a, b, d, prec), prec)
 
 
-def _half_ln_int(m: int, prec: int) -> Mantissas:
+def _half_ln_int(m: int, prec: int) -> DyadicInterval:
     """ln(m)/2 = ln sqrt(m) for an integer m >= 1."""
     g = prec + GUARD_BITS
     lo, hi = ln_mantissas(m << g, m << g, prec)
-    return lo >> 1, -(-hi >> 1)
-
-
-def _verdict(
-    lhs: Callable[[int], Mantissas],
-    rhs: Callable[[int], Mantissas],
-    first: Optional[int],
-    rhs_first: Optional[Mantissas],
-    rest: Callable[[], tuple[int, ...]],
-) -> str:
-    """lhs < rhs on the first rung from mantissa pairs (``rhs_first``, None if it had no
-    enclosure), else through ``decide`` on the rungs after it."""
-    if rhs_first is not None:
-        try:
-            lo, hi = lhs(first)
-            if hi < rhs_first[0]:
-                return VERIFIED
-            if lo >= rhs_first[1]:
-                return FALSIFIED
-        except IntervalDomainError:
-            pass  # no enclosure on this rung: the later ones decide
-
-    def interval(side):
-        return lambda p: DyadicInterval(*side(p), p)
-
-    return decide(interval(lhs), interval(rhs), rest()).verdict
+    return DyadicInterval(lo >> 1, -(-hi >> 1), prec)
 
 
 def explicit_bound_pass(
     pair: KraitchikPair, max_precision: int = DEFAULT_MAX_PRECISION, ns: Optional[range] = None
 ) -> list[ExplicitBoundReport]:
-    """Strict three-way bound on |a_{d,n} + b_{d,n} sqrt(d)| at each n of ``ns`` (default 1..d')."""
+    """Strict three-way bound on |a_{d,n} + b_{d,n} sqrt(d)| at each n of ``ns`` (default 1..d'),
+    every n of the modulus one case of a single ``decide``."""
     ns = _indices(pair, ns, 1)
     ctx = pair.ctx
     d = ctx.d
-    # the ceiling is checked here, before any enclosure is built
-    ladder = iter(precision_ladder(max_precision))
-    first = next(ladder, None)
-    rest = cache(lambda: tuple(ladder))  # the later rungs, taken only if some n needs them
-    reports = []
+    rungs = precision_ladder(max_precision)  # the ceiling is checked here, before any enclosure is built
+    cases, rows = [], []  # rows: (n, index of its first case, or None for a zero left side)
     for n, base, fresh in _bases(ctx, ns, abs_bound_base):
         if fresh:
             if cmp_surd(base.a, base.b, base.r, 1) <= 0:
@@ -358,25 +328,20 @@ def explicit_bound_pass(
         a_n, b_n = pair.a[n], pair.b_coeff(n)
         if a_n == b_n == 0:
             # every t_i is a positive product, so 0 < min(t1, t2, t3) holds exactly; ln 0 has no enclosure
-            reports.append(ExplicitBoundReport(d, n, VERIFIED, VERIFIED))
+            rows.append((n, None))
             continue
-        rhs = partial(_min_log_t, key, n)
-        rhs_first = None
-        if first is not None:
-            try:
-                rhs_first = rhs(first)
-            except IntervalDomainError:
-                pass
-        sign = cmp_surd(a_n, b_n, d, 0)
-        aa, bb = (a_n, b_n) if sign >= 0 else (-a_n, -b_n)
-        verdict = _verdict(partial(_ln_surd, aa, bb, d), rhs, first, rhs_first, rest)
-        if ctx.D > 0:
-            verdict_disc = verdict
-        else:
-            mod_sq = a_n * a_n + d * b_n * b_n
-            verdict_disc = _verdict(partial(_half_ln_int, mod_sq), rhs, first, rhs_first, rest)
-        reports.append(ExplicitBoundReport(d, n, verdict, verdict_disc))
-    return reports
+        rows.append((n, len(cases)))
+        rhs = partial(_min_log_t, key, n)  # one object, so decide builds it once per rung for both variants
+        aa, bb = (a_n, b_n) if cmp_surd(a_n, b_n, d, 0) >= 0 else (-a_n, -b_n)
+        cases.append((partial(_ln_surd, aa, bb, d), rhs))
+        if ctx.D < 0:
+            cases.append((partial(_half_ln_int, a_n * a_n + d * b_n * b_n), rhs))
+    verdicts = [decision.verdict for decision in decide(cases, rungs)]
+    disc = 1 if ctx.D < 0 else 0  # the sqrt(D) variant's case follows its n's first case
+    return [
+        ExplicitBoundReport(d, n, *((VERIFIED, VERIFIED) if i is None else (verdicts[i], verdicts[i + disc])))
+        for n, i in rows
+    ]
 
 
 def check_explicit_bound(

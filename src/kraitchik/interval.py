@@ -19,13 +19,14 @@ the table and ln 2 = 2 atanh(1/3).  Square roots are integer ones (``isqrt``)
 each caller states its inequality in log space, where powers become sums and
 multiples of logarithms.
 
-``decide`` is the one precision-ladder driver: it re-evaluates both sides of
-a strict inequality at each rung of a doubling precision ladder until the
-enclosures separate.  Each rung's enclosures are valid by themselves, so a
-verdict rests on a single rung.  Both sides are enclosures at the rung's
-precision, compared by their integer mantissas.  Inequalities that fail to
-separate by the precision ceiling come back ``unresolved`` -- callers treat
-that as failure-to-verify, never as verification.
+``decide`` is the one precision-ladder driver: it settles a family of strict
+inequalities together, re-evaluating the cases still open at each rung of a
+doubling precision ladder until their enclosures separate.  Each rung's
+enclosures are valid by themselves, so a verdict rests on a single rung.
+Both sides are enclosures at the rung's precision, compared by their integer
+mantissas.  Inequalities that fail to separate by the precision ceiling come
+back ``unresolved`` -- callers treat that as failure-to-verify, never as
+verification.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 GUARD_BITS = 32
 # ln's table step divides its mantissa by the nearest point 1 + t/2^TABLE_BITS
@@ -327,35 +328,51 @@ def precision_ladder(max_precision: int = DEFAULT_MAX_PRECISION) -> tuple[int, .
 
 
 class Decision(NamedTuple):
-    """A verdict with each side's enclosure at the last rung evaluated, or None if no rung was."""
+    """A verdict with each side's enclosure at the last rung that enclosed both, or None if none did."""
 
     verdict: str
     lhs: Optional[DyadicInterval]
     rhs: Optional[DyadicInterval]
 
 
-def decide(
-    lhs: Callable[[int], DyadicInterval], rhs: Callable[[int], DyadicInterval], rungs: Iterable[int]
-) -> Decision:
-    """Decide the strict inequality lhs < rhs, one precision rung at a time.
+Side = Callable[[int], DyadicInterval]
 
-    Each side is a function from a precision to an enclosure at that
-    precision, so the two sides share one grid and their mantissas compare
-    directly.  ``verified`` once lhs.hi < rhs.lo, ``falsified`` once
-    lhs.lo >= rhs.hi, ``unresolved`` when the rungs run out.  A rung at which
-    either side raises IntervalDomainError (an enclosure still too wide for
-    some operation's domain) is skipped.
+
+def decide(cases: Sequence[tuple[Side, Side]], rungs: Iterable[int]) -> list[Decision]:
+    """Decide each strict inequality lhs < rhs of ``cases``, in case order.
+
+    Each side maps a precision to an enclosure at it, so a case's two sides
+    share one grid and compare by their mantissas: ``verified`` once
+    lhs.hi < rhs.lo, ``falsified`` once lhs.lo >= rhs.hi, ``unresolved`` when
+    the rungs run out.  A rung is taken only while some case is open, and only
+    the open cases are evaluated on it, a side object shared by several cases
+    once.  A case whose side raises IntervalDomainError on a rung (an enclosure
+    still too wide for some operation's domain) stays open.
     """
-    li = ri = None
-    for prec in rungs:
-        try:
-            li, ri = lhs(prec), rhs(prec)
-        except IntervalDomainError:
-            continue
-        if li.prec != ri.prec:
-            raise ValueError(f"sides at precisions {li.prec} and {ri.prec} compared at rung {prec}")
-        if li.hi_m < ri.lo_m:
-            return Decision(VERIFIED, li, ri)
-        if li.lo_m >= ri.hi_m:
-            return Decision(FALSIFIED, li, ri)
-    return Decision(UNRESOLVED, li, ri)
+    decisions = [Decision(UNRESOLVED, None, None)] * len(cases)
+    open_cases = range(len(cases))
+    for prec in rungs if cases else ():  # an empty family takes no rung
+        seen: dict[Side, Optional[DyadicInterval]] = {}  # each side's enclosure on this rung, None if it raised
+
+        def at(side: Side) -> Optional[DyadicInterval]:
+            if side not in seen:
+                try:
+                    seen[side] = side(prec)
+                except IntervalDomainError:
+                    seen[side] = None
+            return seen[side]
+
+        for i in open_cases:
+            lhs, rhs = cases[i]
+            li = at(lhs)
+            ri = None if li is None else at(rhs)
+            if ri is None:
+                continue  # no enclosure on this rung: the case stays open
+            if li.prec != ri.prec:
+                raise ValueError(f"sides at precisions {li.prec} and {ri.prec} compared at rung {prec}")
+            verdict = VERIFIED if li.hi_m < ri.lo_m else FALSIFIED if li.lo_m >= ri.hi_m else UNRESOLVED
+            decisions[i] = Decision(verdict, li, ri)
+        open_cases = [i for i in open_cases if decisions[i].verdict == UNRESOLVED]
+        if not open_cases:
+            break
+    return decisions

@@ -5,9 +5,10 @@ lowest terms, Horner on the pair's integer coefficients gives
 P = v^d' * Psi_d(x) and X = v^(d'-1) * Xi_d(x), and with w = 2u - mu(d)*v
 the left side is the single Fraction v*|X*w - P| / (P*w).  The envelope's
 irrationals (sqrt(d), and the gate value G_d as an exponent) are met in log
-space: ``_log_sides`` turns the bound into an equivalent comparison of two
-logarithms, each enclosed with validated intervals, so a ``verified`` verdict
-is a machine-checked strict inequality and ``falsified`` a proven violation.
+space: ``_log_lhs`` and ``_log_rhs`` turn the bound into an equivalent
+comparison of two logarithms, each enclosed with validated intervals, so a
+``verified`` verdict is a machine-checked strict inequality and ``falsified``
+a proven violation.
 
 The gate value G_d is a growth base (p + q*sqrt(r))/2 from ``bounds``.  The
 gate x > 2*G_d is decided exactly, by one ``cmp_surd``, before anything else;
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 from typing import Optional, Sequence
 
 from .bounds import _require_minimum_modulus, _same_field, ceil_multiple, l1_bound_base
@@ -81,8 +82,8 @@ def _homogeneous(coeffs: Sequence[int], u: int, v: int) -> int:
     return acc
 
 
-def _log_sides(g: QuadElem, x: Fraction, c: Fraction, d: int, prec: int) -> tuple[DyadicInterval, DyadicInterval]:
-    """Enclosures of ln(1 + G/x + c*sqrt(d)) and G*ln(x/(x - 1)), the bound in log space.
+def _log_lhs(g: QuadElem, x: Fraction, c: Fraction, d: int, prec: int) -> DyadicInterval:
+    """Enclosure of ln(1 + G/x + c*sqrt(d)), the left side of the bound in log space.
 
     The bound is L < x/((2x - mu) sqrt(d)) * ((1 - 1/x)^(-G) - 1 - G/x).  Past
     the gate x > 2G > 1 and 2x - mu > 0, so the prefactor is positive; divided
@@ -92,16 +93,19 @@ def _log_sides(g: QuadElem, x: Fraction, c: Fraction, d: int, prec: int) -> tupl
     inequality exactly, in both directions.  G = a + b*sqrt(d) (b = 0 when G is
     rational), so the left argument is the one surd (1 + a/x) + (b/x + c)*sqrt(d).
     """
-    lhs = iv_ln(iv_from_surd(1 + g.a / x, g.b / x + c, d, prec), prec)
-    rhs = iv_mul(iv_from_surd(g.a, g.b, g.r, prec), iv_ln(iv_from_rat(x / (x - 1), prec), prec), prec)
-    return lhs, rhs
+    return iv_ln(iv_from_surd(1 + g.a / x, g.b / x + c, d, prec), prec)
 
 
-def _check_past_gate(pair: KraitchikPair, g: QuadElem, x: Fraction | int, max_precision: int) -> RatioReport:
-    """``check_ratio_approx`` with the gate value G_d = ``g`` already built."""
+def _log_rhs(g: QuadElem, x: Fraction, prec: int) -> DyadicInterval:
+    """Enclosure of G*ln(x/(x - 1)), the right side of ``_log_lhs``'s inequality."""
+    return iv_mul(iv_from_surd(g.a, g.b, g.r, prec), iv_ln(iv_from_rat(x / (x - 1), prec), prec), prec)
+
+
+def _point_case(pair: KraitchikPair, g: QuadElem, x: Fraction) -> tuple[Fraction, tuple]:
+    """The exact left side at a point x past the gate G_d = ``g``, and the ``decide`` case
+    of the bound there in log space; GateError for an x not past the gate."""
     ctx = pair.ctx
     _require_minimum_modulus(ctx.d)
-    x = Fraction(x)
     _same_field(g.b, g.r, ctx.d)
     if not _past_gate(g, x):
         raise GateError(f"x = {x} does not exceed twice the gate value for d = {ctx.d}")
@@ -115,31 +119,33 @@ def _check_past_gate(pair: KraitchikPair, g: QuadElem, x: Fraction | int, max_pr
     w = 2 * u - mu * v  # v * (2x - mu), positive past the gate
     lhs = Fraction(v * abs(X * w - P), P * w)
     c = lhs * w / u  # lhs over the prefactor u/(w*sqrt(d)), per sqrt(d)
-
-    @lru_cache(maxsize=None)
-    def sides(prec: int) -> tuple[DyadicInterval, DyadicInterval]:
-        return _log_sides(g, x, c, ctx.d, prec)
-
-    decision = decide(lambda p: sides(p)[0], lambda p: sides(p)[1], precision_ladder(max_precision))
-    return RatioReport(ctx.d, x, lhs, decision.verdict)
+    return lhs, (partial(_log_lhs, g, x, c, ctx.d), partial(_log_rhs, g, x))
 
 
 def check_ratio_approx(
     pair: KraitchikPair, x: Fraction | int, max_precision: int = DEFAULT_MAX_PRECISION
 ) -> RatioReport:
-    """Verify |Xi(x)/Psi(x) - 1/(2x - mu(d))| < the closed-form envelope."""
-    return _check_past_gate(pair, gate_value(pair), x, max_precision)
+    """Verify |Xi(x)/Psi(x) - 1/(2x - mu(d))| < the closed-form envelope; GateError unless x is past the gate."""
+    x = Fraction(x)
+    lhs, case = _point_case(pair, gate_value(pair), x)
+    return RatioReport(pair.ctx.d, x, lhs, decide([case], precision_ladder(max_precision))[0].verdict)
 
 
 def ratio_table(
     pair: KraitchikPair, xs: Sequence[Fraction | int], max_precision: int = DEFAULT_MAX_PRECISION
 ) -> list[RatioReport]:
-    """One report per sample point, all against one gate value; gate failures become 'rejected' rows."""
+    """One report per sample point, all against one gate value; gate failures become 'rejected'
+    rows, and the points past the gate are the cases of a single ``decide``."""
     g = gate_value(pair)
-    out = []
-    for x in xs:
+    rungs = precision_ladder(max_precision)  # the ceiling is checked here, before any enclosure is built
+    points, cases = [], []
+    for x in map(Fraction, xs):
         try:
-            out.append(_check_past_gate(pair, g, x, max_precision))
+            lhs, case = _point_case(pair, g, x)
         except GateError:
-            out.append(RatioReport(pair.ctx.d, Fraction(x), None, REJECTED))
-    return out
+            lhs = None
+        else:
+            cases.append(case)
+        points.append((x, lhs))
+    decisions = iter(decide(cases, rungs))
+    return [RatioReport(pair.ctx.d, x, lhs, REJECTED if lhs is None else next(decisions).verdict) for x, lhs in points]

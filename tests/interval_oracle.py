@@ -36,7 +36,7 @@ from kraitchik import interval as mantissa_interval
 GUARD_BITS = 32
 
 
-# the module's own error, so that ``decide`` skips a rung on the oracle's domain errors too
+# the module's own error, so that ``decide`` keeps a case open on the oracle's domain errors too
 IntervalDomainError = mantissa_interval.IntervalDomainError
 
 

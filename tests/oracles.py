@@ -294,8 +294,7 @@ def explicit_bound_sides(pair: KraitchikPair, n: int) -> tuple:
     def lhs_disc(p):
         return iv_div(iv_ln(iv_from_rat(mod_sq, p), p), 2, p)
 
-    @lru_cache(maxsize=None)
-    def rhs(p):
+    def rhs(p):  # shared by both variants' cases, so decide builds it once per rung
         return min_log_bound(base, n, p)
 
     return lhs, None if ctx.D > 0 else lhs_disc, rhs
@@ -304,5 +303,6 @@ def explicit_bound_sides(pair: KraitchikPair, n: int) -> tuple:
 def explicit_bound_verdicts(pair: KraitchikPair, n: int, max_precision: int = DEFAULT_MAX_PRECISION) -> tuple[str, str]:
     """(verdict, verdict_disc_radicand) of the strict bound at (d, n), a nonzero left side."""
     lhs, lhs_disc, rhs = explicit_bound_sides(pair, n)
-    verdict = decide(lhs, rhs, precision_ladder(max_precision)).verdict
-    return verdict, verdict if lhs_disc is None else decide(lhs_disc, rhs, precision_ladder(max_precision)).verdict
+    cases = [(lhs, rhs)] + ([] if lhs_disc is None else [(lhs_disc, rhs)])
+    verdict, *disc = [decision.verdict for decision in decide(cases, precision_ladder(max_precision))]
+    return verdict, disc[0] if disc else verdict

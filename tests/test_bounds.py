@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -334,18 +335,17 @@ def direct_verdicts(pair, n, max_precision=4096) -> tuple[str, str]:
     a_n, b_n, d = pair.a[n], pair.b_coeff(n), ctx.d
     iv, to_m = interval_oracle, interval_oracle.to_mantissas
 
-    @lru_cache(maxsize=None)
-    def min_bound(prec):
+    def min_bound(prec):  # shared by both cases, so decide builds it once per rung
         ts = [to_m(t) for t in iv.three_bounds(base, n, prec)]
         return DyadicInterval(min(t.lo_m for t in ts), min(t.hi_m for t in ts), prec)
 
     aa, bb = (a_n, b_n) if cmp_surd(a_n, b_n, d, 0) >= 0 else (-a_n, -b_n)
-    verdict = decide(lambda p: to_m(iv.iv_from_surd(aa, bb, d, p)), min_bound, precision_ladder(max_precision)).verdict
-    if ctx.D > 0:
-        return verdict, verdict
     mod_sq = a_n * a_n + d * b_n * b_n
-    disc = decide(lambda p: to_m(iv.iv_sqrt(iv.iv_from_rat(mod_sq, p), p)), min_bound, precision_ladder(max_precision))
-    return verdict, disc.verdict
+    cases = [(lambda p: to_m(iv.iv_from_surd(aa, bb, d, p)), min_bound)]
+    if ctx.D < 0:
+        cases.append((lambda p: to_m(iv.iv_sqrt(iv.iv_from_rat(mod_sq, p), p)), min_bound))
+    verdict, *disc = [decision.verdict for decision in decide(cases, precision_ladder(max_precision))]
+    return verdict, disc[0] if disc else verdict
 
 
 def test_log_form_verdicts_match_the_direct_form(pairs_149):
@@ -384,7 +384,8 @@ def test_log_bounds_contain_the_mpmath_logarithms(prec):
                 assert got.width < F(1, 2 ** (prec - 16)), (d, n)
             # the pass's kernel is the minimum of the same three enclosures, bit for bit
             key = (*doubled_parts(base), base.r)
-            assert bounds._min_log_t(key, n, prec) == (min(t.lo_m for t in ts), min(t.hi_m for t in ts)), (d, n)
+            got = bounds._min_log_t(key, n, prec)
+            assert (got.lo_m, got.hi_m, got.prec) == (min(t.lo_m for t in ts), min(t.hi_m for t in ts), prec), (d, n)
 
 
 @pytest.mark.parametrize("d", [5, 7])  # D > 0, then D < 0
@@ -418,7 +419,10 @@ def test_coefficient_pass_matches_the_field_oracle(pairs_255):
 def test_explicit_pass_matches_the_per_n_oracle(pairs_255, max_precision, monkeypatch):
     # every (d, n) of odd squarefree d <= 255: both variants' verdicts against the per-n decide
     # path, and every enclosure the pass built on its first rung against that path's, mantissa
-    # for mantissa.  Under 32 bits the ladder has no rung: nothing is built, nothing resolves
+    # for mantissa.  decide evaluates each case's lhs before its rhs and builds the rhs that
+    # both variants share once, so the enclosures compare as a multiset, with _min_log_t
+    # counted once per n and rung.  Under 32 bits the ladder has no rung: nothing is built,
+    # nothing resolves
     built = []
 
     def record(name):
@@ -426,7 +430,7 @@ def test_explicit_pass_matches_the_per_n_oracle(pairs_255, max_precision, monkey
 
         def wrapper(*args):
             out = real(*args)
-            built.append((name, args[-1], out))
+            built.append((name, args, (out.lo_m, out.hi_m, out.prec)))
             return out
 
         monkeypatch.setattr(bounds, name, wrapper)
@@ -445,9 +449,12 @@ def test_explicit_pass_matches_the_per_n_oracle(pairs_255, max_precision, monkey
             ), (d, rep.n)
             lhs, lhs_disc, rhs = oracles.explicit_bound_sides(pair, rep.n)
             sides = [("_min_log_t", rhs), ("_ln_surd", lhs)] + ([("_half_ln_int", lhs_disc)] if lhs_disc else [])
-            want += [(name, p, (side(p).lo_m, side(p).hi_m)) for p in first for name, side in sides]
+            want += [(name, p, (side(p).lo_m, side(p).hi_m, p)) for p in first for name, side in sides]
             checked += 1
-        assert [b for b in built if b[1] in first] == want, d
+        on_first = [(name, args[-1], out) for name, args, out in built if args[-1] in first]
+        assert Counter(on_first) == Counter(want), d
+        rhs_built = [(args[1], args[-1]) for name, args, _ in built if name == "_min_log_t"]
+        assert len(rhs_built) == len(set(rhs_built)), d  # _min_log_t once per (n, rung)
     assert checked == sum(p.ctx.dprime for p in pairs_255.values()) > 5000
     if not first:
         assert built == []

@@ -137,37 +137,147 @@ def test_domain_errors():
         iv_ln(span, 64)
     with pytest.raises(IntervalDomainError):
         iv_from_surd(1, 1, -5, 64)
-    # past 4300 decimal digits a decimal message would raise a plain ValueError, which decide does not skip
+    # past 4300 decimal digits a decimal message would raise a plain ValueError, which decide does not catch
     for iv in (interval, ORACLE):
         with pytest.raises(IntervalDomainError, match="^log needs a strictly positive interval"):
             iv.iv_ln(iv.iv_sub(0, iv.iv_from_rat(2**20000, 64), 64), 64)
+
+
+def decide_one(lhs, rhs, rungs):
+    """``decide`` on the family of the one case lhs < rhs."""
+    (decision,) = decide([(lhs, rhs)], rungs)
+    return decision
 
 
 def test_decide_examples():
     golden = lambda p: iv_from_surd(F(1, 2), F(1, 2), 5, p)
     two = lambda p: iv_from_rat(2, p)
     third = lambda p: iv_from_rat(F(1, 3), p)
-    assert decide(golden, two, precision_ladder(4096)).verdict == VERIFIED
-    assert decide(two, golden, precision_ladder(4096)).verdict == FALSIFIED
+    assert decide_one(golden, two, precision_ladder(4096)).verdict == VERIFIED
+    assert decide_one(two, golden, precision_ladder(4096)).verdict == FALSIFIED
     # exact endpoints decide 2 < 2 false; equal sides that are not exact never separate
-    assert decide(two, two, precision_ladder(4096)).verdict == FALSIFIED
-    stuck = decide(third, third, precision_ladder(256))
+    assert decide_one(two, two, precision_ladder(4096)).verdict == FALSIFIED
+    stuck = decide_one(third, third, precision_ladder(256))
     assert stuck.verdict == UNRESOLVED and stuck.lhs.prec == stuck.rhs.prec == 256
     # a 30-digit truncation of sqrt(5) separates only beyond 64-bit enclosures
     sqrt5 = lambda p: iv_from_surd(0, 1, 5, p)
     near = lambda p: iv_from_rat(F(2236067977499789696409173668731, 10**30), p)
-    assert decide(near, sqrt5, precision_ladder(64)).verdict == UNRESOLVED
-    assert decide(near, sqrt5, precision_ladder(4096)).verdict == VERIFIED
-    assert decide(sqrt5, near, precision_ladder(4096)).verdict == FALSIFIED
+    assert decide_one(near, sqrt5, precision_ladder(64)).verdict == UNRESOLVED
+    assert decide_one(near, sqrt5, precision_ladder(4096)).verdict == VERIFIED
+    assert decide_one(sqrt5, near, precision_ladder(4096)).verdict == FALSIFIED
     # ln(sqrt(5) - near) ~ -70.4: at 64 bits the difference straddles 0 and
     # iv_ln raises, so that rung is skipped and 128 bits decides
     gap_log = lambda p: iv_ln(iv_sub(sqrt5(p), near(p), p), p)
     zero = lambda p: iv_from_rat(0, p)
     with pytest.raises(IntervalDomainError):
         gap_log(64)
-    decided = decide(gap_log, zero, precision_ladder(4096))
+    decided = decide_one(gap_log, zero, precision_ladder(4096))
     assert decided.verdict == VERIFIED and decided.lhs.prec == 128
-    assert decide(gap_log, zero, precision_ladder(64)) == (UNRESOLVED, None, None)
+    assert decide_one(gap_log, zero, precision_ladder(64)) == (UNRESOLVED, None, None)
+
+
+# the driver over a family of cases: which rungs it takes and which sides it evaluates
+
+GOLDEN = lambda p: iv_from_surd(F(1, 2), F(1, 2), 5, p)  # noqa: E731
+TWO = lambda p: iv_from_rat(2, p)  # noqa: E731
+SQRT5 = lambda p: iv_from_surd(0, 1, 5, p)  # noqa: E731
+# sqrt(5) truncated and rounded up at 30 digits: about 2^-101 and 2^-100 from it, so each
+# separates from sqrt(5) only beyond 64-bit enclosures
+BELOW = lambda p: iv_from_rat(F(2236067977499789696409173668731, 10**30), p)  # noqa: E731
+ABOVE = lambda p: iv_from_rat(F(2236067977499789696409173668732, 10**30), p)  # noqa: E731
+# ln(sqrt(5) - BELOW) ~ -70.4: at 64 bits the difference straddles 0 and iv_ln raises
+GAP_LOG = lambda p: iv_ln(iv_sub(SQRT5(p), BELOW(p), p), p)  # noqa: E731
+ZERO = lambda p: iv_from_rat(0, p)  # noqa: E731
+
+
+def traced(calls: list, name: str, side):
+    """``side``, with each call noted in ``calls`` as (name, prec)."""
+
+    def call(p):
+        calls.append((name, p))
+        return side(p)
+
+    return call
+
+
+def taking(rungs, taken: list):
+    """The rungs, each noted in ``taken`` when the driver takes it."""
+    for p in rungs:
+        taken.append(p)
+        yield p
+
+
+def mantissas(decision):
+    return decision.verdict, *((s.lo_m, s.hi_m, s.prec) if s else None for s in (decision.lhs, decision.rhs))
+
+
+def test_decide_takes_a_rung_only_while_a_case_is_open():
+    # of three cases only the middle one needs 128 bits: rung 128 is taken once, for it alone,
+    # and no rung past it is taken
+    calls, taken = [], []
+    names = ("golden", "two", "below", "sqrt5", "two'", "golden'")
+    sides = [traced(calls, name, side) for name, side in zip(names, (GOLDEN, TWO, BELOW, SQRT5, TWO, GOLDEN))]
+    cases = list(zip(sides[::2], sides[1::2]))
+    decisions = decide(cases, taking(precision_ladder(4096), taken))
+    assert taken == [64, 128]
+    assert [(d.verdict, d.lhs.prec) for d in decisions] == [(VERIFIED, 64), (VERIFIED, 128), (FALSIFIED, 64)]
+    assert sorted(name for name, p in calls if p == 64) == sorted(names)
+    assert [call for call in calls if call[1] == 128] == [("below", 128), ("sqrt5", 128)]
+
+
+def test_a_shared_side_is_evaluated_once_per_rung():
+    # one sqrt(5) object on the right of two cases that both need 128 bits
+    calls = []
+    rhs = traced(calls, "sqrt5", SQRT5)
+    decisions = decide([(BELOW, rhs), (ABOVE, rhs)], precision_ladder(4096))
+    assert [(d.verdict, d.lhs.prec) for d in decisions] == [(VERIFIED, 128), (FALSIFIED, 128)]
+    assert calls == [("sqrt5", 64), ("sqrt5", 128)]
+    # equal functions that are different objects are different sides
+    calls.clear()
+    decide([(BELOW, rhs), (ABOVE, traced(calls, "sqrt5", SQRT5))], precision_ladder(4096))
+    assert calls == [("sqrt5", 64), ("sqrt5", 64), ("sqrt5", 128), ("sqrt5", 128)]
+
+
+def test_an_empty_family_takes_no_rung():
+    taken = []
+    assert decide([], taking(precision_ladder(4096), taken)) == []
+    assert taken == []
+
+
+def test_a_domain_error_keeps_its_case_open():
+    # GAP_LOG has no enclosure at 64 bits, on either side of a case; the other case still
+    # decides there, and the open ones decide at 128
+    calls = []
+    gap_log = traced(calls, "gap_log", GAP_LOG)
+    cases = [(gap_log, ZERO), (GOLDEN, TWO), (ZERO, gap_log)]
+    decisions = decide(cases, precision_ladder(4096))
+    assert [(d.verdict, d.lhs.prec) for d in decisions] == [(VERIFIED, 128), (VERIFIED, 64), (FALSIFIED, 128)]
+    assert calls == [("gap_log", 64), ("gap_log", 128)]  # a side that raised is not called again on its rung
+    assert [mantissas(d) for d in decide(cases, precision_ladder(64))] == [
+        (UNRESOLVED, None, None),
+        mantissas(decide_one(GOLDEN, TWO, precision_ladder(64))),
+        (UNRESOLVED, None, None),
+    ]
+
+
+def test_decisions_come_back_in_case_order():
+    # a family decided on different rungs, and with different verdicts, in either order:
+    # each case's decision is the one it gets alone, at its own index
+    third = lambda p: iv_from_rat(F(1, 3), p)  # noqa: E731
+    cases = [
+        (BELOW, SQRT5),
+        (GOLDEN, TWO),
+        (third, third),
+        (SQRT5, ABOVE),
+        (TWO, GOLDEN),
+        (GAP_LOG, ZERO),
+        (TWO, TWO),
+        (ABOVE, SQRT5),
+    ]
+    alone = [mantissas(decide_one(lhs, rhs, precision_ladder(1024))) for lhs, rhs in cases]
+    assert [v for v, *_ in alone] == [VERIFIED, VERIFIED, UNRESOLVED, VERIFIED, FALSIFIED, VERIFIED, FALSIFIED, FALSIFIED]
+    assert [mantissas(d) for d in decide(cases, precision_ladder(1024))] == alone
+    assert [mantissas(d) for d in decide(cases[::-1], precision_ladder(1024))] == alone[::-1]
 
 
 def test_precision_ladder_checks_its_ceiling():
@@ -428,10 +538,13 @@ def test_ratio_envelopes_match_the_fraction_oracle(both_modules, monkeypatch, pa
     prec, use = both_modules
     captured = []
 
-    def capture(lhs, rhs, rungs):
-        # both log sides at the one precision under test, whatever the ladder
-        captured.append((lhs(prec), rhs(prec)))
-        return interval.Decision("captured", *captured[-1])
+    def capture(cases, rungs):
+        # both log sides of each case at the one precision under test, whatever the ladder
+        decisions = []
+        for lhs, rhs in cases:
+            captured.append((lhs(prec), rhs(prec)))
+            decisions.append(interval.Decision("captured", *captured[-1]))
+        return decisions
 
     monkeypatch.setattr(ratio, "decide", capture)
 
@@ -451,7 +564,10 @@ def test_mixed_precisions_are_refused():
     with pytest.raises(ValueError):
         iv_add(iv_from_rat(1, 64), iv_from_rat(1, 128), 64)
     with pytest.raises(ValueError, match="precisions 64 and 128"):
-        decide(lambda p: iv_from_rat(1, p), lambda p: iv_from_rat(2, 2 * p), [64])
+        decide([(lambda p: iv_from_rat(1, p), lambda p: iv_from_rat(2, 2 * p))], [64])
+    # also when the mixed case follows one that the rung decides
+    with pytest.raises(ValueError, match="precisions 64 and 128"):
+        decide([(GOLDEN, TWO), (lambda p: iv_from_rat(1, p), lambda p: iv_from_rat(2, 2 * p))], [64])
 
 
 def test_repr_past_the_float_range():

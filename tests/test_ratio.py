@@ -46,12 +46,14 @@ def deciding_sides(monkeypatch, pair, x):
     """The report at x and the ``Decision`` behind it, with both log sides at the deciding rung."""
     decisions = []
 
-    def recording_decide(lhs, rhs, rungs):
-        decisions.append(interval.decide(lhs, rhs, rungs))
+    def recording_decide(cases, rungs):
+        decisions.append(interval.decide(cases, rungs))
         return decisions[-1]
 
     monkeypatch.setattr(ratio, "decide", recording_decide)
-    return check_ratio_approx(pair, x), decisions[-1]
+    report = check_ratio_approx(pair, x)
+    assert len(decisions) == 1 and len(decisions[0]) == 1
+    return report, decisions[0][0]
 
 
 def as_mpf(q: Fraction) -> mpmath.mpf:

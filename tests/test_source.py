@@ -121,3 +121,64 @@ def test_every_public_src_name_has_a_non_test_user():
                     if isinstance(m, ast.FunctionDef) and not m.name.startswith("_") and m.name not in members
                 ]
     assert unused == []
+
+
+def ladder_leaks(tree: ast.AST) -> list[int]:
+    """Lines where a ``precision_ladder(...)`` result reaches anything but ``decide``'s rungs:
+    the call must be that argument itself, or be bound to a name read once in its
+    function, as that argument."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def is_decide(node: ast.AST) -> bool:
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "decide"
+
+    def is_rungs(node: ast.AST) -> bool:
+        up = parents.get(node)
+        if isinstance(up, ast.keyword):
+            return up.arg == "rungs" and is_decide(parents[up])
+        return is_decide(up) and up.args[1:2] == [node]
+
+    def scope(node: ast.AST) -> ast.AST:
+        while node in parents and not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            node = parents[node]
+        return node
+
+    leaks = []
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if not (isinstance(node, ast.Call) and "precision_ladder" in (getattr(func, "id", None), getattr(func, "attr", None))):
+            continue
+        bound = parents.get(node)
+        if isinstance(bound, ast.Assign) and len(bound.targets) == 1 and isinstance(bound.targets[0], ast.Name):
+            name = bound.targets[0].id
+            reads = [n for n in ast.walk(scope(bound)) if isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)]
+            if len(reads) == 1 and is_rungs(reads[0]):
+                continue
+        elif is_rungs(node):
+            continue
+        leaks.append(node.lineno)
+    return leaks
+
+
+def test_every_precision_ladder_goes_to_decide():
+    # decide is the one precision-ladder driver: outside interval.py no code steps a ladder
+    # itself, keeps it in a tuple or shares it between calls
+    found = {
+        path.name: ladder_leaks(ast.parse(path.read_text(), filename=str(path)))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "interval.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert "precision_ladder" in (SRC / "bounds.py").read_text() and "precision_ladder" in (SRC / "ratio.py").read_text()
+    # the shapes the rule refuses: a hand-run ladder, a tuple of one, a ladder shared by two
+    # calls or sliced, a ladder in the cases' place
+    refused = (
+        "def f(m):\n    ladder = iter(precision_ladder(m))\n    first = next(ladder, None)\n",
+        "def f(m):\n    rest = cache(lambda: tuple(precision_ladder(m)))\n",
+        "def f(m):\n    rungs = precision_ladder(m)\n    decide(a, rungs)\n    decide(b, rungs)\n",
+        "def f(m):\n    rungs = precision_ladder(m)\n    decide(a, rungs[1:])\n",
+        "def f(m):\n    decide(precision_ladder(m), rungs)\n",
+    )
+    assert [ladder_leaks(ast.parse(src)) != [] for src in refused] == [True] * len(refused)
+    allowed = "def f(m):\n    rungs = precision_ladder(m)\n    decide(a, rungs)\n    return decide([c], rungs=precision_ladder(m))\n"
+    assert ladder_leaks(ast.parse(allowed)) == []
