@@ -300,7 +300,8 @@ def _min_log_t(base: tuple[int, int, int], n: int, prec: int) -> DyadicInterval:
 
 def _ln_surd(a: int, b: int, d: int, prec: int) -> DyadicInterval:
     """ln(a + b*sqrt(d)) for a positive surd."""
-    return iv_ln(iv_from_surd(a, b, d, prec), prec)
+    box = iv_from_surd(a, b, d, prec)
+    return DyadicInterval(*ln_mantissas(box.lo_m, box.hi_m, prec), prec)
 
 
 def _half_ln_int(m: int, prec: int) -> DyadicInterval:

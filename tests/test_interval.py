@@ -178,16 +178,16 @@ def test_decide_examples():
 
 # the driver over a family of cases: which rungs it takes and which sides it evaluates
 
-GOLDEN = lambda p: iv_from_surd(F(1, 2), F(1, 2), 5, p)  # noqa: E731
-TWO = lambda p: iv_from_rat(2, p)  # noqa: E731
-SQRT5 = lambda p: iv_from_surd(0, 1, 5, p)  # noqa: E731
+GOLDEN = lambda p: iv_from_surd(F(1, 2), F(1, 2), 5, p)
+TWO = lambda p: iv_from_rat(2, p)
+SQRT5 = lambda p: iv_from_surd(0, 1, 5, p)
 # sqrt(5) truncated and rounded up at 30 digits: about 2^-101 and 2^-100 from it, so each
 # separates from sqrt(5) only beyond 64-bit enclosures
-BELOW = lambda p: iv_from_rat(F(2236067977499789696409173668731, 10**30), p)  # noqa: E731
-ABOVE = lambda p: iv_from_rat(F(2236067977499789696409173668732, 10**30), p)  # noqa: E731
+BELOW = lambda p: iv_from_rat(F(2236067977499789696409173668731, 10**30), p)
+ABOVE = lambda p: iv_from_rat(F(2236067977499789696409173668732, 10**30), p)
 # ln(sqrt(5) - BELOW) ~ -70.4: at 64 bits the difference straddles 0 and iv_ln raises
-GAP_LOG = lambda p: iv_ln(iv_sub(SQRT5(p), BELOW(p), p), p)  # noqa: E731
-ZERO = lambda p: iv_from_rat(0, p)  # noqa: E731
+GAP_LOG = lambda p: iv_ln(iv_sub(SQRT5(p), BELOW(p), p), p)
+ZERO = lambda p: iv_from_rat(0, p)
 
 
 def traced(calls: list, name: str, side):
@@ -263,7 +263,7 @@ def test_a_domain_error_keeps_its_case_open():
 def test_decisions_come_back_in_case_order():
     # a family decided on different rungs, and with different verdicts, in either order:
     # each case's decision is the one it gets alone, at its own index
-    third = lambda p: iv_from_rat(F(1, 3), p)  # noqa: E731
+    third = lambda p: iv_from_rat(F(1, 3), p)
     cases = [
         (BELOW, SQRT5),
         (GOLDEN, TWO),
