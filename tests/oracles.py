@@ -10,6 +10,10 @@ radicand, and combining two genuinely irrational radicands raises
 integer pairs: the closed-form power sums fed through the generic
 ``newton_elementary``.  ``falling_factorial_poly`` is
 binom(X, m) expanded as X(X-1)...(X-m+1)/m!, the reference for the collapse.
+``partitions``, ``partition_weights`` and ``pm_polynomial_by_weights`` are the
+collapse as ``kraitchik.symfunc`` summed it before it moved onto integer
+counts m!/z: every partition of m as a tuple, its weight 1/z as a Fraction,
+and one Fraction addition per partition.
 ``psi_xi_full`` is ``psi_xi`` as it was before it stopped at h = max(d'//2, 1)
 and mirrored the rest: the integer recursion run to m = d', with no gate.
 ``growth_base`` is ``kraitchik.bounds``'s growth base as it was before it
@@ -26,8 +30,10 @@ since ``src/`` stopped dividing intervals), every rung through ``decide``.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from kraitchik.bounds import abs_bound_base
 from kraitchik.construct import KraitchikPair, _exact_quotient, _pair_dot
@@ -184,6 +190,45 @@ def falling_factorial_poly(m: int) -> DensePoly:
     for i in range(m):
         p = p * DensePoly([Fraction(-i), Fraction(1)])
     return p * Fraction(1, math.factorial(m))
+
+
+Partition = tuple[int, ...]
+
+
+def partitions(m: int, _min: int = 1) -> Iterator[Partition]:
+    """All partitions of m as nondecreasing tuples; ``partitions(0)`` yields ()."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(_min, m + 1):
+        for rest in partitions(m - first, first):
+            yield (first,) + rest
+
+
+def partition_weights(m: int) -> dict[Partition, Fraction]:
+    """w_e = 1/z_e for every partition e of m."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    weights = {}
+    for e in partitions(m):
+        z = 1
+        for j, c in Counter(e).items():
+            z *= j**c * math.factorial(c)
+        weights[e] = Fraction(1, z)
+    return weights
+
+
+def pm_polynomial_by_weights(m: int) -> DensePoly:
+    """The collapse polynomial sum_e (-1)^(m-k) w_e X^k over partitions e of m with
+    k parts, one Fraction weight per partition."""
+    if m < 0:
+        raise ValueError(f"need m >= 0, got {m}")
+    if m == 0:
+        return DensePoly([Fraction(1)])
+    coeffs = [Fraction(0)] * (m + 1)
+    for e, w in partition_weights(m).items():
+        coeffs[len(e)] += w if (m - len(e)) % 2 == 0 else -w
+    return DensePoly(coeffs)
 
 
 def second_coefficient_closed_form(d: int) -> QuadElem:

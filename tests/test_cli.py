@@ -1,7 +1,9 @@
 import dataclasses
 import importlib.util
 import json
+import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,8 @@ import kraitchik.construct as construct
 from kraitchik.cli import SUITES, main, row_dict, row_json
 from kraitchik.construct import IdentityReport, psi_xi
 from kraitchik.numtheory import odd_squarefree_range
+from kraitchik.poly import DensePoly
+from kraitchik.symfunc import pm_polynomial
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "golden" / "table_5_13.txt"
@@ -323,6 +327,25 @@ def test_verify_symfunc(capsys):
     code, out, _ = run(capsys, "verify", "symfunc")
     assert code == 0
     assert "symfunc m=20 verified" in out
+
+
+def test_verify_symfunc_catches_a_planted_fault(capsys, monkeypatch):
+    # binom(X, 7) with [X^3] off by 1/7!: that row alone must fail
+    def planted(m):
+        poly = pm_polynomial(m)
+        if m != 7:
+            return poly
+        coeffs = list(poly.coeffs)
+        coeffs[3] += Fraction(1, math.factorial(7))
+        return DensePoly(coeffs)
+
+    monkeypatch.setattr(cli, "pm_polynomial", planted)
+    code, out, _ = run(capsys, "verify", "symfunc")
+    assert code == 1
+    *rows, summary = out.splitlines()
+    assert rows[6] == "symfunc m=7 falsified"
+    assert [row.split()[2] for row in rows] == ["verified"] * 6 + ["falsified"] + ["verified"] * 14  # + newton-vs-brute
+    assert summary == "summary: verified=20 falsified=1 unresolved=0"
 
 
 def test_verify_gauss_oracle_small(capsys):

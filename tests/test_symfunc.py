@@ -5,17 +5,11 @@ from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import falling_factorial_poly
+from oracles import falling_factorial_poly, partition_weights, partitions, pm_polynomial_by_weights
 
+from kraitchik.cli import SYMFUNC_MAX_M
 from kraitchik.poly import DensePoly
-from kraitchik.symfunc import (
-    elementary_brute,
-    newton_elementary,
-    partition_weights,
-    partitions,
-    pm_polynomial,
-    power_sums_of,
-)
+from kraitchik.symfunc import elementary_brute, newton_elementary, pm_polynomial, power_sums_of
 
 F = Fraction
 
@@ -80,6 +74,15 @@ def test_pm_polynomial_examples():
     assert pm_polynomial(0) == DensePoly([F(1)])
     assert pm_polynomial(2) == DensePoly([F(0), F(-1, 2), F(1, 2)])
     assert pm_polynomial(5) == falling_factorial_poly(5)
+
+
+def test_pm_polynomial_matches_weight_sum():
+    # the integer counts m!/z against one Fraction weight 1/z per partition, at every m the CLI accepts
+    for m in range(SYMFUNC_MAX_M + 1):
+        poly = pm_polynomial(m)
+        assert poly == pm_polynomial_by_weights(m), m
+        # m! * |[X^k]| counts the permutations of m with k cycles: together, all m! of them
+        assert sum(abs(c) * math.factorial(m) for c in poly.coeffs) == math.factorial(m), m
 
 
 def test_newton_examples():
