@@ -344,7 +344,7 @@ def test_verify_symfunc_catches_a_planted_fault(capsys, monkeypatch):
     assert code == 1
     *rows, summary = out.splitlines()
     assert rows[6] == "symfunc m=7 falsified"
-    assert [row.split()[2] for row in rows] == ["verified"] * 6 + ["falsified"] + ["verified"] * 14  # + newton-vs-brute
+    assert [row.split()[2] for row in rows] == ["verified"] * 6 + ["falsified"] + ["verified"] * 14  # m = 1..20, newton-vs-brute
     assert summary == "summary: verified=20 falsified=1 unresolved=0"
 
 
