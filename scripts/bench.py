@@ -23,11 +23,20 @@ to the code it measured.  Both sides must carry the same ``BENCHMARK.json``.
 After the untraced pairs, each side runs each workload once more with
 ``--trace 1`` at seed 1, and the entry records every per-layer value of those
 runs side by side.
+
+The ``cli`` section times the program as a user starts it: fresh ``python -m
+kraitchik`` processes in each tree, the sides alternating as above, each
+``verify <suite>`` at its default range in 5 pairs and ``verify all --dmax
+1001`` in 3.  Each run records its wall time, exit code, stdout sha256 and
+whether it wrote bytecode under ``src/``; each command records whether every
+run of both sides printed the same stdout, and the script names on stderr each
+command whose stdout differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -41,6 +50,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10  # the fewest pairs a claimed gain is judged on
 SOURCE_DIRS = ("src", "tests", "perfbench")
+CLI_SUITES = ("identity", "symmetry", "bounds", "corollary", "ratio", "gauss-oracle", "symfunc")
+# (arguments, pairs): every suite at its default range, then the whole sweep at the scale of the frontier
+CLI_COMMANDS = tuple((("verify", suite), 5) for suite in CLI_SUITES) + ((("verify", "all", "--dmax", "1001"), 3),)
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 
@@ -87,6 +99,55 @@ def run_once(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def bytecode(tree: Path) -> dict:
+    """Each compiled file under ``tree/src`` with its modification time."""
+    return {path: path.stat().st_mtime_ns for path in (tree / "src").rglob("*.pyc")}
+
+
+def run_cli(tree: Path, args: tuple[str, ...]) -> dict:
+    """One fresh ``python -m kraitchik`` process on ``tree``'s sources: its wall time, exit code and
+    stdout sha256, and whether it wrote bytecode under ``src/``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    before = bytecode(tree)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "kraitchik", *args], cwd=tree, env=env, capture_output=True)
+    wall = time.perf_counter() - start
+    return {
+        "wall_s": round(wall, 4),
+        "exit": proc.returncode,
+        "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
+        "wrote_bytecode": bytecode(tree) != before,
+    }
+
+
+def cli_entry(parent_runs: list[dict], change_runs: list[dict]) -> dict:
+    """One command's entry from paired runs (parent_runs[i] pairs with change_runs[i])."""
+    before, after = [r["wall_s"] for r in parent_runs], [r["wall_s"] for r in change_runs]
+    return {
+        "parent": {"wall_s": summarize(before), "runs": parent_runs},
+        "change": {"wall_s": summarize(after), "runs": change_runs},
+        "change_better_pairs": sum(a < b for b, a in zip(before, after)),
+        "pairs": len(before),
+        "same_stdout": len({r["stdout_sha256"] for r in parent_runs + change_runs}) == 1,
+    }
+
+
+def cli_section(sides: dict, commands=CLI_COMMANDS, run=run_cli) -> dict:
+    """Each command of ``commands`` run in its number of pairs on the two trees of ``sides``,
+    alternating which side goes first; keyed by the command line after ``kraitchik``."""
+    section = {}
+    for args, pairs in commands:
+        runs = {"parent": [], "change": []}
+        for i in range(pairs):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                runs[side].append(run(sides[side], args))
+        name = " ".join(args)
+        section[name] = cli_entry(runs["parent"], runs["change"])
+        if not section[name]["same_stdout"]:
+            print(f"cli: stdout of '{name}' differs between runs", file=sys.stderr)
+    return section
 
 
 def tier1(tree: Path) -> dict:
@@ -177,6 +238,7 @@ def main(argv=None) -> int:
             traced = {side: run_once(tree, workload, 1, trace=1) for side, tree in sides.items()}
             entry["layers"] = layers(traced["parent"], traced["change"])
             print(f"{workload}: traced pair done", file=sys.stderr)
+        cli = cli_section(sides)
         trees = {side: {**line_counts(tree), "tier1": tier1(tree)} for side, tree in sides.items()}
 
     entry = {
@@ -187,6 +249,7 @@ def main(argv=None) -> int:
         "change": {**change_state, **trees["change"]},
         **line_deltas(trees["parent"], trees["change"]),
         "workloads": workloads,
+        "cli": cli,
     }
     args.out.write_text(json.dumps(entry, indent=2) + "\n")
     return 0

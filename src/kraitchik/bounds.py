@@ -24,14 +24,23 @@ divisor; ``coefficient_bounds_pass`` seeds (P, Q, K) from
 between, by the factor (p + 2(n-1), q) and K by 2n.
 ``explicit_bound_pass`` checks the strict three-way closed-form bound in log
 space, ln|a + b*sqrt(d)| < min(ln t1, ln t2, ln t3), so ln is the one
-interval kernel it needs.  Every n of the modulus is one case of a single
-``decide`` (for D < 0 with a second case, the left side against sqrt(D),
-sharing the n's right side).  The right side comes from bare integer
-mantissas (``_min_log_t``), rounded outward exactly as the ``iv_*``
-operations round them: ln 2, ln(e*pi) and each base's ln(F - 1) are computed
-once per rung, ln n is cached.  A zero left side is decided exactly.  The
-per-n entry points ``check_coefficient_bounds`` and ``check_explicit_bound``
-run the pass over their one n.
+interval kernel it needs.  The right side comes from bare integer mantissas,
+rounded outward exactly as the ``iv_*`` operations round them: ln 2, ln(e*pi)
+and each base's ln(F - 1) are computed once per rung, ln n is cached, and one
+assembly of t1, t2, t3 takes an enclosure of ln(e*(F + n - 1)).  A zero left
+side is decided exactly.  Every other n first meets a coarse stage on the
+first rung's grid that takes no new logarithm: the left side is below
+L*ln 2, with L the bit length of an integer above |a + b*sqrt(d)| that one
+isqrt gives (for the sqrt(D) variant, half the bit length of a^2 + d*b^2,
+rounded up), and ln(F + n - 1) is enclosed by the cached logarithms of
+floor(F) + n - 1 and floor(F) + n.  The stage can only verify, and an n is
+settled only when all its variants are: it may turn what the ladder alone
+would leave unresolved into verified, nothing else.  Each n it leaves open is
+one case of a single ``decide`` (for D < 0 with a second case, the left side
+against sqrt(D), sharing the n's right side), with ln(F + n - 1) from F's
+enclosure (``_min_log_t``).  The per-n entry points
+``check_coefficient_bounds`` and ``check_explicit_bound`` run the pass over
+their one n.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ from .construct import KraitchikPair
 from .interval import (  # verdict constants re-exported: cli and perfbench read bounds.VERIFIED
     DEFAULT_MAX_PRECISION,
     FALSIFIED,
+    FIRST_RUNG,
     GUARD_BITS,
     UNRESOLVED,
     VERIFIED,
@@ -128,6 +138,12 @@ def _ceil_half_surd(p: int, q: int, r: int) -> int:
         return -((-(p + s)) // 2)
     # s < q*sqrt(r) < s + 1, so the value lies strictly inside ((p+s)/2, (p+s+1)/2)
     return (p + s) // 2 + 1
+
+
+def _floor_half_surd(p: int, q: int, r: int) -> int:
+    """Largest integer <= (p + q*sqrt(r))/2, for integers p and q, r >= 0."""
+    # s <= q*sqrt(r) < s + 1 puts the value in [(p+s)/2, (p+s+1)/2), whose floor is (p+s)//2
+    return (p + math.isqrt(q * q * r)) // 2
 
 
 def ceil_multiple(base: QuadElem, k: int) -> int:
@@ -274,8 +290,9 @@ def _ln_t(c: Mantissas, ln_x: Mantissas, y: Mantissas, w: Mantissas, prec: int) 
     return ((c[0] - ln_x[1]) >> 1) + m_lo, -((ln_x[0] - c[1]) >> 1) + m_hi
 
 
-def _min_log_t(base: tuple[int, int, int], n: int, prec: int) -> DyadicInterval:
-    """min(ln t1, ln t2, ln t3) at growth base F and index n, each a short sum of logarithms.
+def _assemble_min_log_t(base: tuple[int, int, int], n: int, lift: Mantissas, prec: int) -> DyadicInterval:
+    """min(ln t1, ln t2, ln t3) at growth base F and index n, each a short sum of logarithms,
+    given an enclosure ``lift`` of ln(e*(F + n - 1)).
 
     t1 and t2 are sqrt(stir2/(e*pi*x)) * (e*(F+n-1)/y)^(y + 1/2) with (x, y) = (n, F - 1)
     and (F - 1, n), where ln stir2 = ln 2 + 1/(6(F+n)) exactly; t3 = 2^(F+n).  min is
@@ -288,14 +305,43 @@ def _min_log_t(base: tuple[int, int, int], n: int, prec: int) -> DyadicInterval:
     f_lo, f_hi, lf_lo, lf_hi = _base_logs(base, prec)
     ln_n = _ln_int(n, prec)
     fn_lo, fn_hi = f_lo + (n << g), f_hi + (n << g)  # F + n > 1
-    lift_lo, lift_hi = ln_mantissas(fn_lo - one, fn_hi - one, prec)
-    lift_lo, lift_hi = lift_lo + one, lift_hi + one  # ln(e*(F+n-1))
+    lift_lo, lift_hi = lift
     # ln(stir2/(e*pi)), with 1/(6(F+n)) rounded outward
     c = ln2_lo + (one << g) // (6 * fn_hi) - epi_hi, ln2_hi - (-(one << g) // (6 * fn_lo)) - epi_lo
     t1 = _ln_t(c, ln_n, (f_lo - half, f_hi - half), (lift_lo - lf_hi, lift_hi - lf_lo), prec)
     t2 = _ln_t(c, (lf_lo, lf_hi), ((2 * n + 1) * half,) * 2, (lift_lo - ln_n[1], lift_hi - ln_n[0]), prec)
     t3 = mul_mantissas(fn_lo, fn_hi, ln2_lo, ln2_hi, prec)
     return DyadicInterval(min(t1[0], t2[0], t3[0]), min(t1[1], t2[1], t3[1]), prec)
+
+
+def _min_log_t(base: tuple[int, int, int], n: int, prec: int) -> DyadicInterval:
+    """The fine right side: ln(F + n - 1) by one logarithm of F's enclosure."""
+    g = prec + GUARD_BITS
+    one = 1 << g
+    f_lo, f_hi = _base_logs(base, prec)[:2]
+    lift_lo, lift_hi = ln_mantissas(f_lo + ((n - 1) << g), f_hi + ((n - 1) << g), prec)
+    return _assemble_min_log_t(base, n, (lift_lo + one, lift_hi + one), prec)
+
+
+def _coarse_min_log_t(base: tuple[int, int, int], floor_f: int, n: int, prec: int) -> DyadicInterval:
+    """The coarse right side: floor(F) + n - 1 <= F + n - 1 < floor(F) + n, so ln(F + n - 1)
+    lies between two cached integer logarithms; ``floor_f`` is floor(F), at least 1."""
+    one = 1 << (prec + GUARD_BITS)
+    lift = _ln_int(floor_f + n - 1, prec)[0] + one, _ln_int(floor_f + n, prec)[1] + one
+    return _assemble_min_log_t(base, n, lift, prec)
+
+
+def _ln_surd_above(a: int, b: int, d: int, prec: int) -> int:
+    """An upper mantissa of ln(a + b*sqrt(d)) for a positive surd: L*ln 2, where L is the bit
+    length of an integer U >= a + b*sqrt(d) that one isqrt gives."""
+    s = math.isqrt(b * b * d)  # s <= |b|*sqrt(d) < s + 1
+    return (a + s + 1 if b >= 0 else a - s).bit_length() * _rung_logs(prec)[1]
+
+
+def _half_ln_int_above(m: int, prec: int) -> int:
+    """An upper mantissa of ln(m)/2 for an integer m >= 1: m < 2^L with L its bit length,
+    so ln sqrt(m) < ceil(L/2)*ln 2."""
+    return (m.bit_length() + 1) // 2 * _rung_logs(prec)[1]
 
 
 def _ln_surd(a: int, b: int, d: int, prec: int) -> DyadicInterval:
@@ -314,29 +360,45 @@ def _half_ln_int(m: int, prec: int) -> DyadicInterval:
 def explicit_bound_pass(
     pair: KraitchikPair, max_precision: int = DEFAULT_MAX_PRECISION, ns: Optional[range] = None
 ) -> list[ExplicitBoundReport]:
-    """Strict three-way bound on |a_{d,n} + b_{d,n} sqrt(d)| at each n of ``ns`` (default 1..d'),
-    every n of the modulus one case of a single ``decide``."""
+    """Strict three-way bound on |a_{d,n} + b_{d,n} sqrt(d)| at each n of ``ns`` (default 1..d'):
+    each n the coarse stage leaves open is one case of a single ``decide``.
+
+    The coarse stage can only verify: it may settle an n that the ladder alone would leave
+    unresolved, never one that it falsifies.
+    """
     ns = _indices(pair, ns, 1)
     ctx = pair.ctx
     d = ctx.d
     rungs = precision_ladder(max_precision)  # the ceiling is checked here, before any enclosure is built
-    cases, rows = [], []  # rows: (n, index of its first case, or None for a zero left side)
+    coarse = max_precision >= FIRST_RUNG  # the ladder has a rung
+    cases, rows = [], []  # rows: (n, index of its first case, or None for an n verified before decide)
     for n, base, fresh in _bases(ctx, ns, abs_bound_base):
         if fresh:
             if cmp_surd(base.a, base.b, base.r, 1) <= 0:
                 raise ArithmeticError(f"growth base must exceed 1, got {base} at d={d}, n={n}")
             key = (*doubled_parts(base), base.r)
+            floor_f = _floor_half_surd(*key)
         a_n, b_n = pair.a[n], pair.b_coeff(n)
         if a_n == b_n == 0:
             # every t_i is a positive product, so 0 < min(t1, t2, t3) holds exactly; ln 0 has no enclosure
             rows.append((n, None))
             continue
+        aa, bb = (a_n, b_n) if cmp_surd(a_n, b_n, d, 0) >= 0 else (-a_n, -b_n)
+        mod_sq = a_n * a_n + d * b_n * b_n
+        if coarse:
+            # first-rung mantissas from cached logarithms only, each side rounded outward: the n is
+            # verified when every variant's left side lies below the right side's lower end
+            rhs_lo = _coarse_min_log_t(key, floor_f, n, FIRST_RUNG).lo_m
+            if _ln_surd_above(aa, bb, d, FIRST_RUNG) < rhs_lo and (
+                ctx.D > 0 or _half_ln_int_above(mod_sq, FIRST_RUNG) < rhs_lo
+            ):
+                rows.append((n, None))
+                continue
         rows.append((n, len(cases)))
         rhs = partial(_min_log_t, key, n)  # one object, so decide builds it once per rung for both variants
-        aa, bb = (a_n, b_n) if cmp_surd(a_n, b_n, d, 0) >= 0 else (-a_n, -b_n)
         cases.append((partial(_ln_surd, aa, bb, d), rhs))
         if ctx.D < 0:
-            cases.append((partial(_half_ln_int, a_n * a_n + d * b_n * b_n), rhs))
+            cases.append((partial(_half_ln_int, mod_sq), rhs))
     verdicts = [decision.verdict for decision in decide(cases, rungs)]
     disc = 1 if ctx.D < 0 else 0  # the sqrt(D) variant's case follows its n's first case
     return [

@@ -31,7 +31,6 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import cache, partial
 
@@ -366,6 +365,9 @@ def cmd_verify(args) -> int:
         # never more workers than cores or moduli: fork starts all of them at once
         jobs = min(args.jobs, os.cpu_count() or 1, len(ds))
         if jobs > 1:
+            # imported here, so that a one-process run does not pay ~20 ms for the import
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 by_d = list(pool.map(worker, ds))
         else:

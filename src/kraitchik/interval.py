@@ -41,6 +41,8 @@ GUARD_BITS = 32
 # below it, leaving a series argument z under 1/(2^(TABLE_BITS+1) + 1)
 TABLE_BITS = 6
 DEFAULT_MAX_PRECISION = 4096
+# The precision of the ladder's first rung; a ceiling below it leaves the ladder empty
+FIRST_RUNG = 64
 # Fixed cap on any precision ceiling: a case that never separates climbs the
 # doubling ladder to the ceiling, so the ceiling bounds the work per case.
 MAX_PRECISION_CEILING = 1 << 16
@@ -321,10 +323,10 @@ UNRESOLVED = "unresolved"
 
 
 def precision_ladder(max_precision: int = DEFAULT_MAX_PRECISION) -> tuple[int, ...]:
-    """The rungs 64, 128, ... up to ``max_precision`` (none below 64); ValueError,
+    """The rungs FIRST_RUNG = 64, 128, ... up to ``max_precision`` (none below 64); ValueError,
     before any rung is handed out, for a ceiling outside 16..MAX_PRECISION_CEILING."""
     checked_precision(max_precision, "max_precision")
-    return tuple(64 << k for k in range((max_precision // 64).bit_length()))
+    return tuple(FIRST_RUNG << k for k in range((max_precision // FIRST_RUNG).bit_length()))
 
 
 class Decision(NamedTuple):

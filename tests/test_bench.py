@@ -1,5 +1,6 @@
 """The aggregation of scripts/bench.py on fixed numbers."""
 
+import hashlib
 import importlib.util
 import subprocess
 from pathlib import Path
@@ -131,3 +132,46 @@ def test_change_side_is_unpacked_from_head_or_a_stash_commit(bench, tmp_path, mo
         with pytest.raises(ValueError, match=f"{sub}/new.py"):
             bench.change_source()
         (repo / sub / "new.py").unlink()
+
+
+def test_run_cli_records_exit_digest_and_bytecode(bench, tmp_path, monkeypatch):
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    main = "import sys\nprint(sys.argv[1:])\nsys.exit(3)\n"
+    tree = write_tree(tmp_path, {"src/kraitchik/__init__.py": "", "src/kraitchik/__main__.py": main})
+    first, second = (bench.run_cli(tree, ("verify", "x")) for _ in range(2))
+    digest = hashlib.sha256(b"['verify', 'x']\n").hexdigest()
+    assert {k: first[k] for k in ("exit", "stdout_sha256")} == {"exit": 3, "stdout_sha256": digest}
+    assert first["wall_s"] > 0
+    # the first process compiles the package; the second finds its bytecode
+    assert (first["wrote_bytecode"], second["wrote_bytecode"]) == (True, False)
+
+
+def test_cli_section_alternates_sides_and_reports_a_digest_mismatch(bench, capsys):
+    calls = []
+
+    def fake_run(tree, args):
+        calls.append((tree, args[-1]))
+        out = "changed" if tree == "change-tree" and args[-1] == "1001" else "same"
+        wall = {"parent-tree": 2.0, "change-tree": 1.0}[tree]
+        return {"wall_s": wall, "exit": 0, "stdout_sha256": out, "wrote_bytecode": False}
+
+    commands = ((("verify", "corollary"), 2), (("verify", "all", "--dmax", "1001"), 3))
+    section = bench.cli_section({"parent": "parent-tree", "change": "change-tree"}, commands, fake_run)
+    assert list(section) == ["verify corollary", "verify all --dmax 1001"]
+    assert [tree for tree, _ in calls] == ["parent-tree", "change-tree", "change-tree", "parent-tree"] * 2 + [
+        "parent-tree",
+        "change-tree",
+    ]
+    entry = section["verify corollary"]
+    assert (entry["pairs"], entry["change_better_pairs"], entry["same_stdout"]) == (2, 2, True)
+    assert entry["parent"]["wall_s"]["median"] == 2.0 and entry["change"]["wall_s"]["runs"] == [1.0, 1.0]
+    assert len(entry["parent"]["runs"]) == 2 and entry["parent"]["runs"][0]["exit"] == 0
+    assert section["verify all --dmax 1001"]["same_stdout"] is False
+    assert "verify all --dmax 1001" in capsys.readouterr().err
+
+
+def test_cli_commands_cover_every_suite(bench):
+    # each suite at its default range in 5 pairs, then the whole sweep to d = 1001 in 3
+    from kraitchik.cli import SUITES
+
+    assert bench.CLI_COMMANDS == tuple((("verify", s), 5) for s in SUITES) + ((("verify", "all", "--dmax", "1001"), 3),)

@@ -3,7 +3,7 @@ import importlib.util
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,6 +18,7 @@ from oracles import Quad, growth_base, surd_base
 import kraitchik.bounds as bounds
 from kraitchik.bounds import (
     _ceil_half_surd,
+    _floor_half_surd,
     abs_bound_base,
     check_coefficient_bounds,
     check_explicit_bound,
@@ -28,7 +29,7 @@ from kraitchik.bounds import (
     rising_factorial_bound,
 )
 from kraitchik.construct import psi_xi
-from kraitchik.interval import DEFAULT_MAX_PRECISION, DyadicInterval, decide, precision_ladder
+from kraitchik.interval import DEFAULT_MAX_PRECISION, FIRST_RUNG, GUARD_BITS, DyadicInterval, decide, precision_ladder
 from kraitchik.numtheory import is_squarefree, odd_squarefree_range, squarefree_decompose
 from kraitchik.powersums import DiscriminantContext
 from kraitchik.qfield import QuadElem, RadicandMismatch, abs_real, cmp_real, cmp_surd
@@ -178,14 +179,27 @@ def _smallest_ceiling(p, q, r):
     return c
 
 
-@settings(max_examples=300, deadline=None)
-@given(
+HALF_SURDS = dict(
     p=st.integers(min_value=-10**6, max_value=10**6),
     q=st.integers(min_value=0, max_value=10**3),
     r=st.one_of(st.integers(min_value=1, max_value=10**4), st.integers(min_value=1, max_value=100).map(lambda k: k * k)),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(**HALF_SURDS)
 def test_ceil_half_surd_is_the_smallest_ceiling(p, q, r):
     assert _ceil_half_surd(p, q, r) == _smallest_ceiling(p, q, r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**HALF_SURDS)
+def test_floor_half_surd_is_the_largest_floor(p, q, r):
+    # the coarse strict bound's ln(floor(F) + n - 1) is a lower end only if this is no larger than F
+    c = _smallest_ceiling(p, q, r)
+    s = math.isqrt(r)
+    integral = (q == 0 or s * s == r) and F(p + q * s, 2) == c
+    assert _floor_half_surd(p, q, r) == (c if integral else c - 1)
 
 
 @pytest.mark.parametrize("p,q,r,want", [(3, 0, 5, 2), (-3, 0, 5, -1), (1, 2, 9, 4), (0, 1, 4, 1), (1, 1, 5, 2), (2, 2, 5, 4)])
@@ -369,12 +383,14 @@ def reference_log_bounds(base, n) -> list:
     return [mpmath.log(t) for t in (t1, t2, mpmath.mpf(2) ** (F + n))]
 
 
+# D > 0 and D < 0, a rational base (d = 15, n = 5), and t_i past 2^1024 at d = 6997
+LOG_SAMPLE = [(5, 1), (5, 2), (7, 3), (13, 6), (15, 5), (105, 24), (255, 64), (6997, 1), (6997, 3000)]
+
+
 @pytest.mark.parametrize("prec", [64, 256])
 def test_log_bounds_contain_the_mpmath_logarithms(prec):
-    # D > 0 and D < 0, a rational base (d = 15, n = 5), and t_i past 2^1024 at d = 6997
-    sample = [(5, 1), (5, 2), (7, 3), (13, 6), (15, 5), (105, 24), (255, 64), (6997, 1), (6997, 3000)]
     with mpmath.workprec(2 * prec + 128):  # at least 50 digits, and finer than the enclosures
-        for d, n in sample:
+        for d, n in LOG_SAMPLE:
             base = abs_bound_base(ctx(d), n)
             ts = oracles.log_bounds(base, n, prec)
             for got, ref in zip(ts, reference_log_bounds(base, n)):
@@ -415,14 +431,81 @@ def test_coefficient_pass_matches_the_field_oracle(pairs_255):
     assert checked == sum(p.ctx.dprime + 1 for p in pairs_255.values()) > 5000
 
 
+def pass_inputs(pair, n) -> tuple:
+    """(key, aa, bb, mod_sq) as the pass forms them at (d, n): the growth base's integers
+    (p, q, r), the left side a_n + b_n*sqrt(d) signed to be positive, and a_n^2 + d*b_n^2."""
+    a_n, b_n, d = pair.a[n], pair.b_coeff(n), pair.ctx.d
+    base = abs_bound_base(pair.ctx, n)
+    aa, bb = (a_n, b_n) if cmp_surd(a_n, b_n, d, 0) >= 0 else (-a_n, -b_n)
+    return (*doubled_parts(base), base.r), aa, bb, a_n * a_n + d * b_n * b_n
+
+
+def coarse_sides(pair, n, prec=FIRST_RUNG) -> tuple[list, int]:
+    """The coarse stage's upper end of each variant's left side, and its lower end of the right
+    side, at (d, n), as mantissas."""
+    key, aa, bb, mod_sq = pass_inputs(pair, n)
+    lhs = [bounds._ln_surd_above(aa, bb, pair.ctx.d, prec)]
+    lhs += [bounds._half_ln_int_above(mod_sq, prec)] if pair.ctx.D < 0 else []
+    return lhs, bounds._coarse_min_log_t(key, bounds._floor_half_surd(*key), n, prec).lo_m
+
+
+def fine_sides(pair, n, prec=FIRST_RUNG) -> tuple[list, DyadicInterval]:
+    """The enclosures ``decide`` builds at (d, n) on rung ``prec``: each variant's left side, then the right side."""
+    key, aa, bb, mod_sq = pass_inputs(pair, n)
+    lhs = [bounds._ln_surd(aa, bb, pair.ctx.d, prec)]
+    lhs += [bounds._half_ln_int(mod_sq, prec)] if pair.ctx.D < 0 else []
+    return lhs, bounds._min_log_t(key, n, prec)
+
+
+def coarsely_settled(pair, n) -> bool:
+    lhs, rhs_lo = coarse_sides(pair, n)
+    return max(lhs) < rhs_lo
+
+
+def test_coarse_bounds_lie_outside_the_first_rung_enclosures(pairs_255):
+    # every case of d <= 255, both variants: the coarse left side's upper end is at or above the
+    # rung-64 enclosure's, the coarse right side's lower end at or below _min_log_t's, so no
+    # coarse verdict is one the first rung could contradict
+    checked = 0
+    for d, pair in pairs_255.items():
+        for n in range(1, pair.ctx.dprime + 1):
+            (lhs_up, rhs_lo), (lhs, rhs) = coarse_sides(pair, n), fine_sides(pair, n)
+            assert len(lhs_up) == len(lhs) and all(up >= box.hi_m for up, box in zip(lhs_up, lhs)), (d, n)
+            assert rhs_lo <= rhs.lo_m, (d, n)
+            checked += len(lhs)
+    assert checked > 5660
+
+
+def test_coarse_bounds_contain_the_mpmath_logarithms(pairs_255):
+    # the right side at every sample; the left side where the sample has a coefficient, which
+    # (15, 5) past d' = 4 has not
+    scale = mpmath.mpf(2) ** -(FIRST_RUNG + GUARD_BITS)
+    pairs = {**pairs_255, 6997: psi_xi(6997)}
+    with mpmath.workprec(1024):  # past the cancellation in a_n + b_n*sqrt(d)
+        for d, n in LOG_SAMPLE:
+            base = abs_bound_base(ctx(d), n)
+            key = (*doubled_parts(base), base.r)
+            rhs_lo = bounds._coarse_min_log_t(key, bounds._floor_half_surd(*key), n, FIRST_RUNG).lo_m
+            assert rhs_lo * scale <= min(reference_log_bounds(base, n)), (d, n)
+            pair = pairs[d]
+            if n > pair.ctx.dprime:
+                continue
+            a_n, b_n = pair.a[n], pair.b_coeff(n)
+            refs = [mpmath.log(abs(a_n + b_n * mpmath.sqrt(d)))]
+            refs += [mpmath.log(a_n * a_n + d * b_n * b_n) / 2] if pair.ctx.D < 0 else []
+            lhs_up = coarse_sides(pair, n)[0]
+            assert len(refs) == len(lhs_up) and all(ref <= up * scale for ref, up in zip(refs, lhs_up)), (d, n)
+
+
 @pytest.mark.parametrize("max_precision", [DEFAULT_MAX_PRECISION, 32])
 def test_explicit_pass_matches_the_per_n_oracle(pairs_255, max_precision, monkeypatch):
     # every (d, n) of odd squarefree d <= 255: both variants' verdicts against the per-n decide
-    # path, and every enclosure the pass built on its first rung against that path's, mantissa
-    # for mantissa.  decide evaluates each case's lhs before its rhs and builds the rhs that
-    # both variants share once, so the enclosures compare as a multiset, with _min_log_t
-    # counted once per n and rung.  Under 32 bits the ladder has no rung: nothing is built,
-    # nothing resolves
+    # path.  An n the coarse stage settles is verified and builds no fine enclosure; every other
+    # n reaches decide, and the enclosures the pass built for it on its first rung match that
+    # path's, mantissa for mantissa.  decide evaluates each case's lhs before its rhs and builds
+    # the rhs that both variants share once, so the enclosures compare as a multiset, with
+    # _min_log_t counted once per n and rung.  Under 32 bits the ladder has no rung: nothing is
+    # built, coarse or fine, and nothing resolves
     built = []
 
     def record(name):
@@ -435,10 +518,11 @@ def test_explicit_pass_matches_the_per_n_oracle(pairs_255, max_precision, monkey
 
         monkeypatch.setattr(bounds, name, wrapper)
 
-    for name in ("_min_log_t", "_ln_surd", "_half_ln_int"):
+    fine = ("_min_log_t", "_ln_surd", "_half_ln_int")
+    for name in fine + ("_coarse_min_log_t",):
         record(name)
     first = precision_ladder(max_precision)[:1]
-    checked = 0
+    checked = settled = 0
     for d, pair in pairs_255.items():
         built.clear()
         want = []
@@ -447,17 +531,22 @@ def test_explicit_pass_matches_the_per_n_oracle(pairs_255, max_precision, monkey
             assert (rep.verdict, rep.verdict_disc_radicand) == oracles.explicit_bound_verdicts(
                 pair, rep.n, max_precision
             ), (d, rep.n)
+            checked += 1
+            if first and coarsely_settled(pair, rep.n):
+                settled += 1
+                continue
             lhs, lhs_disc, rhs = oracles.explicit_bound_sides(pair, rep.n)
             sides = [("_min_log_t", rhs), ("_ln_surd", lhs)] + ([("_half_ln_int", lhs_disc)] if lhs_disc else [])
             want += [(name, p, (side(p).lo_m, side(p).hi_m, p)) for p in first for name, side in sides]
-            checked += 1
-        on_first = [(name, args[-1], out) for name, args, out in built if args[-1] in first]
+        on_first = [(name, args[-1], out) for name, args, out in built if name in fine and args[-1] in first]
         assert Counter(on_first) == Counter(want), d
         rhs_built = [(args[1], args[-1]) for name, args, _ in built if name == "_min_log_t"]
         assert len(rhs_built) == len(set(rhs_built)), d  # _min_log_t once per (n, rung)
     assert checked == sum(p.ctx.dprime for p in pairs_255.values()) > 5000
-    if not first:
-        assert built == []
+    if first:
+        assert settled == 5513 and checked == 5660  # most n never reach decide
+    else:
+        assert built == [] and settled == 0
 
 
 def planted(pair, n: int, a: int, b: int = 0):
@@ -497,8 +586,11 @@ def test_a_coefficient_just_past_the_strict_bound_is_falsified_at_that_n_only(d,
 
 
 def test_an_n_open_on_the_first_rung_goes_up_the_ladder():
-    # a_1 + b_1*sqrt(5) = (9 - 4*sqrt(5))^24 ~ 2^-100, a unit's power: its enclosure straddles 0
-    # at 64 bits, where ln has no enclosure, and is positive from 128 bits on
+    """a_1 + b_1*sqrt(5) = (9 - 4*sqrt(5))^24 ~ 2^-100, a unit's power: its enclosure straddles 0
+    at 64 bits, where ln has no enclosure, and is positive from 128 bits on, so the ladder alone
+    settles it on rung 128.  The coarse stage bounds it by U = 1 < 2^1 with one isqrt and proves
+    it wherever the ladder has a rung, 64 included: it may turn ``unresolved`` into
+    ``verified``, and nothing else."""
     x, y = 1, 0
     for _ in range(24):
         x, y = 9 * x + 20 * y, 4 * x + 9 * y
@@ -506,7 +598,16 @@ def test_an_n_open_on_the_first_rung_goes_up_the_ladder():
     assert cmp_surd(x, -y, 5, F(1, 2**99)) < 0 < cmp_surd(x, -y, 5, 0)
     assert [(r.verdict, r.verdict_disc_radicand) for r in explicit_bound_pass(pair)] == [("verified",) * 2] * 2
     assert oracles.explicit_bound_verdicts(pair, 1) == ("verified",) * 2
-    assert explicit_bound_pass(pair, 127)[0].verdict == "unresolved" == oracles.explicit_bound_verdicts(pair, 1, 127)[0]
+    assert coarse_sides(pair, 1)[0] == [bounds._rung_logs(FIRST_RUNG)[1]]  # L = 1
+    # with only rung 64 below the ceiling, the ladder alone leaves n = 1 open; the pass proves it
+    assert oracles.explicit_bound_verdicts(pair, 1, 127)[0] == "unresolved"
+    assert explicit_bound_pass(pair, 127)[0].verdict == "verified"
+    # the pass's own fine sides climb: no enclosure on rung 64, verified on rung 128
+    key = (*doubled_parts(abs_bound_base(pair.ctx, 1)), 5)
+    case = [(partial(bounds._ln_surd, x, -y, 5), partial(bounds._min_log_t, key, 1))]
+    assert decide(case, precision_ladder(127)) == [("unresolved", None, None)]
+    verdict, lhs, rhs = decide(case, precision_ladder(DEFAULT_MAX_PRECISION))[0]
+    assert verdict == "verified" and lhs.prec == rhs.prec == 128
 
 
 def test_a_short_seed_at_a_base_breakpoint_is_carried_forward(monkeypatch):

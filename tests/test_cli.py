@@ -1,7 +1,10 @@
+import concurrent.futures
 import dataclasses
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -439,6 +442,15 @@ class RecordingPool:
         return map(fn, items)
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    # a fresh interpreter: --jobs 1, the default, never starts a pool, so it never imports one
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = "import sys, kraitchik.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
 @pytest.mark.parametrize(
     "dmax,cores,want",
     [
@@ -449,7 +461,7 @@ class RecordingPool:
     ],
 )
 def test_verify_jobs_capped_at_cores_and_moduli(capsys, monkeypatch, dmax, cores, want):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)  # cli imports it when it needs it
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     code, out, _ = run(capsys, "verify", "identity", "--dmax", dmax, "--jobs", "100000")
