@@ -56,11 +56,11 @@ from .symfunc import (
 
 DEFAULT_TABLE_RANGE_NOTE = "range syntax is lo..hi, e.g. 5..149"
 
-# largest modulus compute/table/verify accept: compute 6997 (prime, d' = 3498) takes
-# about 1.2 s on a 2-core host, 1.1 s of it in psi_xi (half recursion plus 0.2 s gate)
+# largest modulus compute/table/verify accept: a fresh compute 6997 (prime, d' = 3498)
+# takes about 0.35 s on a 2-core host, 0.22 s of it in psi_xi (0.14 s of that the gate)
 MAX_MODULUS = 7000
-# largest sum of d'^2 one table range or verify --dmax may cost: table 5..1000
-# (24.8M) takes about 1.6 s, 1.5 s of it in psi_xi; compute 6997 alone is 12.2M
+# largest sum of d'^2 one table range or verify --dmax may cost: a fresh table 5..1000
+# (24.8M) takes about 0.65-0.95 s, 0.47 s of it in psi_xi; compute 6997 alone is 12.2M
 MAX_TABLE_WORK = 25_000_000
 
 

@@ -11,7 +11,13 @@ A + B*sqrt(D), U_0 = (2, 0), and
     2m * U_m = -sum_{j=1..m} U_{m-j} * sigma_j,
 
 with (a, b)*(p, q) = (a*p + b*q*D, a*q + b*p).  Each step ends with an exact
-division by 2m; a remainder raises ArithmeticError.  Then
+division by 2m; a remainder raises ArithmeticError.  As sigma_j = (c_d(j), (j/d))
+is Ramanujan's sum c_d(j) = sum_{g | (j, d)} g*mu(d/g) and the Jacobi symbol,
+the step sums by the classes of j, not term by term (``_class_sums``): one
+slice U_{m-g} + U_{m-2g} + ... per divisor g of d gives the rational parts
+and, by Mobius inversion, the sum over the units j; one sum over the j with
+(j/d) = 1 gives the surd parts.  This only regroups integer terms, so each
+step divides the same integer total as the term-by-term sum.  Then
 
     a_{d,n} = u + conj(u) = A_n                (an integer),
     b_{d,n} = -2 * (surd part of u) = -B_n     (an integer),
@@ -30,12 +36,12 @@ first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import mul, sub
+from itertools import accumulate, compress
+from operator import sub
 from typing import Optional, Sequence
 
-from .numtheory import divisors, is_prime, mobius
-from .powersums import DiscriminantContext, power_sum_doubled
+from .numtheory import divisors, is_prime, jacobi, mobius
+from .powersums import DiscriminantContext
 
 
 @dataclass(frozen=True)
@@ -60,16 +66,6 @@ class KraitchikPair:
         return 0 if n == 0 else self.b[n - 1]
 
 
-def _pair_dot(
-    xa: Sequence[int], xb: Sequence[int], ya: Sequence[int], yb: Sequence[int], D: int
-) -> tuple[int, int]:
-    """sum_i (xa_i + xb_i*sqrt(D)) * (ya_i + yb_i*sqrt(D)) as an integer pair."""
-    return (
-        sum(map(mul, xa, ya)) + D * sum(map(mul, xb, yb)),
-        sum(map(mul, xa, yb)) + sum(map(mul, xb, ya)),
-    )
-
-
 def _exact_quotient(pair: tuple[int, int], k: int, what: str) -> tuple[int, int]:
     """pair / k, raising ArithmeticError unless k divides both parts."""
     qa, ra = divmod(pair[0], k)
@@ -91,18 +87,23 @@ def psi_xi(d: int) -> KraitchikPair:
     P^2 - D*X^2 = 4*Phi_d = 4*U+*U-, then P + sqrt(D)*X is 2*U+ or 2*U-, as U+-
     are irreducible over K = Q(sqrt(D)) and K[X] is a UFD: (P, X) = (Psi_d, +-Xi_d),
     and b_1 = 1, computed (h >= 1, for d = 3 where Psi_3 = 2X + 1), fixes the sign.
-    The other b-sign is tried if the predicted one fails; if both do, IdentityGateError."""
+    The other b-sign is tried if the predicted one fails; if both do, IdentityGateError.
+    Each step sums U_{m-j}*sigma_j by the classes of j, from the running totals
+    of U_0..U_{m-1}; the regrouped integer sum is the term-by-term one."""
     ctx = DiscriminantContext.for_modulus(d)
     dp, h = ctx.dprime, max(ctx.dprime // 2, 1)
-    sig_a, sig_b = zip(*(power_sum_doubled(ctx, j) for j in range(1, h + 1)))
-    # U_0..U_m as the parts A and B of A + B*sqrt(D)
-    ua, ub = [2], [0]
+    sigma = _sigma_classes(d, h)
+    # U_0..U_m as the parts A and B of A + B*sqrt(D), with their running totals
+    ua, ub, ta, tb = [2], [0], 2, 0
     for m in range(1, h + 1):
-        # U_{m-j} meets sigma_j: pair U_0..U_{m-1} with sigma_m..sigma_1
-        total = _pair_dot(ua, ub, sig_a[m - 1 :: -1], sig_b[m - 1 :: -1], ctx.D)
+        ram_a, jac_a = _class_sums(ua, ta, m, *sigma)
+        ram_b, jac_b = _class_sums(ub, tb, m, *sigma)
+        # (A + B*sqrt(D)) * (c + q*sqrt(D)) = (A*c + B*q*D) + (A*q + B*c)*sqrt(D)
+        total = (ram_a + ctx.D * jac_b, jac_a + ram_b)
         qa, qb = _exact_quotient(total, 2 * m, f"2*u_{m} at d={ctx.d}")
         ua.append(-qa)
         ub.append(-qb)
+        ta, tb = ta - qa, tb - qb
     mirror, sign = range(dp - h - 1, -1, -1), _b_sign_predicted(d)  # d' - n for n = h+1..d'
     a = tuple(ua) + tuple((-1) ** dp * ua[n] for n in mirror)
     for s in (sign, -sign):
@@ -110,6 +111,38 @@ def psi_xi(d: int) -> KraitchikPair:
         if verify_identity(pair).ok:
             return pair
     raise IdentityGateError(f"identity fails at d={d}")
+
+
+def _sigma_classes(d: int, h: int) -> tuple[int, list[tuple[int, int, int]], list[bool]]:
+    """What the recursion reads of sigma_1..sigma_h: mu(d); (g, g*mu(d/g), mu(g))
+    for each divisor 1 < g <= h of d, ascending; and whether (j/d) = 1 for j = 1..h.
+    As j <= h < d, gcd(j, d) is one of those g or 1, and sigma_j = (c_d(j), (j/d))
+    with c_d(j) = mu(d) + sum of g*mu(d/g) over the g dividing j."""
+    classes = [(g, g * mobius(d // g), mobius(g)) for g in divisors(d) if 1 < g <= h]
+    return mobius(d), classes, [jacobi(j, d) == 1 for j in range(1, h + 1)]
+
+
+def _class_sums(
+    u: list[int], total: int, m: int, mu_d: int, classes: list[tuple[int, int, int]], plus: list[bool]
+) -> tuple[int, int]:
+    """(sum_j u_{m-j}*c_d(j), sum_j u_{m-j}*(j/d)) over j = 1..m, where u holds
+    u_0..u_{m-1} and ``total`` is their sum.  With S_g the sum of u_{m-j} over
+    the j <= m that g divides (S_1 = total, else one slice):
+
+        sum_j u_{m-j}*c_d(j)  = sum_{g | d} g*mu(d/g) * S_g
+        sum over units j      = sum_{g | d} mu(g) * S_g      (Mobius inversion)
+        sum_j u_{m-j}*(j/d)   = 2*(sum over (j/d) = 1) - (sum over units j)
+
+    as (j/d) is 1 or -1 on the units and 0 elsewhere; ``plus`` selects the
+    j with (j/d) = 1 from u_{m-1}, u_{m-2}, ..., u_0."""
+    ram, units = mu_d * total, total
+    for g, weight, mu_g in classes:
+        if g > m:
+            break
+        s = sum(u[m - g :: -g])
+        ram += weight * s
+        units += mu_g * s
+    return ram, 2 * sum(compress(reversed(u), plus)) - units
 
 
 def _b_sign_predicted(d: int) -> int:
@@ -178,12 +211,12 @@ def _slot_bits(bound: int) -> int:
 
 
 def _pack(coeffs: Sequence[int], width: int) -> int:
-    """sum_i c_i * 2^(8*width*i), the positive and the negative coefficients
-    packed into width-byte slots separately."""
-    zero = bytes(width)
-    pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in coeffs)
-    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in coeffs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """sum_i c_i * 2^(8*width*i) for |c_i| < 2^(8*width - 1), in one pass: each
+    c_i + 2^(8*width - 1) fills its width-byte slot without a sign, and the
+    packed bias is subtracted once."""
+    bias = 1 << (8 * width - 1)
+    packed = b"".join((c + bias).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(packed, "little") - int.from_bytes(bias.to_bytes(width, "little") * len(coeffs), "little")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ collapse as ``kraitchik.symfunc`` summed it before it moved onto integer
 counts m!/z: every partition of m as a tuple, its weight 1/z as a Fraction,
 and one Fraction addition per partition.
 ``psi_xi_full`` is ``psi_xi`` as it was before it stopped at h = max(d'//2, 1)
-and mirrored the rest: the integer recursion run to m = d', with no gate.
+and mirrored the rest: the integer recursion run to m = d', with no gate, each
+step one ``pair_dot`` of U_0..U_{m-1} with sigma_m..sigma_1 term by term, as
+``psi_xi`` summed it before it grouped the terms by the classes of j.
 ``growth_base`` is ``kraitchik.bounds``'s growth base as it was before it
 became one integer maximum: a Fraction floor from ``surd_base``, raised by
 each divisor's phi(f)/2 in turn.  ``ramanujan_h`` is the sum of the k-th
@@ -33,10 +35,11 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from operator import mul
+from typing import Iterator, Sequence
 
 from kraitchik.bounds import abs_bound_base
-from kraitchik.construct import KraitchikPair, _exact_quotient, _pair_dot
+from kraitchik.construct import KraitchikPair, _exact_quotient
 from kraitchik.interval import (
     DEFAULT_MAX_PRECISION,
     GUARD_BITS,
@@ -156,6 +159,16 @@ def u_coefficients(ctx: DiscriminantContext) -> tuple:
     return tuple(zero + (e if n % 2 == 0 else -e) for n, e in enumerate(es))
 
 
+def pair_dot(
+    xa: Sequence[int], xb: Sequence[int], ya: Sequence[int], yb: Sequence[int], D: int
+) -> tuple[int, int]:
+    """sum_i (xa_i + xb_i*sqrt(D)) * (ya_i + yb_i*sqrt(D)) as an integer pair."""
+    return (
+        sum(map(mul, xa, ya)) + D * sum(map(mul, xb, yb)),
+        sum(map(mul, xa, yb)) + sum(map(mul, xb, ya)),
+    )
+
+
 def psi_xi_full(d: int) -> KraitchikPair:
     """Build the verified coefficient record for one odd squarefree d >= 3."""
     ctx = DiscriminantContext.for_modulus(d)
@@ -164,7 +177,7 @@ def psi_xi_full(d: int) -> KraitchikPair:
     ua, ub = [2], [0]
     for m in range(1, ctx.dprime + 1):
         # U_{m-j} meets sigma_j: pair U_0..U_{m-1} with sigma_m..sigma_1
-        total = _pair_dot(ua, ub, sig_a[m - 1 :: -1], sig_b[m - 1 :: -1], ctx.D)
+        total = pair_dot(ua, ub, sig_a[m - 1 :: -1], sig_b[m - 1 :: -1], ctx.D)
         qa, qb = _exact_quotient(total, 2 * m, f"2*u_{m} at d={ctx.d}")
         ua.append(-qa)
         ub.append(-qb)

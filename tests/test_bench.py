@@ -171,7 +171,12 @@ def test_cli_section_alternates_sides_and_reports_a_digest_mismatch(bench, capsy
 
 
 def test_cli_commands_cover_every_suite(bench):
-    # each suite at its default range in 5 pairs, then the whole sweep to d = 1001 in 3
+    # each suite at its default range in 5 pairs, then the whole sweep to d = 1001, the
+    # largest modulus and the widest table range in 3
     from kraitchik.cli import SUITES
 
-    assert bench.CLI_COMMANDS == tuple((("verify", s), 5) for s in SUITES) + ((("verify", "all", "--dmax", "1001"), 3),)
+    assert bench.CLI_COMMANDS == tuple((("verify", s), 5) for s in SUITES) + (
+        (("verify", "all", "--dmax", "1001"), 3),
+        (("compute", "6997", "--format", "json"), 3),
+        (("table", "5..1000", "--format", "json"), 3),
+    )

@@ -5,13 +5,22 @@ import cyclotomic_oracle as oracle
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
-from oracles import Poly, Quad, half_polys, pair_u, psi_xi_full, second_coefficient_closed_form, u_coefficients
+from oracles import (
+    Poly,
+    Quad,
+    pair_dot,
+    half_polys,
+    pair_u,
+    psi_xi_full,
+    second_coefficient_closed_form,
+    u_coefficients,
+)
 
 import kraitchik.construct as construct
 from kraitchik.construct import IdentityGateError, check_symmetry, cyclotomic, psi_xi, verify_identity
 from kraitchik.numtheory import is_prime, is_squarefree, jacobi, odd_squarefree_range
 from kraitchik.poly import DensePoly
-from kraitchik.powersums import DiscriminantContext
+from kraitchik.powersums import DiscriminantContext, power_sum_doubled
 from kraitchik.qfield import QuadElem
 
 F = Fraction
@@ -84,7 +93,7 @@ def test_pair_dot_is_four_times_the_quadelem_products(terms, D):
     for a, b, p, q in terms:
         want += 4 * (Quad(F(a, 2), F(b, 2), D) * Quad(F(p, 2), F(q, 2), D))
     assert want.a.denominator == 1 and want.b.denominator == 1
-    assert construct._pair_dot(xa, xb, ya, yb, D) == (want.a.numerator, want.b.numerator)
+    assert pair_dot(xa, xb, ya, yb, D) == (want.a.numerator, want.b.numerator)
 
 
 @given(
@@ -104,25 +113,36 @@ def test_exact_quotient_refuses_any_remainder(m, quotient, offsets):
 
 
 def test_planted_remainder_raises(monkeypatch):
-    # sigma_2 + (1, 0) leaves 4*U_2 off by 2 mod 4: the step must refuse, not floor.
-    # d = 11 runs the recursion to h = 2; at d = 7, h = 1 and sigma_2 is never read
-    doubled = construct.power_sum_doubled
-
-    def planted(ctx, k):
-        p, q = doubled(ctx, k)
-        return (p + 1, q) if k == 2 else (p, q)
-
-    monkeypatch.setattr(construct, "power_sum_doubled", planted)
+    # mu(11) read one too high (0, not -1) zeroes every c_11(j): sigma_1 = (0, 1) gives
+    # U_1 = (0, -1), and U_1*sigma_1 + U_0*sigma_2 = (11, -2) is not divisible by 4 = 2m,
+    # so the step must refuse, not floor.  d = 11 runs the recursion to h = 2
+    mobius = construct.mobius
+    monkeypatch.setattr(construct, "mobius", lambda n: mobius(n) + (n == 11))
     with pytest.raises(ArithmeticError, match="2\\*u_2 at d=11"):
         psi_xi(11)
 
 
 def test_half_recursion_matches_the_full_recursion():
-    # the construct benchmark's pool (every odd squarefree d <= 449) and d = 2003
-    # (prime, d' = 1001): the mirrored half must give the full recursion's tuples
-    for d in odd_squarefree_range(3, 449) + [2003]:
+    # the construct benchmark's pool (every odd squarefree d <= 449), d = 2003 (prime,
+    # d' = 1001) and the divisor-rich 1155 = 3*5*7*11, 3003 = 3*7*11*13 and 5005 = 5*7*11*13,
+    # where the class sums take the most slices: the mirrored half must give the full
+    # recursion's tuples
+    for d in odd_squarefree_range(3, 449) + [1155, 2003, 3003, 5005]:
         pair, full = psi_xi(d), psi_xi_full(d)
         assert (pair.a, pair.b) == (full.a, full.b), d
+
+
+def test_class_inputs_give_the_closed_form_power_sums():
+    # what the recursion reads of sigma_j, rebuilt class by class, is power_sum_doubled
+    # (the closed form the gauss-oracle suite certifies) at every j <= h of d <= 1001
+    for d in odd_squarefree_range(3, 1001):
+        ctx = DiscriminantContext.for_modulus(d)
+        h = max(ctx.dprime // 2, 1)
+        mu_d, classes, plus = construct._sigma_classes(d, h)
+        for j in range(1, h + 1):
+            ramanujan = mu_d + sum(weight for g, weight, _ in classes if j % g == 0)
+            unit = 1 + sum(mu_g for g, _, mu_g in classes if j % g == 0)
+            assert (ramanujan, 2 * plus[j - 1] - unit) == power_sum_doubled(ctx, j), (d, j)
 
 
 def recording_gate(monkeypatch, verdict=None):
@@ -290,6 +310,21 @@ def test_planted_coefficient_error_is_found_at_the_dense_index(d, field):
             ok, index = oracle.dense_identity(broken)
             assert not ok, (d, field, degree, delta)
             assert (rep.ok, rep.mismatch_index) == (False, index), (d, field, degree, delta)
+
+
+@st.composite
+def packable(draw):
+    """A slot width in bytes and coefficients that fit it signed, both extremes included."""
+    width = draw(st.integers(min_value=1, max_value=40))
+    top = (1 << (8 * width - 1)) - 1
+    coeff = st.one_of(st.sampled_from([top, -top, 0]), st.integers(min_value=-top, max_value=top))
+    return width, draw(st.lists(coeff, max_size=12))
+
+
+@given(packable())
+def test_one_pass_pack_is_the_kronecker_sum(case):
+    width, coeffs = case
+    assert construct._pack(coeffs, width) == sum(c << (8 * width * i) for i, c in enumerate(coeffs))
 
 
 def test_slots_one_bit_too_narrow_are_refused(monkeypatch):
