@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from oracles import (
     Poly,
     Quad,
-    pair_dot,
     half_polys,
+    pair_dot,
     pair_u,
     psi_xi_full,
     second_coefficient_closed_form,
