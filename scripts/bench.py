@@ -26,12 +26,12 @@ runs side by side.
 
 The ``cli`` section times the program as a user starts it: fresh ``python -m
 kraitchik`` processes in each tree, the sides alternating as above, each
-``verify <suite>`` at its default range in 5 pairs, and ``verify all --dmax
-1001``, ``compute 6997 --format json`` and ``table 5..1000 --format json`` in 3
-each.  Each run records its wall time, exit code, stdout sha256 and
-whether it wrote bytecode under ``src/``; each command records whether every
-run of both sides printed the same stdout, and the script names on stderr each
-command whose stdout differs.
+``verify <suite>`` at its default range in 5 pairs, and ``verify symfunc
+--dmax 32``, ``verify all --dmax 1001``, ``compute 6997 --format json`` and
+``table 5..1000 --format json`` in 3 each.  Each run records its wall time,
+exit code, stdout sha256 and whether it wrote bytecode under ``src/``; each
+command records whether every run of both sides printed the same stdout, and
+the script names on stderr each command whose stdout differs.
 """
 
 from __future__ import annotations
@@ -52,9 +52,10 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10  # the fewest pairs a claimed gain is judged on
 SOURCE_DIRS = ("src", "tests", "perfbench")
 CLI_SUITES = ("identity", "symmetry", "bounds", "corollary", "ratio", "gauss-oracle", "symfunc")
-# (arguments, pairs): every suite at its default range, then the whole sweep and the largest
-# constructions at the scale of the frontier
+# (arguments, pairs): every suite at its default range, then the symfunc collapse at its cap
+# (SYMFUNC_MAX_M), the whole sweep and the largest constructions at the scale of the frontier
 CLI_COMMANDS = tuple((("verify", suite), 5) for suite in CLI_SUITES) + (
+    (("verify", "symfunc", "--dmax", "32"), 3),
     (("verify", "all", "--dmax", "1001"), 3),
     (("compute", "6997", "--format", "json"), 3),
     (("table", "5..1000", "--format", "json"), 3),

@@ -3,7 +3,9 @@
 
 For each modulus, prints the largest coefficient magnitude of Psi_d next to
 the bound value at n = d'/2 (roughly the peak), to four significant digits.
-Purely for eyeballing the slack; nothing here is load-bearing.
+Purely for eyeballing the slack; nothing here is load-bearing.  ``--dmax`` is
+bounded as ``kraitchik verify --dmax`` is: a bound past ``MAX_MODULUS`` or
+``MAX_TABLE_WORK``, or one that leaves no modulus, is a usage error (exit 2).
 
     PYTHONPATH=src python scripts/coefficient_growth.py --dmax 149
 """
@@ -13,9 +15,9 @@ from decimal import Context, Decimal
 from fractions import Fraction
 
 from kraitchik.bounds import abs_bound_base, rising_factorial_bound
+from kraitchik.cli import _checked_moduli
 from kraitchik.construct import psi_xi
 from kraitchik.interval import GUARD_BITS, iv_from_surd
-from kraitchik.numtheory import odd_squarefree_range
 from kraitchik.powersums import DiscriminantContext
 
 
@@ -34,9 +36,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dmax", type=int, default=149)
     opts = parser.parse_args(argv)
+    try:
+        ds = _checked_moduli(5, opts.dmax, "--dmax")
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
+    if not ds:
+        parser.error(f"--dmax {opts.dmax} leaves no odd squarefree modulus >= 5")
 
     print(f"{'d':>4} {'d_prime':>7} {'max|a_n|':>12} {'bound at n=d_prime/2':>22}")
-    for d in odd_squarefree_range(5, opts.dmax):
+    for d in ds:
         pair = psi_xi(d)
         print(f"{d:>4} {pair.ctx.dprime:>7} {max(abs(a) for a in pair.a):>12} {bound_at_half(pair.ctx):>22}")
     return 0

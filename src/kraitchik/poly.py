@@ -2,12 +2,15 @@
 
 Coefficients are stored ascending by degree with no trailing zeros; the zero
 polynomial is the empty tuple.  The ring is whatever the coefficients are
-(int or Fraction) -- the operations only assume exact +, -, *.
+(int or Fraction) -- the operations only assume exact +, -, *.  No module of
+the package uses it: the pair, Phi_d and the symfunc collapse are plain
+integer lists and tuples.  It stays for ``tests/oracles.py``'s ``Poly`` and
+for ``perfbench/tracer.py``, which still wraps its methods.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class DensePoly:
@@ -83,25 +86,3 @@ def _exact_div(c, lead):
         return q
     return c / lead
 
-
-def format_poly(coeffs: Sequence) -> str:
-    """Render ascending coefficients the way the classical tables print them,
-    e.g. ``2X^3+X^2-X-2``."""
-    if not coeffs:
-        return "0"
-    parts: list[str] = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        sign, mag = ("-", -c) if c < 0 else ("+", c)
-        if k == 0:
-            body = str(mag)
-        else:
-            xpow = "X" if k == 1 else f"X^{k}"
-            body = xpow if mag == 1 else f"{mag}{xpow}"
-        if not parts:
-            parts.append(body if sign == "+" else f"-{body}")
-        else:
-            parts.append(f"{sign}{body}")
-    return "".join(parts) if parts else "0"

@@ -1,5 +1,5 @@
 """Symmetric-function machinery: the Girard-Newton recursion and the
-binomial collapse polynomial.
+binomial collapse counts.
 
 ``newton_elementary`` starts from e_0 = Fraction(1), so it runs over any
 exact scalar that combines with Fractions under +, -, * and division by a
@@ -14,26 +14,25 @@ with k the number of parts of λ and z_λ = prod_j j^(c_j) * c_j!, c_j the
 multiplicity of the part j (Macdonald, Symmetric Functions and Hall
 Polynomials, 2nd ed., ch. I, (2.14')).  Collapsing every power sum to the
 same variable X turns the expansion into the polynomial binom(X, m);
-``pm_polynomial`` sums it over every partition of m as integer counts
-m!/z_λ, the number of permutations of m of cycle type λ, and divides by m!
-once per coefficient.  The weights 1/z_λ themselves, with the Fraction sum
-over them, are the tests' slow oracle (``tests/oracles.py``); the tests check
-the closed form 1/z_λ against an independent recursion.
+``pm_polynomial`` sums m! times it over every partition of m, in the integer
+counts m!/z_λ, the number of permutations of m of cycle type λ, so that no
+coefficient is ever divided.  The weights 1/z_λ themselves, with the Fraction
+sum over them, are the tests' slow oracle (``tests/oracles.py``); the tests
+check the closed form 1/z_λ against an independent recursion.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
-from .poly import DensePoly
 
-
-def pm_polynomial(m: int) -> DensePoly:
-    """The collapse polynomial sum_λ (-1)^(m-k) X^k / z_λ over the partitions λ of m
-    with k parts (equal to binom(X, m)), summed as integer counts m!/z_λ."""
+def pm_polynomial(m: int) -> list[int]:
+    """m! times the collapse polynomial sum_λ (-1)^(m-k) X^k / z_λ over the partitions λ
+    of m with k parts, i.e. m! * binom(X, m) = X(X-1)...(X-m+1), ascending: [X^k] is
+    (-1)^(m-k) times the sum of the counts m!/z_λ over the λ with k parts."""
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
     facts = [math.factorial(i) for i in range(m + 1)]
@@ -49,7 +48,7 @@ def pm_polynomial(m: int) -> DensePoly:
             for c in range(1, rest // j + 1):
                 zj *= j * c  # j^c * c!
                 stack.append((rest - j * c, j - 1, k + c, zj))
-    return DensePoly(Fraction(n if (m - k) % 2 == 0 else -n, facts[m]) for k, n in enumerate(counts))
+    return [n if (m - k) % 2 == 0 else -n for k, n in enumerate(counts)]
 
 
 def newton_elementary(power_sums: Sequence) -> list:
@@ -76,26 +75,9 @@ def elementary_brute(values: Sequence, m: int) -> object:
     """Direct sum over all m-subsets; the independent oracle for the recursion."""
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
-    if m == 0:
-        return Fraction(1)
-    if m > len(values):
-        return Fraction(0)
-    acc = None
-    for combo in itertools.combinations(values, m):
-        prod = combo[0]
-        for v in combo[1:]:
-            prod = prod * v
-        acc = prod if acc is None else acc + prod
-    return acc
+    return sum(map(math.prod, combinations(values, m)))
 
 
 def power_sums_of(values: Sequence, upto: int) -> list:
     """S_1..S_upto of a finite multiset, for feeding the recursion in tests."""
-    out = []
-    for k in range(1, upto + 1):
-        acc = None
-        for v in values:
-            t = v**k
-            acc = t if acc is None else acc + t
-        out.append(acc if acc is not None else Fraction(0))
-    return out
+    return [sum(v**k for v in values) for k in range(1, upto + 1)]

@@ -9,7 +9,8 @@ radicand, and combining two genuinely irrational radicands raises
 ``u_coefficients`` is the construction as it was before ``psi_xi`` moved onto
 integer pairs: the closed-form power sums fed through the generic
 ``newton_elementary``.  ``falling_factorial_poly`` is
-binom(X, m) expanded as X(X-1)...(X-m+1)/m!, the reference for the collapse.
+m! * binom(X, m) = X(X-1)...(X-m+1) expanded by ``DensePoly`` products, the
+reference for the collapse counts.
 ``partitions``, ``partition_weights`` and ``pm_polynomial_by_weights`` are the
 collapse as ``kraitchik.symfunc`` summed it before it moved onto integer
 counts m!/z: every partition of m as a tuple, its weight 1/z as a Fraction,
@@ -57,7 +58,8 @@ from kraitchik.interval import (
     precision_ladder,
 )
 from kraitchik.numtheory import divisors, euler_phi, mobius, squarefree_decompose
-from kraitchik.poly import DensePoly, format_poly
+from kraitchik.cli import format_poly
+from kraitchik.poly import DensePoly
 from kraitchik.powersums import DiscriminantContext, power_sum_doubled, power_sum_s
 from kraitchik.qfield import QuadElem, RadicandMismatch, cmp_surd
 from kraitchik.symfunc import newton_elementary
@@ -197,12 +199,12 @@ def half_polys(pair: KraitchikPair) -> tuple[DensePoly, DensePoly]:
     return DensePoly(u), DensePoly([c.conj() for c in u])
 
 
-def falling_factorial_poly(m: int) -> DensePoly:
-    """The expansion of X(X-1)...(X-m+1)/m!."""
-    p = DensePoly([Fraction(1)])
+def falling_factorial_poly(m: int) -> list[int]:
+    """The integer coefficients of X(X-1)...(X-m+1), ascending."""
+    p = DensePoly([1])
     for i in range(m):
-        p = p * DensePoly([Fraction(-i), Fraction(1)])
-    return p * Fraction(1, math.factorial(m))
+        p = p * DensePoly([-i, 1])
+    return list(p.coeffs)
 
 
 Partition = tuple[int, ...]

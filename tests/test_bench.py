@@ -171,11 +171,12 @@ def test_cli_section_alternates_sides_and_reports_a_digest_mismatch(bench, capsy
 
 
 def test_cli_commands_cover_every_suite(bench):
-    # each suite at its default range in 5 pairs, then the whole sweep to d = 1001, the
-    # largest modulus and the widest table range in 3
-    from kraitchik.cli import SUITES
+    # each suite at its default range in 5 pairs, then the symfunc collapse at its cap, the
+    # whole sweep to d = 1001, the largest modulus and the widest table range in 3
+    from kraitchik.cli import SUITES, SYMFUNC_MAX_M
 
     assert bench.CLI_COMMANDS == tuple((("verify", s), 5) for s in SUITES) + (
+        (("verify", "symfunc", "--dmax", str(SYMFUNC_MAX_M)), 3),
         (("verify", "all", "--dmax", "1001"), 3),
         (("compute", "6997", "--format", "json"), 3),
         (("table", "5..1000", "--format", "json"), 3),

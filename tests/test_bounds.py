@@ -640,16 +640,37 @@ def test_suite_small_range(pairs_149):
             assert check_explicit_bound(pair, n).verdict == "verified", (d, n)
 
 
-def test_coefficient_growth_script_prints_one_line_per_modulus(capsys):
+def coefficient_growth_script():
     path = Path(__file__).resolve().parent.parent / "scripts" / "coefficient_growth.py"
     spec = importlib.util.spec_from_file_location("coefficient_growth", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_coefficient_growth_script_prints_one_line_per_modulus(capsys):
+    script = coefficient_growth_script()
     assert script.main(["--dmax", "15"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split()[0] == "d"
-    assert [int(row.split()[0]) for row in rows] == odd_squarefree_range(5, 15)
+    assert [int(row.split()[0]) for row in rows] == [5, 7, 11, 13, 15]
     # d = 5, n = 1: the bound 2*(1 + sqrt(5))/2 ~ 3.236
     assert rows[0].split()[-1] == "3.236e+00"
     # d = 4487: base 320 at n = 960, so 2*320*321*...*1279/960! ~ 5.129e+310 (mpmath), past float's 2^1024
     assert script.bound_at_half(ctx(4487)) == "5.129e+310"
+
+
+@pytest.mark.parametrize("dmax", ["7001", "2", "2001"])
+def test_coefficient_growth_script_refuses_unbounded_or_empty_dmax(capsys, monkeypatch, dmax):
+    # past MAX_MODULUS, no modulus at all, or past MAX_TABLE_WORK: a usage error before any pair is built
+    script = coefficient_growth_script()
+
+    def refuse(d):
+        raise AssertionError(f"psi_xi({d}) called")
+
+    monkeypatch.setattr(script, "psi_xi", refuse)
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--dmax", dmax])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == "" and "--dmax" in err

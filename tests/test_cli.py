@@ -2,11 +2,9 @@ import concurrent.futures
 import dataclasses
 import importlib.util
 import json
-import math
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +14,6 @@ import kraitchik.construct as construct
 from kraitchik.cli import SUITES, main, row_dict, row_json
 from kraitchik.construct import IdentityReport, psi_xi
 from kraitchik.numtheory import odd_squarefree_range
-from kraitchik.poly import DensePoly
 from kraitchik.symfunc import pm_polynomial
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -333,14 +330,12 @@ def test_verify_symfunc(capsys):
 
 
 def test_verify_symfunc_catches_a_planted_fault(capsys, monkeypatch):
-    # binom(X, 7) with [X^3] off by 1/7!: that row alone must fail
+    # 7! * binom(X, 7) with [X^3] off by 1, the former 1/7!: that row alone must fail
     def planted(m):
-        poly = pm_polynomial(m)
-        if m != 7:
-            return poly
-        coeffs = list(poly.coeffs)
-        coeffs[3] += Fraction(1, math.factorial(7))
-        return DensePoly(coeffs)
+        counts = pm_polynomial(m)
+        if m == 7:
+            counts[3] += 1
+        return counts
 
     monkeypatch.setattr(cli, "pm_polynomial", planted)
     code, out, _ = run(capsys, "verify", "symfunc")
@@ -348,6 +343,27 @@ def test_verify_symfunc_catches_a_planted_fault(capsys, monkeypatch):
     *rows, summary = out.splitlines()
     assert rows[6] == "symfunc m=7 falsified"
     assert [row.split()[2] for row in rows] == ["verified"] * 6 + ["falsified"] + ["verified"] * 14  # m = 1..20, newton-vs-brute
+    assert summary == "summary: verified=20 falsified=1 unresolved=0"
+
+
+def test_verify_symfunc_catches_a_planted_newton_fault(capsys, monkeypatch):
+    # e_2 of one multiset off by 1: the newton-vs-brute row alone must fail
+    real = cli.newton_elementary
+    planted = []
+
+    def off_by_one(sums):
+        es = real(sums)
+        if len(es) > 2 and not planted:
+            planted.append(len(es))
+            es[2] += 1
+        return es
+
+    monkeypatch.setattr(cli, "newton_elementary", off_by_one)
+    code, out, _ = run(capsys, "verify", "symfunc")
+    assert planted and code == 1
+    *rows, summary = out.splitlines()
+    assert rows[-1] == "symfunc newton-vs-brute falsified (50 random multisets)"
+    assert [row.split()[2] for row in rows[:-1]] == ["verified"] * 20
     assert summary == "summary: verified=20 falsified=1 unresolved=0"
 
 

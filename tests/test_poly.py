@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from oracles import Poly
 
-from kraitchik.poly import DensePoly, format_poly
+from kraitchik.cli import format_poly
+from kraitchik.poly import DensePoly
 
 
 def test_normalization():

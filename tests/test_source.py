@@ -34,13 +34,15 @@ def imports(path: Path, module: str) -> bool:
 
 
 def test_layering_of_poly_and_mpmath_imports():
-    # integer tuples carry the pair and Phi_d: DensePoly serves only the symmetric
-    # functions and the CLI's symfunc suite, and mpmath only the power-sum oracle
+    # integer tuples and lists carry the pair, Phi_d and the symfunc collapse: no src/ module
+    # uses DensePoly, and mpmath serves only the power-sum oracle
     importers = {
         name: {path.stem for path in sorted(SRC.glob("*.py")) if imports(path, name)}
         for name in ("kraitchik.poly", "mpmath")
     }
-    assert importers == {"kraitchik.poly": {"symfunc", "cli"}, "mpmath": {"powersums"}}
+    assert importers == {"kraitchik.poly": set(), "mpmath": {"powersums"}}
+    # the symfunc suite compares integer counts: the CLI does no Fraction arithmetic
+    assert imported_names(SRC / "cli.py") and not imports(SRC / "cli.py", "fractions")
 
 
 def test_construction_is_integer_only():

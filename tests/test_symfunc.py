@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from oracles import falling_factorial_poly, partition_weights, partitions, pm_polynomial_by_weights
 
 from kraitchik.cli import SYMFUNC_MAX_M
-from kraitchik.poly import DensePoly
 from kraitchik.symfunc import elementary_brute, newton_elementary, pm_polynomial, power_sums_of
 
 F = Fraction
@@ -63,26 +62,26 @@ def test_weights_positive():
 
 
 def test_v_anchors():
-    # [X^m] sums the one weight 1/m! of (1, ..., 1); [X^1] that of (m,), with sign (-1)^(m-1)
+    # [X^m] counts the one permutation of type (1, ..., 1); [X^1] the (m-1)! m-cycles, with sign (-1)^(m-1)
     for m in range(1, 21):
-        coeffs = pm_polynomial(m).coeffs
-        assert coeffs[m] == F(1, math.factorial(m))
-        assert coeffs[1] == F((-1) ** (m - 1), m)
+        counts = pm_polynomial(m)
+        assert counts[m] == 1
+        assert counts[1] == (-1) ** (m - 1) * math.factorial(m - 1)
 
 
 def test_pm_polynomial_examples():
-    assert pm_polynomial(0) == DensePoly([F(1)])
-    assert pm_polynomial(2) == DensePoly([F(0), F(-1, 2), F(1, 2)])
-    assert pm_polynomial(5) == falling_factorial_poly(5)
+    assert pm_polynomial(0) == [1]
+    assert pm_polynomial(2) == [0, -1, 1]
+    assert pm_polynomial(5) == falling_factorial_poly(5) == [0, 24, -50, 35, -10, 1]
 
 
 def test_pm_polynomial_matches_weight_sum():
     # the integer counts m!/z against one Fraction weight 1/z per partition, at every m the CLI accepts
     for m in range(SYMFUNC_MAX_M + 1):
-        poly = pm_polynomial(m)
-        assert poly == pm_polynomial_by_weights(m), m
-        # m! * |[X^k]| counts the permutations of m with k cycles: together, all m! of them
-        assert sum(abs(c) * math.factorial(m) for c in poly.coeffs) == math.factorial(m), m
+        counts = pm_polynomial(m)
+        assert counts == [c * math.factorial(m) for c in pm_polynomial_by_weights(m).coeffs], m
+        # |[X^k]| counts the permutations of m with k cycles: together, all m! of them
+        assert sum(map(abs, counts)) == math.factorial(m), m
 
 
 def test_newton_examples():
