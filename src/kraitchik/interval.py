@@ -5,11 +5,11 @@ An interval at precision ``prec`` holds two integer mantissas ``lo_m`` and
 that grid (floor for the lower end, ceiling for the upper), so the exact image
 of the inputs is always contained in the output, and every operation runs on
 Python ints: add and sub are integer adds, mul is an integer product
-followed by one directed shift.  The kernels are ln and pi: ln takes an
-exact rational as (numerator, denominator) integers, and both return
-directed integer bounds with explicit tail bounds; ``mul_mantissas`` and
-``ln_mantissas`` are mul and ln on bare mantissa pairs, for callers that keep
-no interval objects.  ln
+followed by one directed shift.  The kernels are ln, pi, and cos and sin of
+2*pi/d (``root_of_unity_mantissas``): ln takes an exact rational as
+(numerator, denominator) integers, and all return directed integer bounds
+with explicit tail bounds; ``mul_mantissas`` and ``ln_mantissas`` are mul and
+ln on bare mantissa pairs, for callers that keep no interval objects.  ln
 reduces its argument before its atanh series: by a power of two to a
 mantissa in [1, 2), then above 128 bits by square roots, and otherwise by
 the point 1 + t/64 at or below it, whose ln bounds come from a cached
@@ -290,7 +290,8 @@ def iv_sub(x, y, prec: int) -> DyadicInterval:
 
 def mul_mantissas(xl: int, xh: int, yl: int, yh: int, prec: int) -> tuple[int, int]:
     """The mantissas of ``iv_mul``'s enclosure of [xl, xh] * [yl, yh], all over
-    2^(prec + GUARD_BITS), for callers that keep enclosures as bare mantissa pairs."""
+    2^(prec + GUARD_BITS), for callers that keep enclosures as bare mantissa pairs;
+    at prec = -GUARD_BITS, the least and greatest corner products themselves."""
     cands = (xl * yl, xl * yh, xh * yl, xh * yh)
     g = prec + GUARD_BITS
     return min(cands) >> g, _ceil_shift(max(cands), g)
@@ -299,6 +300,34 @@ def mul_mantissas(xl: int, xh: int, yl: int, yh: int, prec: int) -> tuple[int, i
 def iv_mul(x, y, prec: int) -> DyadicInterval:
     x, y = _coerce(x, prec), _coerce(y, prec)
     return DyadicInterval(*mul_mantissas(x.lo_m, x.hi_m, y.lo_m, y.hi_m, prec), prec)
+
+
+def root_of_unity_mantissas(d: int, prec: int) -> tuple[int, int, int, int]:
+    """cos(2*pi/d) and sin(2*pi/d), d >= 3, as mantissas (cos_lo, cos_hi, sin_lo, sin_hi) over 2^(prec + GUARD_BITS).
+
+    Both Taylor series run 24 bits finer than the grid, at the lower end x_lo of
+    the angle's enclosure from Machin's pi; each term's bounds are the last
+    one's times x^2/((n+1)(n+2)), floored and ceiled.  For x <= 2*pi/3 the
+    alternating terms shrink from the second on, so the next term's bound, once
+    under a grid unit, widens the side of its sign.  |cos'| and |sin'| are at
+    most 1, so the angle's width x_hi - x_lo widens each end on the grid."""
+    if d < 3:
+        raise ValueError(f"need d >= 3, got {d}")
+    g = prec + GUARD_BITS
+    p_lo, p_hi = _pi_bounds(g)
+    x_lo, x_hi = 2 * p_lo // d, -(-2 * p_hi // d)
+    x2, shift = (x_lo << 24) ** 2, 2 * (g + 24)
+    ends = []
+    for n in (0, 1):  # the power of the first term: cos, then sin
+        lo, hi, sign = 0, 0, 1
+        t_lo = t_hi = x_lo << 24 if n else 1 << (g + 24)
+        while t_hi > 1 << 24:
+            lo, hi = (lo + t_lo, hi + t_hi) if sign > 0 else (lo - t_hi, hi - t_lo)
+            den = (n + 1) * (n + 2) << shift
+            t_lo, t_hi, n, sign = t_lo * x2 // den, -(-t_hi * x2 // den), n + 2, -sign
+        lo, hi = (lo, hi + t_hi) if sign > 0 else (lo - t_hi, hi)
+        ends += [(lo >> 24) - (x_hi - x_lo), _ceil_shift(hi, 24) + x_hi - x_lo]
+    return tuple(ends)
 
 
 def ln_mantissas(lo_m: int, hi_m: int, prec: int) -> tuple[int, int]:

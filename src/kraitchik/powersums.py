@@ -10,10 +10,10 @@ zeta_d^{ka} over the residues a with (a/d) = 1 has the closed form
 which the construction consumes exactly, doubled to the integer pair
 (p, q) meaning p + q sqrt(D) (``power_sum_doubled``).  The numeric side
 computes a validated complex enclosure of the same residue sum at one
-precision, ``DIGITS``, so that the closed form is checked against something
-independent: mpmath's interval arithmetic encloses cos and sin of 2*pi/d
-once per modulus, rounded outward to integer mantissas; the other roots are
-its powers, outward-rounded integer complex products whose widths grow about
+precision, ``ROOT_PREC``, so that the closed form is checked against something
+independent: the interval kernel encloses cos and sin of 2*pi/d once per
+modulus from Machin's pi and their Taylor series; the other roots are its
+powers, outward-rounded integer complex products whose widths grow about
 linearly in d (``_root_table``); and each sum over the residues is an exact
 integer sum of those mantissas.  The residues R form a subgroup of the units
 mod d, so the sum is the same for every k of one orbit k*R and is enclosed
@@ -30,14 +30,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from mpmath import iv
-from mpmath.libmp import mpf_shift, round_ceiling, round_floor, to_int
-
+from .interval import GUARD_BITS, mul_mantissas, root_of_unity_mantissas
 from .numtheory import euler_phi, is_squarefree, jacobi, mobius
 from .qfield import QuadElem, cmp_surd
 
-DIGITS = 25  # working precision of the root enclosures, in decimal digits
-GUARD_BITS = 32  # grid of the root table: 2^-(working precision + GUARD_BITS)
+ROOT_PREC = 86  # working precision of the root table, in bits; its grid is 2^-(ROOT_PREC + GUARD_BITS)
 
 
 @dataclass(frozen=True)
@@ -105,9 +102,9 @@ class RootTable(NamedTuple):
 
 @lru_cache(maxsize=1)  # the suite reads one modulus at a time
 def _root_table(d: int) -> RootTable:
-    """One table per modulus, from one enclosed root.  mpmath encloses cos and
-    sin of 2*pi/d; each endpoint is floored (lo) or ceiled (hi) onto the grid of
-    2^-(prec + GUARD_BITS), so every later sum is exact.  zeta^a for
+    """One table per modulus, from one enclosed root.  The interval kernel
+    encloses cos and sin of 2*pi/d on the grid of 2^-(ROOT_PREC + GUARD_BITS),
+    3 or 4 grid units wide, so every later sum is exact.  zeta^a for
     2 <= a <= d//2 is the complex product zeta^(a-1) * zeta on those integer
     mantissas: each real product ranges over its four corner products, and each
     end is again floored or ceiled onto the grid.  cos(2pi(d-a)/d) = cos(2pi a/d)
@@ -117,26 +114,16 @@ def _root_table(d: int) -> RootTable:
     cos(2pi/d) + sin(2pi/d) <= 1 + 2pi/d and adds about twice zeta's own width
     plus two grid units, so after a <= d/2 products the width is below
     a * e^pi times that increment: it grows about linearly in d.  At
-    DIGITS = 25 (86 bits) the widest root is about 2^-75 wide at d = 1001 and
-    2^-72 at d = 6997, far inside the gauss-oracle suite's 1e-9 (about 2^-30)."""
-    old = iv.dps
-    iv.dps = DIGITS
-    try:
-        bits = iv.prec + GUARD_BITS
-        angle = 2 * iv.pi / d
-        root = iv.cos(angle), iv.sin(angle)
-    finally:
-        iv.dps = old
-    (c_lo, c_hi), (s_lo, s_hi) = (
-        (to_int(mpf_shift(x._mpi_[0], bits), round_floor), to_int(mpf_shift(x._mpi_[1], bits), round_ceiling))
-        for x in root
-    )
+    ROOT_PREC = 86 the widest root is about 2^-104 wide at d = 1001 and
+    2^-101 at d = 6997, far inside the gauss-oracle suite's 1e-9 (about 2^-30)."""
+    bits = ROOT_PREC + GUARD_BITS
+    c_lo, c_hi, s_lo, s_hi = root_of_unity_mantissas(d, ROOT_PREC)
     cos_lo, cos_hi, sin_lo, sin_hi = [1 << bits, c_lo], [1 << bits, c_hi], [0, s_lo], [0, s_hi]
     for _ in range(2, d // 2 + 1):
-        # (x + iy)(c + is) = (xc - ys) + i(xs + yc)
+        # (x + iy)(c + is) = (xc - ys) + i(xs + yc), each real product's range exact (grid 2^0)
         x, y = (cos_lo[-1], cos_hi[-1]), (sin_lo[-1], sin_hi[-1])
-        xc, ys = _product_range(*x, c_lo, c_hi), _product_range(*y, s_lo, s_hi)
-        xs, yc = _product_range(*x, s_lo, s_hi), _product_range(*y, c_lo, c_hi)
+        xc, ys = mul_mantissas(*x, c_lo, c_hi, -GUARD_BITS), mul_mantissas(*y, s_lo, s_hi, -GUARD_BITS)
+        xs, yc = mul_mantissas(*x, s_lo, s_hi, -GUARD_BITS), mul_mantissas(*y, c_lo, c_hi, -GUARD_BITS)
         cos_lo.append((xc[0] - ys[1]) >> bits)
         cos_hi.append(-((ys[0] - xc[1]) >> bits))
         sin_lo.append((xs[0] + yc[0]) >> bits)
@@ -150,12 +137,6 @@ def _root_table(d: int) -> RootTable:
         tuple(sin_hi + [-lo for lo in sin_lo[m:0:-1]]),
         tuple(a for a in range(d) if jacobi(a, d) == 1),
     )
-
-
-def _product_range(a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> tuple[int, int]:
-    """The least and greatest of a*b over a in [a_lo, a_hi], b in [b_lo, b_hi]."""
-    corners = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
-    return min(corners), max(corners)
 
 
 def orbit_representatives(d: int) -> tuple[int, ...]:

@@ -25,6 +25,7 @@ from mpmath import iv
 from mpmath.libmp import mpf_shift, round_ceiling, round_floor, to_int, to_rational
 
 from kraitchik import cli, powersums
+from kraitchik.interval import GUARD_BITS
 from kraitchik.numtheory import jacobi
 from kraitchik.powersums import DiscriminantContext, RootTable
 from kraitchik.qfield import QuadElem, cmp_surd
@@ -102,14 +103,14 @@ def root_table_per_angle(d: int) -> RootTable:
     cos(2pi(d-a)/d) = cos(2pi a/d), sin(2pi(d-a)/d) = -sin(2pi a/d) giving the
     rest.  Endpoints are floored (lo) and ceiled (hi) onto the grid of
     2^-(prec + GUARD_BITS)."""
-    old = iv.dps
-    iv.dps = powersums.DIGITS
+    old = iv.prec
+    iv.prec = powersums.ROOT_PREC
     try:
-        bits = iv.prec + powersums.GUARD_BITS
+        bits = iv.prec + GUARD_BITS
         two_pi = 2 * iv.pi
         half = [(iv.cos(two_pi * a / d), iv.sin(two_pi * a / d)) for a in range(d // 2 + 1)]
     finally:
-        iv.dps = old
+        iv.prec = old
 
     def mantissas(xs):
         lo = [to_int(mpf_shift(x._mpi_[0], bits), round_floor) for x in xs]

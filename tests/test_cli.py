@@ -459,12 +459,13 @@ class RecordingPool:
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    # a fresh interpreter: --jobs 1, the default, never starts a pool, so it never imports one
+    # a fresh interpreter: --jobs 1, the default, never starts a pool, so it never imports one;
+    # and the root table's cos/sin come from interval.py, so nothing imports mpmath
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    probe = "import sys, kraitchik.cli; print('concurrent.futures.process' in sys.modules)"
+    probe = "import sys, kraitchik.cli; print([m in sys.modules for m in ('concurrent.futures.process', 'mpmath')])"
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[False, False]\n"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -7,9 +8,10 @@ import mpmath
 import oracles
 import pytest
 from interval_oracle import as_fractions, show
+from mpmath.libmp import to_rational
 from oracles import iv_div
 
-from kraitchik import bounds, interval, ratio
+from kraitchik import bounds, interval, powersums, ratio
 from kraitchik.interval import (
     FALSIFIED,
     GUARD_BITS,
@@ -73,6 +75,47 @@ def test_constants():
             pi = iv_const_pi(prec)
             assert_contains(pi, mpmath.pi)
             assert as_fractions(pi).width <= F(2) ** (1 - prec)
+
+
+# Each root's kernel enclosure must hold mpmath's 40-digit interval and be at most 4
+# grid units wide: a series cut short, or the angle or an end rounded inward, breaks one of the two
+ROOT_MODULI = [*odd_squarefree_range(3, 1001), 6997]
+
+
+def test_root_of_unity_kernel_encloses_each_root_narrowly():
+    prec = powersums.ROOT_PREC
+    scale = 2 ** (prec + GUARD_BITS)
+    old = mpmath.iv.dps
+    mpmath.iv.dps = 40
+    try:
+        refs = [(mpmath.iv.cos(2 * mpmath.iv.pi / d), mpmath.iv.sin(2 * mpmath.iv.pi / d)) for d in ROOT_MODULI]
+    finally:
+        mpmath.iv.dps = old
+    for d, ref in zip(ROOT_MODULI, refs):
+        c_lo, c_hi, s_lo, s_hi = interval.root_of_unity_mantissas(d, prec)
+        for lo_m, hi_m, x in ((c_lo, c_hi, ref[0]), (s_lo, s_hi, ref[1])):
+            lo, hi = (F(*to_rational(e)) for e in x._mpi_)
+            assert lo_m <= lo * scale and hi * scale <= hi_m, d
+            assert hi_m - lo_m <= 4, d
+
+
+def test_root_of_unity_kernel_refuses_small_moduli():
+    for d in (-1, 0, 1, 2):
+        with pytest.raises(ValueError, match="d >= 3"):
+            interval.root_of_unity_mantissas(d, 64)
+
+
+def test_mul_mantissas_covers_every_sign():
+    # the product's range over two intervals of any signs is two of its four corner
+    # products: mul_mantissas returns them on the grid 2^0 (the root table's use), and
+    # floors the least and ceils the greatest onto a coarser grid
+    intervals = [(-5, -3), (-2, 3), (4, 7)]
+    for a in intervals:
+        for b in intervals:
+            products = [x * y for x in range(a[0], a[1] + 1) for y in range(b[0], b[1] + 1)]
+            for g in (0, 2):
+                want = (math.floor(F(min(products), 2**g)), math.ceil(F(max(products), 2**g)))
+                assert interval.mul_mantissas(*a, *b, g - GUARD_BITS) == want, (a, b, g)
 
 
 # exp and powers are the direct forms' kernels in the Fraction-endpoint oracle only

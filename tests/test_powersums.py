@@ -9,6 +9,7 @@ from mpmath.libmp import to_rational
 
 import kraitchik.cli as cli
 import kraitchik.powersums as powersums
+from kraitchik.interval import GUARD_BITS
 from kraitchik.numtheory import euler_phi, jacobi, odd_squarefree_range
 from kraitchik.powersums import (
     DiscriminantContext,
@@ -104,27 +105,27 @@ def _roots_at_40_digits(d: int) -> list:
 
 @pytest.fixture
 def coarse_grid(monkeypatch, request):
-    """Root tables on 2^-(prec + guard) for the given guard, built afresh."""
-    monkeypatch.setattr(powersums, "GUARD_BITS", request.param)
+    """Root tables on the grid ``request.param`` bits finer than 2^-ROOT_PREC, built afresh:
+    GUARD_BITS keeps the table's own grid, a negative value a grid coarser than 2^-ROOT_PREC."""
+    monkeypatch.setattr(powersums, "ROOT_PREC", powersums.ROOT_PREC + request.param - GUARD_BITS)
     powersums._root_table.cache_clear()
     yield
     powersums._root_table.cache_clear()
 
 
 # Each mantissa pair must bracket a 40-digit enclosure of cos/sin(2 pi a/d),
-# which a wrong mirror sign breaks.  With the default guard every mpmath
-# endpoint lies on the grid; a negative guard makes each one round, so a
-# swapped floor/ceiling breaks it too.
-@pytest.mark.parametrize("coarse_grid", [powersums.GUARD_BITS, -8], indirect=True)
+# which a wrong mirror sign breaks, and stay narrow next to its grid, which
+# the width bound of the powers test below checks at every d.
+@pytest.mark.parametrize("coarse_grid", [GUARD_BITS, -8], indirect=True)
 def test_root_table_brackets_independent_enclosures(coarse_grid):
-    for d in odd_squarefree_range(3, 35):
+    for d in odd_squarefree_range(3, 101):
         t = powersums._root_table(d)
         scale = 2**t.bits
         for a, (c, s) in enumerate(_roots_at_40_digits(d)):
             for lo_m, hi_m, x in ((t.cos_lo[a], t.cos_hi[a], c), (t.sin_lo[a], t.sin_hi[a], s)):
                 lo, hi = (F(*to_rational(e)) for e in x._mpi_)
                 assert lo_m <= lo * scale and hi * scale <= hi_m, (d, a)
-                assert hi_m - lo_m < 2**40, (d, a)  # outward, but not loose
+                assert hi_m - lo_m < 2 ** (t.bits - 60), (d, a)  # outward, but not loose
         assert t.residues == tuple(a for a in range(d) if jacobi(a, d) == 1)
 
 
@@ -142,7 +143,7 @@ def test_exact_sums_agree_with_the_mpmath_oracle():
         ctx = DiscriminantContext.for_modulus(d)
         for k in range(1, d + 1):
             new = residue_sum_enclosure(d, k)
-            old = powersum_oracle.residue_sum_enclosure(d, k, digits=powersums.DIGITS)
+            old = powersum_oracle.residue_sum_enclosure(d, k, digits=25)
             assert quad_in_enclosure(*power_sum_doubled(ctx, k), ctx.D, new), (d, k)
             assert powersum_oracle.quad_in_enclosure(power_sum_s(ctx, k), old), (d, k)
             assert _boxes_intersect(new, old), (d, k)
@@ -211,18 +212,10 @@ def test_orbit_representatives(d, orbits):
         assert any(rep * r % d == k % d for r in residues), (d, k)
 
 
-def test_product_range_covers_every_sign():
-    intervals = [(-5, -3), (-2, 3), (4, 7)]
-    for a in intervals:
-        for b in intervals:
-            products = [x * y for x in range(a[0], a[1] + 1) for y in range(b[0], b[1] + 1)]
-            assert powersums._product_range(*a, *b) == (min(products), max(products)), (a, b)
-
-
 # Each power of the one enclosed root must hold a 40-digit enclosure of its own
-# root and stay narrow.  On the coarse grid (guard -8) a product that rounds
-# inward loses the root within a few hundred powers.
-@pytest.mark.parametrize("coarse_grid", [powersums.GUARD_BITS, -8], indirect=True)
+# root and stay narrow.  On the coarse grid a product that rounds inward loses
+# the root within a few hundred powers.
+@pytest.mark.parametrize("coarse_grid", [GUARD_BITS, -8], indirect=True)
 @pytest.mark.parametrize("d", [3, 5, 105, 1001])
 def test_powers_of_one_root_enclose_each_root_narrowly(coarse_grid, d):
     t = powersums._root_table(d)
@@ -235,26 +228,23 @@ def test_powers_of_one_root_enclose_each_root_narrowly(coarse_grid, d):
 
 
 def test_gauss_oracle_encloses_one_root_per_modulus(monkeypatch, capsys):
-    calls = {"cos": [], "sin": []}
+    calls = []
     moduli = []
     suite = cli._suite_gauss_oracle
+    kernel = powersums.root_of_unity_mantissas
 
     def tracked(d):
         moduli.append(d)
         return suite(d)
 
-    def counting(name, f):
-        def wrapper(x):
-            calls[name].append(moduli[-1])
-            return f(x)
-
-        return wrapper
+    def counting(d, prec):
+        calls.append((moduli[-1], d, prec))
+        return kernel(d, prec)
 
     monkeypatch.setattr(cli, "_suite_gauss_oracle", tracked)
-    monkeypatch.setattr(iv, "cos", counting("cos", iv.cos))
-    monkeypatch.setattr(iv, "sin", counting("sin", iv.sin))
+    monkeypatch.setattr(powersums, "root_of_unity_mantissas", counting)
     powersums._root_table.cache_clear()
     assert cli.main(["verify", "gauss-oracle", "--dmax", "35"]) == 0
     capsys.readouterr()
     assert moduli == list(odd_squarefree_range(5, 35))
-    assert calls == {"cos": moduli, "sin": moduli}
+    assert calls == [(d, d, powersums.ROOT_PREC) for d in moduli]

@@ -35,12 +35,13 @@ def imports(path: Path, module: str) -> bool:
 
 def test_layering_of_poly_and_mpmath_imports():
     # integer tuples and lists carry the pair, Phi_d and the symfunc collapse: no src/ module
-    # uses DensePoly, and mpmath serves only the power-sum oracle
+    # uses DensePoly, and the interval kernel encloses the power-sum oracle's root: no src/
+    # module imports mpmath
     importers = {
         name: {path.stem for path in sorted(SRC.glob("*.py")) if imports(path, name)}
         for name in ("kraitchik.poly", "mpmath")
     }
-    assert importers == {"kraitchik.poly": set(), "mpmath": {"powersums"}}
+    assert importers == {"kraitchik.poly": set(), "mpmath": set()}
     # the symfunc suite compares integer counts: the CLI does no Fraction arithmetic
     assert imported_names(SRC / "cli.py") and not imports(SRC / "cli.py", "fractions")
 
@@ -54,10 +55,11 @@ def test_construction_is_integer_only():
 
 
 def test_interval_kernels_use_no_floating_point():
-    # the README's claim for interval.py: its ln, pi and surd kernels run on integers
-    # alone, so no float literal, no float() and no math.log, math.exp or math.sqrt
+    # the README's claim for interval.py: its ln, pi, cos/sin and surd kernels run on
+    # integers alone, so no float literal, no float() and no math.log, math.exp, math.sqrt,
+    # math.cos, math.sin or math.pi
     path = SRC / "interval.py"
-    banned = {"float", "log", "exp", "sqrt"}
+    banned = {"float", "log", "exp", "sqrt", "cos", "sin", "pi"}
     found = [
         f"{node.lineno}:{ast.unparse(node)}"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
