@@ -77,8 +77,9 @@ def test_constants():
             assert as_fractions(pi).width <= F(2) ** (1 - prec)
 
 
-# Each root's kernel enclosure must hold mpmath's 40-digit interval and be at most 4
-# grid units wide: a series cut short, or the angle or an end rounded inward, breaks one of the two
+# Each root's kernel enclosure must hold mpmath's 40-digit interval, itself under one grid
+# unit wide, and be at most 4 grid units wide: a series cut short, or the angle or an end
+# rounded inward, breaks one of the two
 ROOT_MODULI = [*odd_squarefree_range(3, 1001), 6997]
 
 
@@ -96,7 +97,7 @@ def test_root_of_unity_kernel_encloses_each_root_narrowly():
         for lo_m, hi_m, x in ((c_lo, c_hi, ref[0]), (s_lo, s_hi, ref[1])):
             lo, hi = (F(*to_rational(e)) for e in x._mpi_)
             assert lo_m <= lo * scale and hi * scale <= hi_m, d
-            assert hi_m - lo_m <= 4, d
+            assert (hi - lo) * scale < 1 and hi_m - lo_m <= 4, d
 
 
 def test_root_of_unity_kernel_refuses_small_moduli():
