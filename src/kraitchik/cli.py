@@ -258,7 +258,7 @@ def _rows_for_d(d: int, plan: tuple[tuple[str, int], ...], precision_max: int) -
 
 
 def _print_rows(suite: str, rows: list[Row], fmt: str) -> None:
-    """One suite's output; the summary is its last line (json and text)."""
+    """One suite's output; the summary is its last line (json and text), csv has rows only."""
     verified = sum(verdict == VERIFIED for _, verdict, _ in rows)
     unresolved = sum(verdict == UNRESOLVED for _, verdict, _ in rows)
     falsified = len(rows) - verified - unresolved
@@ -271,10 +271,7 @@ def _print_rows(suite: str, rows: list[Row], fmt: str) -> None:
         summary = {"suite": suite, "verified": verified, "falsified": falsified, "unresolved": unresolved}
         print(json.dumps(summary, separators=(",", ":")))
     elif fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["suite", "case", "verdict", "note"])
-        for label, verdict, note in rows:
-            writer.writerow([suite, label, verdict, note])
+        csv.writer(sys.stdout).writerows([suite, label, verdict, note] for label, verdict, note in rows)
     else:
         for label, verdict, note in rows:
             print(f"{suite} {label} {verdict}" + (f" {note}" if note else ""))
@@ -284,7 +281,8 @@ def _print_rows(suite: str, rows: list[Row], fmt: str) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _parse_range(text: str) -> list[int]:
+    """The odd squarefree moduli of a ``lo..hi`` range, as ``_checked_moduli`` lists them."""
     try:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
@@ -292,9 +290,10 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"bad range {text!r}; {DEFAULT_TABLE_RANGE_NOTE}") from exc
     if lo < 3 or hi < lo:
         raise argparse.ArgumentTypeError(f"range bounds must satisfy 3 <= lo <= hi, got {text!r}")
-    if not _checked_moduli(lo, hi, "hi"):
+    ds = _checked_moduli(lo, hi, "hi")
+    if not ds:
         raise argparse.ArgumentTypeError(f"range {text!r} contains no odd squarefree modulus")
-    return lo, hi
+    return ds
 
 
 def _checked_moduli(lo: int, hi: int, name: str) -> list[int]:
@@ -330,11 +329,10 @@ def cmd_compute(args) -> int:
 
 
 def cmd_table(args) -> int:
-    lo, hi = args.range
     pairs = []
     if args.format == "csv":
         print("d,n,a_n,b_n", flush=True)
-    for d in odd_squarefree_range(lo, hi):
+    for d in args.range:
         pair = psi_xi(d)
         if args.format == "json":
             print(row_json(pair), flush=True)
@@ -384,6 +382,8 @@ def cmd_verify(args) -> int:
         results = [(s, [row for rows in by_d for row in rows[i]]) for i, (s, _) in enumerate(plan)]
         if args.suite == "all":
             results.append(("symfunc", _suite_symfunc(SYMFUNC_DEFAULT_M)))
+    if args.format == "csv":  # one header per run: the suite column tells the suites' rows apart
+        csv.writer(sys.stdout).writerow(["suite", "case", "verdict", "note"])
     for suite, rows in results:
         _print_rows(suite, rows, args.format)
     verdicts = [verdict for _, rows in results for _, verdict, _ in rows]

@@ -10,10 +10,13 @@ comparison of two logarithms, each enclosed with validated intervals, so a
 ``verified`` verdict is a machine-checked strict inequality and ``falsified``
 a proven violation.
 
-The gate value G_d is a growth base (p + q*sqrt(r))/2 from ``bounds``.  The
-gate x > 2*G_d is decided exactly, by one ``cmp_surd``, before anything else;
-points failing it are typed rejections (``GateError``), not verdicts.  The
-integer sample points come from the exact ceiling ``bounds.ceil_multiple``.
+The gate value G_d is a growth base (p + q*sqrt(r))/2 from ``bounds``.
+``ratio_table`` is the one deciding path, ``check_ratio_approx`` the table over
+one point: the modulus, the gate and the ladder are checked once per table,
+each gate x > 2*G_d is decided exactly, by one ``cmp_surd``, a point failing it
+raises ``GateError`` before any enclosure is built, and every point is one case
+of a single ``decide``.  The integer sample points come from the exact ceiling
+``bounds.ceil_multiple``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .bounds import _require_minimum_modulus, _same_field, ceil_multiple, l1_bound_base
 from .construct import KraitchikPair
@@ -38,8 +41,6 @@ from .interval import (
 from .numtheory import mobius
 from .qfield import QuadElem, cmp_surd
 
-REJECTED = "rejected"
-
 
 class GateError(ValueError):
     """x does not exceed twice the gate value, so the bound does not apply."""
@@ -49,7 +50,7 @@ class GateError(ValueError):
 class RatioReport:
     d: int
     x: Fraction
-    lhs_exact: Optional[Fraction]
+    lhs_exact: Fraction
     verdict: str
 
 
@@ -102,11 +103,9 @@ def _log_rhs(g: QuadElem, x: Fraction, prec: int) -> DyadicInterval:
 
 
 def _point_case(pair: KraitchikPair, g: QuadElem, x: Fraction) -> tuple[Fraction, tuple]:
-    """The exact left side at a point x past the gate G_d = ``g``, and the ``decide`` case
-    of the bound there in log space; GateError for an x not past the gate."""
+    """The exact left side at x and the ``decide`` case of the bound there in log space;
+    GateError unless x is past the gate G_d = ``g``."""
     ctx = pair.ctx
-    _require_minimum_modulus(ctx.d)
-    _same_field(g.b, g.r, ctx.d)
     if not _past_gate(g, x):
         raise GateError(f"x = {x} does not exceed twice the gate value for d = {ctx.d}")
 
@@ -125,27 +124,22 @@ def _point_case(pair: KraitchikPair, g: QuadElem, x: Fraction) -> tuple[Fraction
 def check_ratio_approx(
     pair: KraitchikPair, x: Fraction | int, max_precision: int = DEFAULT_MAX_PRECISION
 ) -> RatioReport:
-    """Verify |Xi(x)/Psi(x) - 1/(2x - mu(d))| < the closed-form envelope; GateError unless x is past the gate."""
-    x = Fraction(x)
-    lhs, case = _point_case(pair, gate_value(pair), x)
-    return RatioReport(pair.ctx.d, x, lhs, decide([case], precision_ladder(max_precision))[0].verdict)
+    """Verify |Xi(x)/Psi(x) - 1/(2x - mu(d))| < the closed-form envelope at one x: the table over x alone."""
+    return ratio_table(pair, [x], max_precision)[0]
 
 
 def ratio_table(
     pair: KraitchikPair, xs: Sequence[Fraction | int], max_precision: int = DEFAULT_MAX_PRECISION
 ) -> list[RatioReport]:
-    """One report per sample point, all against one gate value; gate failures become 'rejected'
-    rows, and the points past the gate are the cases of a single ``decide``."""
+    """One report per sample point, all against one gate value, each point one case of a single
+    ``decide``.  ValueError for d < 5, RadicandMismatch for a gate outside Q(sqrt(d)) and
+    GateError for any point not past the gate, each before any enclosure is built."""
+    d = pair.ctx.d
+    _require_minimum_modulus(d)
     g = gate_value(pair)
+    _same_field(g.b, g.r, d)
     rungs = precision_ladder(max_precision)  # the ceiling is checked here, before any enclosure is built
-    points, cases = [], []
-    for x in map(Fraction, xs):
-        try:
-            lhs, case = _point_case(pair, g, x)
-        except GateError:
-            lhs = None
-        else:
-            cases.append(case)
-        points.append((x, lhs))
-    decisions = iter(decide(cases, rungs))
-    return [RatioReport(pair.ctx.d, x, lhs, REJECTED if lhs is None else next(decisions).verdict) for x, lhs in points]
+    xs = [Fraction(x) for x in xs]
+    points = [_point_case(pair, g, x) for x in xs]
+    decisions = decide([case for _, case in points], rungs)
+    return [RatioReport(d, x, lhs, decision.verdict) for x, (lhs, _), decision in zip(xs, points, decisions)]

@@ -1,6 +1,8 @@
 import concurrent.futures
+import csv
 import dataclasses
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -182,7 +184,7 @@ def test_table_past_the_work_cap_is_usage_error(capsys, monkeypatch):
 
 
 def test_table_at_the_work_cap_is_accepted():
-    assert cli.build_parser().parse_args(["table", "5..1000"]).range == (5, 1000)
+    assert cli.build_parser().parse_args(["table", "5..1000"]).range == odd_squarefree_range(5, 1000)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -378,6 +380,37 @@ def test_verify_json_format(capsys):
     assert code == 0
     lines = [json.loads(l) for l in out.strip().splitlines()]
     assert lines[-1] == {"suite": "identity", "verified": 2, "falsified": 0, "unresolved": 0}
+
+
+CSV_HEADER = "suite,case,verdict,note\r\n"
+
+
+def test_verify_csv_of_one_suite_keeps_its_bytes(capsys):
+    # the header once, then one row per case, notes with commas quoted, csv's \r\n ends
+    code, out, _ = run(capsys, "verify", "symmetry", "--dmax", "11", "--format", "csv")
+    assert code == 0
+    row = 'symmetry,d={},verified,"(b-sign +1, predicted +1)"\r\n'
+    assert out == CSV_HEADER + "".join(row.format(d) for d in (5, 7, 11))
+    code, out, _ = run(capsys, "verify", "ratio", "--dmax", "7", "--format", "csv")
+    assert code == 1
+    verdicts = ["verified"] * 5 + ["falsified"]
+    cases = [f"d={d} x={x}" for d in (5, 7) for x in (5, 9, 100)]
+    assert out == CSV_HEADER + "".join(f"ratio,{case},{verdict},\r\n" for case, verdict in zip(cases, verdicts))
+
+
+def test_verify_all_csv_is_one_table(capsys):
+    code, out, err = run(capsys, "verify", "all", "--dmax", "21", "--format", "csv")
+    assert code == 1  # ratio d=7 x=100
+    assert err == "" and out.startswith(CSV_HEADER) and out.count(CSV_HEADER) == 1
+    rows = list(csv.DictReader(io.StringIO(out, newline="")))
+    assert all(list(row) == ["suite", "case", "verdict", "note"] for row in rows)
+    assert {"suite": "suite", "case": "case", "verdict": "verdict", "note": "note"} not in rows
+    singles = [run(capsys, "verify", suite, "--dmax", "21", "--format", "csv")[1] for suite in SUITES[:-1]]
+    singles.append(run(capsys, "verify", "symfunc", "--format", "csv")[1])  # --dmax bounds moduli, not m
+    suites = [row["suite"] for row in rows]
+    assert suites == [suite for suite, single in zip(SUITES, singles) for _ in single.splitlines()[1:]]
+    assert set(suites) == set(SUITES)
+    assert out == CSV_HEADER + "".join(single.removeprefix(CSV_HEADER) for single in singles)
 
 
 def test_verify_parallel_jobs_preserve_order(capsys):

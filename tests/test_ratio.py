@@ -79,9 +79,24 @@ def test_gate_rejection():
 
 
 def test_ratio_table_marks_rejections():
-    verdicts = [r.verdict for r in ratio_table(psi_xi(5), [3, 4, 8])]
-    assert verdicts == ["rejected", "verified", "verified"]
-    assert ratio_table(psi_xi(5), []) == []
+    # one point below the gate refuses the whole table, wherever it stands
+    p5 = psi_xi(5)
+    for xs in ([3, 4, 8], [4, 8, 3]):
+        with pytest.raises(GateError, match="x = 3 does not exceed"):
+            ratio_table(p5, xs)
+    assert [r.verdict for r in ratio_table(p5, [4, 8])] == ["verified", "verified"]
+    assert ratio_table(p5, []) == []
+
+
+def test_gate_failure_is_raised_before_any_decide(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ratio, "decide", lambda cases, rungs: calls.append(cases) or interval.decide(cases, rungs))
+    p7 = psi_xi(7)
+    with pytest.raises(GateError):
+        ratio_table(p7, default_sample_points(p7) + [3])  # 3 < 2G = 1 + sqrt(7) ~ 3.65
+    assert calls == []
+    assert [r.verdict for r in ratio_table(p7, default_sample_points(p7))] == ["verified"] * 2 + ["falsified"]
+    assert len(calls) == 1 and len(calls[0]) == 3
 
 
 def test_d7_small_points_verified():
@@ -169,11 +184,10 @@ def test_default_points_lie_past_the_gate():
     p707 = psi_xi(707)
     assert gate_value(p707) == 50
     assert default_sample_points(p707) == [F(101), F(105)]
-    assert [r.verdict for r in ratio_table(p707, [100] + default_sample_points(p707))] == [
-        "rejected",
-        "verified",
-        "verified",
-    ]
+    assert [r.verdict for r in ratio_table(p707, default_sample_points(p707))] == ["verified", "verified"]
+    with pytest.raises(GateError, match="x = 100 does not exceed"):
+        ratio_table(p707, [100] + default_sample_points(p707))
+    assert ratio_table(p707, []) == []
 
 
 def test_gate_value_outside_the_field_is_refused(monkeypatch):
@@ -186,12 +200,12 @@ def test_gate_value_outside_the_field_is_refused(monkeypatch):
 def test_ratio_table_builds_the_gate_once(monkeypatch):
     # one gate value per modulus, however many points; each point's verdict as check_ratio_approx's
     pair, calls = psi_xi(7), []
-    xs = default_sample_points(pair) + [F(9, 2), 1]  # 9/2 is past the gate 2G = 1 + sqrt(7), 1 is not
+    xs = default_sample_points(pair) + [F(9, 2), 4]  # past the gate 2G = 1 + sqrt(7) ~ 3.65
     monkeypatch.setattr(ratio, "gate_value", lambda p: calls.append(p.ctx.d) or gate_value(p))
     rows = ratio_table(pair, xs)
     assert calls == [7]
-    assert [r.verdict for r in rows] == [check_ratio_approx(pair, x).verdict for x in xs[:-1]] + ["rejected"]
-    assert calls == [7] * len(xs)
+    assert [r.verdict for r in rows] == [check_ratio_approx(pair, x).verdict for x in xs]
+    assert calls == [7] * (1 + len(xs))
 
 
 def test_nonpositive_psi_is_refused():

@@ -164,15 +164,29 @@ def ladder_leaks(tree: ast.AST) -> list[int]:
     return leaks
 
 
+def decide_calls(tree: ast.AST) -> list[int]:
+    """Lines of the ``decide(...)`` calls in ``tree``, by name or as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "decide" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
 def test_every_precision_ladder_goes_to_decide():
     # decide is the one precision-ladder driver: outside interval.py no code steps a ladder
-    # itself, keeps it in a tuple or shares it between calls
-    found = {
-        path.name: ladder_leaks(ast.parse(path.read_text(), filename=str(path)))
+    # itself, keeps it in a tuple or shares it between calls, and each module decides
+    # along one path, so it makes at most one decide call
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
         for path in sorted(SRC.glob("*.py"))
         if path.name != "interval.py"
     }
+    found = {name: ladder_leaks(tree) for name, tree in trees.items()}
     assert {name: lines for name, lines in found.items() if lines} == {}
+    calls = {name: decide_calls(tree) for name, tree in trees.items()}
+    assert {name: lines for name, lines in calls.items() if len(lines) > 1} == {}
+    assert len(calls["bounds.py"]) == len(calls["ratio.py"]) == 1
     assert "precision_ladder" in (SRC / "bounds.py").read_text() and "precision_ladder" in (SRC / "ratio.py").read_text()
     # the shapes the rule refuses: a hand-run ladder, a tuple of one, a ladder shared by two
     # calls or sliced, a ladder in the cases' place
