@@ -11,7 +11,8 @@ pulled out, the largest phi(f) is compared with twice the floor by one
 integer ``cmp_surd``, and the winner becomes the one ``QuadElem``
 (p + q*sqrt(r))/2 with integers p, q.  A rational base (q = 0, a winning
 phi(f)/2 or a floor whose radicand is a square, as 1 + 1155 = 34^2) keeps
-the radicand of the floor's field.
+the radicand of the floor's field.  The passes read each base they build once, as
+the integers (p, q, r) of ``doubled_parts``: no Fraction reaches a ``cmp_surd``.
 ``rising_factorial_bound`` returns the bound as integers (P, Q, K) meaning
 (P + Q*sqrt(r))/K, and each inequality is decided by one integer
 ``cmp_surd`` (no intervals, no Fractions), which is what lets the tight
@@ -104,12 +105,12 @@ def l1_bound_base(ctx: DiscriminantContext, n: int) -> QuadElem:
     return _growth_base(ctx, n, 1, 1, ctx.d)
 
 
-def doubled_parts(base: QuadElem) -> tuple[int, int]:
-    """The integers (p, q) of a growth base (p + q*sqrt(r))/2."""
+def doubled_parts(base: QuadElem) -> tuple[int, int, int]:
+    """The integers (p, q, r) of a growth base (p + q*sqrt(r))/2."""
     a, b = base.a, base.b
     if 2 % a.denominator or 2 % b.denominator:
         raise ValueError(f"growth base must be (p + q*sqrt(r))/2 with integer p, q, got {base}")
-    return a.numerator * (2 // a.denominator), b.numerator * (2 // b.denominator)
+    return a.numerator * (2 // a.denominator), b.numerator * (2 // b.denominator), base.r
 
 
 def rising_factorial_bound(base: QuadElem, n: int) -> tuple[int, int, int]:
@@ -120,8 +121,7 @@ def rising_factorial_bound(base: QuadElem, n: int) -> tuple[int, int, int]:
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    p, q = doubled_parts(base)
-    r = base.r
+    p, q, r = doubled_parts(base)
     P, Q = 2, 0
     for i in range(n):
         u = p + 2 * i
@@ -146,12 +146,6 @@ def _floor_half_surd(p: int, q: int, r: int) -> int:
     return (p + math.isqrt(q * q * r)) // 2
 
 
-def ceil_multiple(base: QuadElem, k: int) -> int:
-    """Smallest integer >= k*B for a growth base B and an integer k >= 0, decided exactly."""
-    p, q = doubled_parts(base)
-    return _ceil_half_surd(k * p, k * q, base.r)
-
-
 def _require_minimum_modulus(d: int) -> None:
     if d < 5:
         raise ValueError(f"bound checks need d >= 5, got {d}")
@@ -168,27 +162,27 @@ def _indices(pair: KraitchikPair, ns: Optional[range], lo: int) -> range:
     return ns
 
 
-def _bases(ctx: DiscriminantContext, ns: range, base_at) -> Iterator[tuple[int, QuadElem, bool]]:
-    """(n, base, fresh) for each n of ``ns``: ``base_at(ctx, n)`` is built at the first n and
-    at each divisor of d, the only places it can change, and ``fresh`` marks where it did."""
+def _bases(ctx: DiscriminantContext, ns: range, base_at) -> Iterator[tuple[int, QuadElem, tuple[int, int, int], bool]]:
+    """(n, base, (p, q, r), fresh) for each n of ``ns``: ``base_at(ctx, n)`` is built at the
+    first n and at each divisor of d, the only places it can change, and read there once as
+    the integers of (p + q*sqrt(r))/2; ``fresh`` marks where that triple changed."""
     stops = set(divisors(ctx.d)) if len(ns) > 1 else ()
-    base = None
+    base = key = None
     for n in ns:
         fresh = False
-        if base is None or n in stops:
-            new = base_at(ctx, n)
-            fresh = base is None or new != base
-            base = new
-        yield n, base, fresh
+        if key is None or n in stops:
+            base, old = base_at(ctx, n), key
+            key = doubled_parts(base)
+            fresh = key != old
+        yield n, base, key, fresh
 
 
 def _carried_bounds(ctx: DiscriminantContext, ns: range, base_at) -> Iterator[tuple[int, int, int, int]]:
     """(r, P, Q, K) of ``rising_factorial_bound(base_at(ctx, n), n)`` for each n of ``ns``:
     seeded where the base changes, then carried along n by the factor (p + 2(n-1), q)
     and K by 2n."""
-    for n, base, fresh in _bases(ctx, ns, base_at):
+    for n, base, (p, q, r), fresh in _bases(ctx, ns, base_at):
         if fresh:
-            (p, q), r = doubled_parts(base), base.r
             P, Q, K = rising_factorial_bound(base, n)
         else:
             u = p + 2 * (n - 1)
@@ -372,11 +366,10 @@ def explicit_bound_pass(
     rungs = precision_ladder(max_precision)  # the ceiling is checked here, before any enclosure is built
     coarse = max_precision >= FIRST_RUNG  # the ladder has a rung
     cases, rows = [], []  # rows: (n, index of its first case, or None for an n verified before decide)
-    for n, base, fresh in _bases(ctx, ns, abs_bound_base):
+    for n, base, key, fresh in _bases(ctx, ns, abs_bound_base):
         if fresh:
-            if cmp_surd(base.a, base.b, base.r, 1) <= 0:
+            if cmp_surd(*key, 2) <= 0:  # F = (p + q*sqrt(r))/2 > 1
                 raise ArithmeticError(f"growth base must exceed 1, got {base} at d={d}, n={n}")
-            key = (*doubled_parts(base), base.r)
             floor_f = _floor_half_surd(*key)
         a_n, b_n = pair.a[n], pair.b_coeff(n)
         if a_n == b_n == 0:

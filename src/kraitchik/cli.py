@@ -99,10 +99,6 @@ def _table_text(pairs: list[KraitchikPair]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _table_csv_rows(p: KraitchikPair) -> str:
-    return "".join(f"{p.ctx.d},{n},{p.a[n]},{'' if n == 0 else p.b_coeff(n)}\n" for n in range(p.ctx.dprime + 1))
-
-
 def format_poly(coeffs) -> str:
     """Render ascending coefficients the way the classical tables print them,
     e.g. ``2X^3+X^2-X-2``."""
@@ -258,7 +254,7 @@ def _rows_for_d(d: int, plan: tuple[tuple[str, int], ...], precision_max: int) -
 
 
 def _print_rows(suite: str, rows: list[Row], fmt: str) -> None:
-    """One suite's output; the summary is its last line (json and text), csv has rows only."""
+    """One suite's json or text output; the summary is its last line."""
     verified = sum(verdict == VERIFIED for _, verdict, _ in rows)
     unresolved = sum(verdict == UNRESOLVED for _, verdict, _ in rows)
     falsified = len(rows) - verified - unresolved
@@ -270,8 +266,6 @@ def _print_rows(suite: str, rows: list[Row], fmt: str) -> None:
             print(json.dumps(obj, separators=(",", ":")))
         summary = {"suite": suite, "verified": verified, "falsified": falsified, "unresolved": unresolved}
         print(json.dumps(summary, separators=(",", ":")))
-    elif fmt == "csv":
-        csv.writer(sys.stdout).writerows([suite, label, verdict, note] for label, verdict, note in rows)
     else:
         for label, verdict, note in rows:
             print(f"{suite} {label} {verdict}" + (f" {note}" if note else ""))
@@ -330,14 +324,17 @@ def cmd_compute(args) -> int:
 
 def cmd_table(args) -> int:
     pairs = []
+    out = csv.writer(sys.stdout, lineterminator="\n")
     if args.format == "csv":
-        print("d,n,a_n,b_n", flush=True)
+        out.writerow(["d", "n", "a_n", "b_n"])
+        sys.stdout.flush()
     for d in args.range:
         pair = psi_xi(d)
         if args.format == "json":
             print(row_json(pair), flush=True)
         elif args.format == "csv":
-            print(_table_csv_rows(pair), end="", flush=True)
+            out.writerows([d, n, pair.a[n], "" if n == 0 else pair.b_coeff(n)] for n in range(pair.ctx.dprime + 1))
+            sys.stdout.flush()
         else:
             pairs.append(pair)
     if args.format == "text":
@@ -383,9 +380,12 @@ def cmd_verify(args) -> int:
         if args.suite == "all":
             results.append(("symfunc", _suite_symfunc(SYMFUNC_DEFAULT_M)))
     if args.format == "csv":  # one header per run: the suite column tells the suites' rows apart
-        csv.writer(sys.stdout).writerow(["suite", "case", "verdict", "note"])
-    for suite, rows in results:
-        _print_rows(suite, rows, args.format)
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(["suite", "case", "verdict", "note"])
+        out.writerows([suite, *row] for suite, rows in results for row in rows)
+    else:
+        for suite, rows in results:
+            _print_rows(suite, rows, args.format)
     verdicts = [verdict for _, rows in results for _, verdict, _ in rows]
     if any(v not in (VERIFIED, UNRESOLVED) for v in verdicts):
         return 1

@@ -16,7 +16,7 @@ import mpmath
 from interval_oracle import as_fractions
 from oracles import falling_factorial_poly, second_coefficient_closed_form, u_coefficients
 
-from kraitchik.bounds import check_coefficient_bounds, check_explicit_bound
+from kraitchik.bounds import check_coefficient_bounds, check_explicit_bound, doubled_parts
 from kraitchik.construct import check_symmetry, psi_xi, verify_identity
 from kraitchik.numtheory import is_prime, mobius, odd_squarefree_range
 from kraitchik.poly import DensePoly
@@ -185,7 +185,7 @@ def test_criterion_9_ratio_suite(pairs_149):
         assert spot.lhs_exact == F(1, 171)
         G = (1 + mpmath.sqrt(5)) / 2
         refs = (mpmath.log(1 + G / 4 + mpmath.sqrt(5) / 76), G * mpmath.log(mpmath.mpf(4) / 3))
-        g = gate_value(pairs_149[5])
+        g = doubled_parts(gate_value(pairs_149[5]))
         for side, ref in zip(map(as_fractions, (_log_lhs(g, F(4), F(1, 76), 5, 64), _log_rhs(g, F(4), 64))), refs):
             assert _mp(side.lo) <= ref <= _mp(side.hi)
 

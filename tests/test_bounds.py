@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -16,6 +17,9 @@ from hypothesis import strategies as st
 from oracles import Quad, growth_base, surd_base
 
 import kraitchik.bounds as bounds
+import kraitchik.cli as cli
+import kraitchik.powersums as powersums
+import kraitchik.ratio as ratio
 from kraitchik.bounds import (
     _ceil_half_surd,
     _floor_half_surd,
@@ -399,7 +403,7 @@ def test_log_bounds_contain_the_mpmath_logarithms(prec):
                 assert mpmath.mpf(lo.numerator) / lo.denominator <= ref <= mpmath.mpf(hi.numerator) / hi.denominator
                 assert got.width < F(1, 2 ** (prec - 16)), (d, n)
             # the pass's kernel is the minimum of the same three enclosures, bit for bit
-            key = (*doubled_parts(base), base.r)
+            key = doubled_parts(base)
             got = bounds._min_log_t(key, n, prec)
             assert (got.lo_m, got.hi_m, got.prec) == (min(t.lo_m for t in ts), min(t.hi_m for t in ts), prec), (d, n)
 
@@ -437,7 +441,7 @@ def pass_inputs(pair, n) -> tuple:
     a_n, b_n, d = pair.a[n], pair.b_coeff(n), pair.ctx.d
     base = abs_bound_base(pair.ctx, n)
     aa, bb = (a_n, b_n) if cmp_surd(a_n, b_n, d, 0) >= 0 else (-a_n, -b_n)
-    return (*doubled_parts(base), base.r), aa, bb, a_n * a_n + d * b_n * b_n
+    return doubled_parts(base), aa, bb, a_n * a_n + d * b_n * b_n
 
 
 def coarse_sides(pair, n, prec=FIRST_RUNG) -> tuple[list, int]:
@@ -484,7 +488,7 @@ def test_coarse_bounds_contain_the_mpmath_logarithms(pairs_255):
     with mpmath.workprec(1024):  # past the cancellation in a_n + b_n*sqrt(d)
         for d, n in LOG_SAMPLE:
             base = abs_bound_base(ctx(d), n)
-            key = (*doubled_parts(base), base.r)
+            key = doubled_parts(base)
             rhs_lo = bounds._coarse_min_log_t(key, bounds._floor_half_surd(*key), n, FIRST_RUNG).lo_m
             assert rhs_lo * scale <= min(reference_log_bounds(base, n)), (d, n)
             pair = pairs[d]
@@ -603,7 +607,7 @@ def test_an_n_open_on_the_first_rung_goes_up_the_ladder():
     assert oracles.explicit_bound_verdicts(pair, 1, 127)[0] == "unresolved"
     assert explicit_bound_pass(pair, 127)[0].verdict == "verified"
     # the pass's own fine sides climb: no enclosure on rung 64, verified on rung 128
-    key = (*doubled_parts(abs_bound_base(pair.ctx, 1)), 5)
+    key = doubled_parts(abs_bound_base(pair.ctx, 1))
     case = [(partial(bounds._ln_surd, x, -y, 5), partial(bounds._min_log_t, key, 1))]
     assert decide(case, precision_ladder(127)) == [("unresolved", None, None)]
     verdict, lhs, rhs = decide(case, precision_ladder(DEFAULT_MAX_PRECISION))[0]
@@ -629,6 +633,52 @@ def test_a_short_seed_at_a_base_breakpoint_is_carried_forward(monkeypatch):
     assert falsified_at(coefficient_bounds_pass(pair)) == [21, 22, 23, 24]
     assert sorted(seeds) == [0, 0, 21, 21]  # abs and L1, at n = 0 and at the breakpoint only
     assert falsified_at(check_coefficient_bounds(pair, n) for n in range(25)) == [21]
+
+
+def test_explicit_pass_decides_every_open_n_in_one_family(monkeypatch):
+    # D < 0: each n the coarse stage leaves open is two cases, both against that n's right
+    # side, and all of them go to one decide call; a per-n decide would make one call per n
+    calls = []
+
+    def recording_decide(cases, rungs):
+        calls.append([rhs.args[-1] for _, rhs in cases])  # the n of partial(_min_log_t, key, n)
+        return decide(cases, rungs)
+
+    monkeypatch.setattr(bounds, "decide", recording_decide)
+    for d in (19, 31):
+        pair, calls[:] = psi_xi(d), []
+        open_ns = [n for n in range(1, pair.ctx.dprime + 1) if not coarsely_settled(pair, n)]
+        assert pair.ctx.D < 0 and len(open_ns) >= 2, (d, open_ns)
+        assert {rep.verdict for rep in explicit_bound_pass(pair)} == {"verified"}
+        assert calls == [[n for n in open_ns for _ in range(2)]], d
+
+
+def test_growth_bases_reach_cmp_surd_as_integers(monkeypatch, capsys, pairs_149):
+    # each growth base is read once as its integers (p, q, r), and the ratio gate x > 2G at
+    # x = u/v is u > v*(p + q*sqrt(r)): every exact comparison in bounds, ratio and powersums
+    # takes ints only, through the CLI and through the per-n and per-table entry points
+    callers, non_int_callers = set(), set()
+
+    def integer_cmp_surd(*args):
+        caller = sys._getframe(1).f_code.co_name
+        callers.add(caller)
+        if not all(type(arg) is int for arg in args):
+            non_int_callers.add(caller)
+        return cmp_surd(*args)
+
+    for module in (bounds, ratio, powersums):
+        monkeypatch.setattr(module, "cmp_surd", integer_cmp_surd)
+    assert cli.main(["verify", "all", "--dmax", "35"]) == 1  # ratio d=7 x=100
+    capsys.readouterr()
+    for d, pair in pairs_149.items():
+        if d <= 35:
+            for n in range(pair.ctx.dprime + 1):
+                check_coefficient_bounds(pair, n)
+                if n:
+                    check_explicit_bound(pair, n)
+    ratio.ratio_table(pairs_149[7], [F(9, 2), 5, 100])
+    assert non_int_callers == set()
+    assert {"_growth_base", "coefficient_bounds_pass", "explicit_bound_pass", "_past_gate", "inside"} <= callers
 
 
 def test_suite_small_range(pairs_149):

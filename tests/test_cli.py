@@ -249,6 +249,8 @@ def test_table_csv(capsys):
         "7,2,-1,1",
         "7,3,-2,0",
     ]
+    # one csv dialect: neither command ends a line with \r\n
+    assert "\r" not in out + run(capsys, "verify", "symmetry", "--dmax", "11", "--format", "csv")[1]
 
 
 def test_json_round_trip(capsys, pairs_255):
@@ -382,20 +384,20 @@ def test_verify_json_format(capsys):
     assert lines[-1] == {"suite": "identity", "verified": 2, "falsified": 0, "unresolved": 0}
 
 
-CSV_HEADER = "suite,case,verdict,note\r\n"
+CSV_HEADER = "suite,case,verdict,note\n"
 
 
 def test_verify_csv_of_one_suite_keeps_its_bytes(capsys):
-    # the header once, then one row per case, notes with commas quoted, csv's \r\n ends
+    # the header once, then one row per case, notes with commas quoted, \n line ends as in table
     code, out, _ = run(capsys, "verify", "symmetry", "--dmax", "11", "--format", "csv")
     assert code == 0
-    row = 'symmetry,d={},verified,"(b-sign +1, predicted +1)"\r\n'
+    row = 'symmetry,d={},verified,"(b-sign +1, predicted +1)"\n'
     assert out == CSV_HEADER + "".join(row.format(d) for d in (5, 7, 11))
     code, out, _ = run(capsys, "verify", "ratio", "--dmax", "7", "--format", "csv")
     assert code == 1
     verdicts = ["verified"] * 5 + ["falsified"]
     cases = [f"d={d} x={x}" for d in (5, 7) for x in (5, 9, 100)]
-    assert out == CSV_HEADER + "".join(f"ratio,{case},{verdict},\r\n" for case, verdict in zip(cases, verdicts))
+    assert out == CSV_HEADER + "".join(f"ratio,{case},{verdict},\n" for case, verdict in zip(cases, verdicts))
 
 
 def test_verify_all_csv_is_one_table(capsys):

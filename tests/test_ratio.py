@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from kraitchik import interval, ratio
-from kraitchik.bounds import ceil_multiple
+from kraitchik.bounds import _ceil_half_surd, doubled_parts
 from kraitchik.construct import psi_xi
 from kraitchik.interval import precision_ladder
 from kraitchik.numtheory import mobius
@@ -26,9 +26,10 @@ F = Fraction
 def test_gate_examples():
     p5 = psi_xi(5)
     assert gate_value(p5) == QuadElem(F(1, 2), F(1, 2), 5)
-    assert ceil_multiple(gate_value(p5), 2) == 4  # 2G = 1 + sqrt(5) ~ 3.236
-    assert ceil_multiple(gate_value(p5), 1) == 2
-    assert default_sample_points(p5) == [F(5), F(9), F(100)]
+    assert doubled_parts(gate_value(p5)) == (1, 1, 5)
+    assert _ceil_half_surd(2, 2, 5) == 4  # 2G = 1 + sqrt(5) ~ 3.236
+    assert _ceil_half_surd(1, 1, 5) == 2  # G ~ 1.618
+    assert default_sample_points(p5) == [F(5), F(9), F(100)]  # ceil(2G) + 1, 2*ceil(G) + 5, 100
 
 
 def test_gate_equality_is_rejected():
@@ -36,7 +37,9 @@ def test_gate_equality_is_rejected():
     # x = 10 sits exactly on the gate, which x must strictly exceed
     p77 = psi_xi(77)
     assert gate_value(p77) == 5 and gate_value(p77).b == 0
-    assert ceil_multiple(gate_value(p77), 2) == 10
+    assert doubled_parts(gate_value(p77)) == (10, 0, 77)
+    assert _ceil_half_surd(20, 0, 77) == 10
+    assert default_sample_points(p77) == [F(11), F(15), F(100)]  # the grid starts one past the gate
     with pytest.raises(GateError):
         check_ratio_approx(p77, 10)
     assert check_ratio_approx(p77, 11).verdict == "verified"
