@@ -38,7 +38,7 @@ floor(F) + n - 1 and floor(F) + n.  The stage can only verify, and an n is
 settled only when all its variants are: it may turn what the ladder alone
 would leave unresolved into verified, nothing else.  Each n it leaves open is
 one case of a single ``decide`` (for D < 0 with a second case, the left side
-against sqrt(D), sharing the n's right side), with ln(F + n - 1) from F's
+against sqrt(D), with the same right side), with ln(F + n - 1) from F's
 enclosure (``_min_log_t``).  The per-n entry points
 ``check_coefficient_bounds`` and ``check_explicit_bound`` run the pass over
 their one n.
@@ -388,7 +388,7 @@ def explicit_bound_pass(
                 rows.append((n, None))
                 continue
         rows.append((n, len(cases)))
-        rhs = partial(_min_log_t, key, n)  # one object, so decide builds it once per rung for both variants
+        rhs = partial(_min_log_t, key, n)
         cases.append((partial(_ln_surd, aa, bb, d), rhs))
         if ctx.D < 0:
             cases.append((partial(_half_ln_int, mod_sq), rhs))

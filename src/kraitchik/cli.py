@@ -442,6 +442,10 @@ def main(argv=None) -> int:
     except IdentityGateError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed stdout: the exit flush goes to devnull; 128 + SIGPIPE, as a shell shows
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

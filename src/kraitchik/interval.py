@@ -375,29 +375,19 @@ def decide(cases: Sequence[tuple[Side, Side]], rungs: Iterable[int]) -> list[Dec
     Each side maps a precision to an enclosure at it, so a case's two sides
     share one grid and compare by their mantissas: ``verified`` once
     lhs.hi < rhs.lo, ``falsified`` once lhs.lo >= rhs.hi, ``unresolved`` when
-    the rungs run out.  A rung is taken only while some case is open, and only
-    the open cases are evaluated on it, a side object shared by several cases
-    once.  A case whose side raises IntervalDomainError on a rung (an enclosure
-    still too wide for some operation's domain) stays open.
+    the rungs run out.  A rung is taken only while some case is open, and on
+    it each open case calls its lhs, then its rhs.  A case whose side raises
+    IntervalDomainError on a rung (an enclosure still too wide for some
+    operation's domain) stays open; its rhs is not called when its lhs raised.
     """
     decisions = [Decision(UNRESOLVED, None, None)] * len(cases)
     open_cases = range(len(cases))
     for prec in rungs if cases else ():  # an empty family takes no rung
-        seen: dict[Side, Optional[DyadicInterval]] = {}  # each side's enclosure on this rung, None if it raised
-
-        def at(side: Side) -> Optional[DyadicInterval]:
-            if side not in seen:
-                try:
-                    seen[side] = side(prec)
-                except IntervalDomainError:
-                    seen[side] = None
-            return seen[side]
-
         for i in open_cases:
             lhs, rhs = cases[i]
-            li = at(lhs)
-            ri = None if li is None else at(rhs)
-            if ri is None:
+            try:
+                li, ri = lhs(prec), rhs(prec)  # rhs only once lhs gave an enclosure
+            except IntervalDomainError:
                 continue  # no enclosure on this rung: the case stays open
             if li.prec != ri.prec:
                 raise ValueError(f"sides at precisions {li.prec} and {ri.prec} compared at rung {prec}")

@@ -1,8 +1,8 @@
 """Exact order in quadratic extensions Q(sqrt(r)).
 
 A ``QuadElem`` is the record ``a + b*sqrt(r)`` with rational a, b and a
-squarefree radicand r (possibly negative, never 0 or 1); elements with b = 0
-compare equal to plain rationals.  It carries no field arithmetic: every
+squarefree radicand r (possibly negative, never 0 or 1), equal only to the
+element with the same three parts.  It carries no field arithmetic: every
 deciding path reads its parts.
 
 ``cmp_surd`` decides the exact order of ``x + y*sqrt(d)`` against a rational
@@ -44,20 +44,6 @@ class QuadElem:
         object.__setattr__(self, "b", _as_fraction(self.b))
         if self.r in (0, 1) or not is_squarefree(abs(self.r)):
             raise ValueError(f"radicand must be squarefree and not 0 or 1, got {self.r}")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        if isinstance(other, QuadElem):
-            if self.b == 0 and other.b == 0:
-                return self.a == other.a
-            return self.r == other.r and self.a == other.a and self.b == other.b
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.r))
 
 
 def cmp_surd(x: Rational, y: Rational, d: int, q: Rational) -> int:

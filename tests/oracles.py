@@ -1,10 +1,11 @@
 """Field arithmetic in Q(sqrt(r)) and the Fraction Girard-Newton path: the
 slow exact reference for ``kraitchik.construct`` and ``kraitchik.bounds``.
 
-``kraitchik.qfield.QuadElem`` is a plain record; ``Quad`` adds the field
-operations the oracles need.  A rational element (b = 0) combines with any
-radicand, and combining two genuinely irrational radicands raises
-``RadicandMismatch``.  ``Poly`` adds indexing, +, - and a readable repr to
+``kraitchik.qfield.QuadElem`` is a plain record with field-wise equality;
+``Quad`` adds the field operations the oracles need, and compares a rational
+element (b = 0) equal to the plain number and to a rational element of any
+radicand.  A rational element combines with any radicand, and combining two
+genuinely irrational radicands raises ``RadicandMismatch``.  ``Poly`` adds indexing, +, - and a readable repr to
 ``kraitchik.poly.DensePoly``, which keeps only what ``src/`` uses.
 ``u_coefficients`` is the construction as it was before ``psi_xi`` moved onto
 integer pairs: the closed-form power sums fed through the generic
@@ -105,6 +106,20 @@ class Quad(QuadElem):
     def conj(self) -> "Quad":
         """Algebraic conjugate a - b*sqrt(r)."""
         return Quad(self.a, -self.b, self.r)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        if isinstance(other, QuadElem):
+            if self.b == 0 and other.b == 0:
+                return self.a == other.a
+            return self.r == other.r and self.a == other.a and self.b == other.b
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.r))
 
     def __repr__(self) -> str:
         if self.b == 0:
@@ -354,7 +369,7 @@ def explicit_bound_sides(pair: KraitchikPair, n: int) -> tuple:
     def lhs_disc(p):
         return iv_div(iv_ln(iv_from_rat(mod_sq, p), p), 2, p)
 
-    def rhs(p):  # shared by both variants' cases, so decide builds it once per rung
+    def rhs(p):  # the right side of both variants' cases, built once per case and rung
         return min_log_bound(base, n, p)
 
     return lhs, None if ctx.D > 0 else lhs_disc, rhs

@@ -34,7 +34,7 @@ from kraitchik.bounds import (
 )
 from kraitchik.construct import psi_xi
 from kraitchik.interval import DEFAULT_MAX_PRECISION, FIRST_RUNG, GUARD_BITS, DyadicInterval, decide, precision_ladder
-from kraitchik.numtheory import is_squarefree, odd_squarefree_range, squarefree_decompose
+from kraitchik.numtheory import is_squarefree, jacobi, mobius, odd_squarefree_range, squarefree_decompose
 from kraitchik.powersums import DiscriminantContext
 from kraitchik.qfield import QuadElem, RadicandMismatch, abs_real, cmp_real, cmp_surd
 
@@ -54,32 +54,39 @@ def as_quad(bound, r):
 # -- the exact field-arithmetic path the integer checks replaced, kept as the oracle
 
 
-def oracle_rising_factorial(base: QuadElem, n: int) -> Quad:
-    """2*B(B+1)...(B+n-1)/n! in Q(sqrt(r)), exact."""
-    return _oracle_product(base.a, base.b, base.r, n)
-
-
 @lru_cache(maxsize=None)
-def _oracle_product(a, b, r, n):
-    # memoised along n, one field multiplication per step; keyed on (a, b, r)
-    # because QuadElem equality ignores r for rational elements
+def oracle_rising_factorial(base: QuadElem, n: int) -> Quad:
+    """2*B(B+1)...(B+n-1)/n! in Q(sqrt(r)), exact; memoised along n, one field
+    multiplication per step."""
     if n == 0:
-        return Quad(2, 0, r)
-    return _oracle_product(a, b, r, n - 1) * (Quad(a, b, r) + (n - 1)) / n
+        return Quad(2, 0, base.r)
+    return oracle_rising_factorial(base, n - 1) * (Quad(base.a, base.b, base.r) + (n - 1)) / n
 
 
-def oracle_bounds(pair, n) -> tuple[bool, bool]:
-    """(abs_ok, l1_ok) by Quad/Fraction products and ``abs_real``/``cmp_real``."""
+def oracle_bounds(pair, n) -> tuple[bool, bool, int, int]:
+    """(abs_ok, l1_ok, abs_sign, l1_sign) by Quad/Fraction products and ``abs_real``/``cmp_real``:
+    each sign is that of the bound minus the coefficient's size, so a bound holds at a sign >= 0
+    and is an equality at 0."""
     c = pair.ctx
     a_n, b_n, d = pair.a[n], pair.b_coeff(n), c.d
     bound_abs = oracle_rising_factorial(abs_bound_base(c, n), n)
     bound_l1 = oracle_rising_factorial(l1_bound_base(c, n), n)
     if c.D > 0:
-        abs_ok = cmp_real(abs_real(QuadElem(a_n, b_n, d)), bound_abs) <= 0
+        abs_sign = -cmp_real(abs_real(QuadElem(a_n, b_n, d)), bound_abs)
     else:
-        abs_ok = cmp_real(bound_abs * bound_abs, F(a_n * a_n + d * b_n * b_n)) >= 0
-    l1_ok = cmp_real(QuadElem(abs(a_n), abs(b_n), d), bound_l1) <= 0
-    return abs_ok, l1_ok
+        abs_sign = cmp_real(bound_abs * bound_abs, F(a_n * a_n + d * b_n * b_n))
+    l1_sign = -cmp_real(QuadElem(abs(a_n), abs(b_n), d), bound_l1)
+    return abs_sign >= 0, l1_sign >= 0, abs_sign, l1_sign
+
+
+def tight_by_rule(c: DiscriminantContext, n: int) -> tuple[bool, bool]:
+    """(abs, l1): whether the equality rule of the coefficient bounds puts an equality at n."""
+    if n == 0:
+        return True, True
+    if n == 1:
+        return not (c.D > 0 and mobius(c.d) == 1), True
+    tight = c.D > 0 and mobius(c.d) == -1 and all(jacobi(k, c.d) == 1 for k in range(2, n + 1))
+    return tight, tight
 
 
 def test_base_examples():
@@ -88,8 +95,7 @@ def test_base_examples():
     assert abs_bound_base(ctx(5), 0) == QuadElem(F(1, 2), F(1, 2), 5)
     assert abs_bound_base(ctx(5), 1) == QuadElem(F(1, 2), F(1, 2), 5)
     # d = 15: the floor sqrt(16)/2 collapses to the rational 2 and ties phi(5)/2
-    assert abs_bound_base(ctx(15), 5) == F(2)
-    assert abs_bound_base(ctx(15), 5).b == 0
+    assert abs_bound_base(ctx(15), 5) == QuadElem(2, 0, 15)
     # d = 7: floor sqrt(8)/2 normalizes to sqrt(2)
     assert abs_bound_base(ctx(7), 1) == QuadElem(F(0), F(1), 2)
     # the L1 floor always uses sqrt(d)
@@ -107,11 +113,6 @@ def test_base_monotone_in_n():
             prev = cur
 
 
-def record(base: QuadElem) -> tuple:
-    # the radicand too: QuadElem equality ignores r for rational elements
-    return base.a, base.b, base.r
-
-
 def test_growth_bases_match_the_per_divisor_oracle():
     # every odd squarefree d <= 255, and d = 1155, whose abs floor sqrt(1 + 1155)/2 = 17 is rational
     checked = 0
@@ -123,10 +124,10 @@ def test_growth_bases_match_the_per_divisor_oracle():
             abs_floor = surd_base(0, 1, 1 + d, d)
         l1_floor = surd_base(1, 1, d, d)
         for n in range(c.dprime + 2):
-            assert record(abs_bound_base(c, n)) == record(growth_base(c, n, abs_floor)), (d, n)
-            assert record(l1_bound_base(c, n)) == record(growth_base(c, n, l1_floor)), (d, n)
+            assert abs_bound_base(c, n) == growth_base(c, n, abs_floor), (d, n)
+            assert l1_bound_base(c, n) == growth_base(c, n, l1_floor), (d, n)
             checked += 1
-    assert abs_bound_base(ctx(1155), 0) == 17
+    assert abs_bound_base(ctx(1155), 0) == QuadElem(17, 0, 1155)
     assert checked == 6111
 
 
@@ -217,14 +218,20 @@ def test_ceil_half_surd_refuses_a_negative_surd_part():
 
 
 def test_coefficient_bounds_match_the_field_oracle(pairs_255):
-    checked = 0
+    checked, equalities = 0, Counter()
     for d in odd_squarefree_range(5, 255):
         pair = pairs_255[d]
         for n in range(pair.ctx.dprime + 1):
             rep = check_coefficient_bounds(pair, n)
-            assert (rep.abs_ok, rep.l1_ok) == oracle_bounds(pair, n), (d, n)
+            abs_ok, l1_ok, abs_sign, l1_sign = oracle_bounds(pair, n)
+            assert (rep.abs_ok, rep.l1_ok) == (abs_ok, l1_ok), (d, n)
+            # the equality rule: a sign of 0 exactly where it puts one
+            assert (abs_sign == 0, l1_sign == 0) == tight_by_rule(pair.ctx, n), (d, n)
+            equalities.update((kind, min(n, 2)) for kind, sign in (("abs", abs_sign), ("l1", l1_sign)) if sign == 0)
             checked += 1
     assert checked > 3000
+    # per bound and n = 0, 1, >= 2, over the 103 moduli
+    assert equalities == {("abs", 0): 103, ("abs", 1): 79, ("abs", 2): 21, ("l1", 0): 103, ("l1", 1): 103, ("l1", 2): 21}
 
 
 planted_moduli = st.sampled_from([5, 13, 21, 105, 7, 15, 35, 255])  # D > 0 first, then D < 0
@@ -242,7 +249,7 @@ def test_coefficient_bounds_match_the_oracle_on_planted_coefficients(d, data):
     b = data.draw(st.integers(min_value=-scale, max_value=scale))
     pair = SimpleNamespace(ctx=c, a={n: a}, b_coeff=lambda m: b)
     rep = check_coefficient_bounds(pair, n)
-    assert (rep.abs_ok, rep.l1_ok) == oracle_bounds(pair, n)
+    assert (rep.abs_ok, rep.l1_ok) == oracle_bounds(pair, n)[:2]
 
 
 @pytest.mark.parametrize(
@@ -261,7 +268,7 @@ def test_coefficient_bounds_match_the_oracle_on_planted_coefficients(d, data):
 def test_coefficient_bounds_on_planted_examples(d, n, a, b, want):
     pair = SimpleNamespace(ctx=ctx(d), a={n: a}, b_coeff=lambda m: b)
     rep = check_coefficient_bounds(pair, n)
-    assert (rep.abs_ok, rep.l1_ok) == want == oracle_bounds(pair, n)
+    assert (rep.abs_ok, rep.l1_ok) == want == oracle_bounds(pair, n)[:2]
 
 
 def test_planted_bound_error_falsifies_the_tight_case(monkeypatch):
@@ -353,7 +360,7 @@ def direct_verdicts(pair, n, max_precision=4096) -> tuple[str, str]:
     a_n, b_n, d = pair.a[n], pair.b_coeff(n), ctx.d
     iv, to_m = interval_oracle, interval_oracle.to_mantissas
 
-    def min_bound(prec):  # shared by both cases, so decide builds it once per rung
+    def min_bound(prec):  # the right side of both cases, built once per case and rung
         ts = [to_m(t) for t in iv.three_bounds(base, n, prec)]
         return DyadicInterval(min(t.lo_m for t in ts), min(t.hi_m for t in ts), prec)
 
@@ -430,7 +437,7 @@ def test_coefficient_pass_matches_the_field_oracle(pairs_255):
     checked = 0
     for d, pair in pairs_255.items():
         for rep in coefficient_bounds_pass(pair):
-            assert (rep.d, rep.abs_ok, rep.l1_ok) == (d, *oracle_bounds(pair, rep.n)), (d, rep.n)
+            assert (rep.d, rep.abs_ok, rep.l1_ok) == (d, *oracle_bounds(pair, rep.n)[:2]), (d, rep.n)
             checked += 1
     assert checked == sum(p.ctx.dprime + 1 for p in pairs_255.values()) > 5000
 
@@ -506,10 +513,10 @@ def test_explicit_pass_matches_the_per_n_oracle(pairs_255, max_precision, monkey
     # every (d, n) of odd squarefree d <= 255: both variants' verdicts against the per-n decide
     # path.  An n the coarse stage settles is verified and builds no fine enclosure; every other
     # n reaches decide, and the enclosures the pass built for it on its first rung match that
-    # path's, mantissa for mantissa.  decide evaluates each case's lhs before its rhs and builds
-    # the rhs that both variants share once, so the enclosures compare as a multiset, with
-    # _min_log_t counted once per n and rung.  Under 32 bits the ladder has no rung: nothing is
-    # built, coarse or fine, and nothing resolves
+    # path's, mantissa for mantissa.  decide calls each open case's lhs, then its rhs, so the
+    # enclosures compare as a multiset, with _min_log_t built once per case and rung: twice per
+    # open n when D < 0.  Under 32 bits the ladder has no rung: nothing is built, coarse or
+    # fine, and nothing resolves
     built = []
 
     def record(name):
@@ -540,12 +547,13 @@ def test_explicit_pass_matches_the_per_n_oracle(pairs_255, max_precision, monkey
                 settled += 1
                 continue
             lhs, lhs_disc, rhs = oracles.explicit_bound_sides(pair, rep.n)
-            sides = [("_min_log_t", rhs), ("_ln_surd", lhs)] + ([("_half_ln_int", lhs_disc)] if lhs_disc else [])
+            sides = [("_ln_surd", lhs), ("_min_log_t", rhs)]
+            sides += [("_half_ln_int", lhs_disc), ("_min_log_t", rhs)] if lhs_disc else []
             want += [(name, p, (side(p).lo_m, side(p).hi_m, p)) for p in first for name, side in sides]
         on_first = [(name, args[-1], out) for name, args, out in built if name in fine and args[-1] in first]
         assert Counter(on_first) == Counter(want), d
-        rhs_built = [(args[1], args[-1]) for name, args, _ in built if name == "_min_log_t"]
-        assert len(rhs_built) == len(set(rhs_built)), d  # _min_log_t once per (n, rung)
+        rhs_built = Counter((args[1], args[-1]) for name, args, _ in built if name == "_min_log_t")
+        assert max(rhs_built.values(), default=1) <= (2 if pair.ctx.D < 0 else 1), d  # once per case and rung
     assert checked == sum(p.ctx.dprime for p in pairs_255.values()) > 5000
     if first:
         assert settled > 0.95 * checked  # most n never reach decide: 5513 of 5660
@@ -566,7 +574,7 @@ def test_a_coefficient_just_past_its_bound_is_falsified_at_that_n_only():
     # d = 105: from n = 21 the base is phi(21)/2 = 6, so the bound 2*(6)_n/n! = 2*C(n + 5, 5) is an integer
     pair, n = psi_xi(105), 22
     bound = 2 * math.comb(n + 5, 5)
-    assert abs_bound_base(pair.ctx, n) == 6 and bound == 161460
+    assert abs_bound_base(pair.ctx, n) == QuadElem(6, 0, 105) and bound == 161460
     tight, past = planted(pair, n, bound), planted(pair, n, bound + 1)
     assert falsified_at(coefficient_bounds_pass(tight)) == []
     assert falsified_at(coefficient_bounds_pass(past)) == [n]

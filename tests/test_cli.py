@@ -503,6 +503,19 @@ def test_importing_the_cli_loads_no_process_pool():
     assert proc.stdout == "[False, False]\n"
 
 
+def test_a_closed_stdout_ends_quietly_with_141():
+    # a reader that stops after one line (| head -1): no traceback, and 128 + SIGPIPE, none of
+    # the documented codes
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = [sys.executable, "-m", "kraitchik", "table", "5..1000", "--format", "json"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert json.loads(proc.stdout.readline())["d"] == 5
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, b"")
+
+
 @pytest.mark.parametrize(
     "dmax,cores,want",
     [

@@ -269,17 +269,14 @@ def test_decide_takes_a_rung_only_while_a_case_is_open():
     assert [call for call in calls if call[1] == 128] == [("below", 128), ("sqrt5", 128)]
 
 
-def test_a_shared_side_is_evaluated_once_per_rung():
-    # one sqrt(5) object on the right of two cases that both need 128 bits
+def test_a_shared_side_is_evaluated_once_per_case_and_rung():
+    # one sqrt(5) object on the right of two cases that both need 128 bits: decide keeps no
+    # memo, so each open case calls it on each rung it takes
     calls = []
     rhs = traced(calls, "sqrt5", SQRT5)
     decisions = decide([(BELOW, rhs), (ABOVE, rhs)], precision_ladder(4096))
     assert [(d.verdict, d.lhs.prec) for d in decisions] == [(VERIFIED, 128), (FALSIFIED, 128)]
-    assert calls == [("sqrt5", 64), ("sqrt5", 128)]
-    # equal functions that are different objects are different sides
-    calls.clear()
-    decide([(BELOW, rhs), (ABOVE, traced(calls, "sqrt5", SQRT5))], precision_ladder(4096))
-    assert calls == [("sqrt5", 64), ("sqrt5", 64), ("sqrt5", 128), ("sqrt5", 128)]
+    assert calls == [("sqrt5", 64)] * 2 + [("sqrt5", 128)] * 2
 
 
 def test_an_empty_family_takes_no_rung():
@@ -293,10 +290,11 @@ def test_a_domain_error_keeps_its_case_open():
     # decides there, and the open ones decide at 128
     calls = []
     gap_log = traced(calls, "gap_log", GAP_LOG)
-    cases = [(gap_log, ZERO), (GOLDEN, TWO), (ZERO, gap_log)]
+    cases = [(gap_log, traced(calls, "zero", ZERO)), (GOLDEN, TWO), (ZERO, gap_log)]
     decisions = decide(cases, precision_ladder(4096))
     assert [(d.verdict, d.lhs.prec) for d in decisions] == [(VERIFIED, 128), (VERIFIED, 64), (FALSIFIED, 128)]
-    assert calls == [("gap_log", 64), ("gap_log", 128)]  # a side that raised is not called again on its rung
+    # each open case calls gap_log on each rung; a case whose lhs raised never calls its rhs
+    assert calls == [("gap_log", 64), ("gap_log", 64), ("gap_log", 128), ("zero", 128), ("gap_log", 128)]
     assert [mantissas(d) for d in decide(cases, precision_ladder(64))] == [
         (UNRESOLVED, None, None),
         mantissas(decide_one(GOLDEN, TWO, precision_ladder(64))),

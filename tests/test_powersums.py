@@ -47,8 +47,8 @@ def test_power_sum_examples():
     ctx5 = DiscriminantContext.for_modulus(5)
     assert power_sum_s(ctx5, 1) == QuadElem(F(-1, 2), F(1, 2), 5)
     ctx15 = DiscriminantContext.for_modulus(15)
-    assert power_sum_s(ctx15, 3) == -1  # mu(5) phi(3) / 2
-    assert power_sum_s(ctx15, 15) == 4  # f = d branch: phi(15)/2
+    assert power_sum_s(ctx15, 3) == QuadElem(-1, 0, -15)  # mu(5) phi(3) / 2
+    assert power_sum_s(ctx15, 15) == QuadElem(4, 0, -15)  # f = d branch: phi(15)/2
 
 
 def test_power_sum_periodicity():

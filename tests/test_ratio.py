@@ -36,7 +36,7 @@ def test_gate_equality_is_rejected():
     # d = 77: phi(11)/2 = 5 beats the surd floor, so 2G = 10 is an integer and
     # x = 10 sits exactly on the gate, which x must strictly exceed
     p77 = psi_xi(77)
-    assert gate_value(p77) == 5 and gate_value(p77).b == 0
+    assert gate_value(p77) == QuadElem(5, 0, 77)
     assert doubled_parts(gate_value(p77)) == (10, 0, 77)
     assert _ceil_half_surd(20, 0, 77) == 10
     assert default_sample_points(p77) == [F(11), F(15), F(100)]  # the grid starts one past the gate
@@ -185,7 +185,7 @@ def test_log_form_verdicts_match_the_exp_form(pairs_149):
 def test_default_points_lie_past_the_gate():
     # 2G = 100 exactly at d = 707, the first modulus whose gate reaches x = 100
     p707 = psi_xi(707)
-    assert gate_value(p707) == 50
+    assert gate_value(p707) == QuadElem(50, 0, 707)
     assert default_sample_points(p707) == [F(101), F(105)]
     assert [r.verdict for r in ratio_table(p707, default_sample_points(p707))] == ["verified", "verified"]
     with pytest.raises(GateError, match="x = 100 does not exceed"):
