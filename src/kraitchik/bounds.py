@@ -6,23 +6,33 @@ phi(f)/2 over the divisors 1 < f <= n of d together with a surd floor:
 L1 bound.  The rising-factorial expression 2*B(B+1)...(B+n-1)/n! built on
 that base dominates the coefficients.
 
-That maximum is taken once, on doubled integers: the floor's square part is
-pulled out, the largest phi(f) is compared with twice the floor by one
-integer ``cmp_surd``, and the winner becomes the one ``QuadElem``
-(p + q*sqrt(r))/2 with integers p, q.  A rational base (q = 0, a winning
+That maximum is taken on doubled integers, once per modulus and floor, by
+the growth plan ``_growth_plan(d, p, q, radicand)``: it pulls the floor's
+square part out, walks the divisors of d with one integer ``cmp_surd`` of
+phi(f) against the doubled base so far, and returns the base as steps
+(first n, p, q, r).  ``_growth_base`` reads the step that holds at n into
+the one ``QuadElem`` (p + q*sqrt(r))/2.  A rational base (q = 0, a winning
 phi(f)/2 or a floor whose radicand is a square, as 1 + 1155 = 34^2) keeps
-the radicand of the floor's field.  The passes read each base they build once, as
-the integers (p, q, r) of ``doubled_parts``: no Fraction reaches a ``cmp_surd``.
-``rising_factorial_bound`` returns the bound as integers (P, Q, K) meaning
-(P + Q*sqrt(r))/K, and each inequality is decided by one integer
-``cmp_surd`` (no intervals, no Fractions), which is what lets the tight
-n = 0 equality pass without an equality-resolution dance.
+the radicand of the floor's field.  The passes read each base they build
+once, as the integers (p, q, r) of ``doubled_parts``: no Fraction reaches a
+``cmp_surd``.  ``rising_factorial_bound`` returns the bound as integers
+(P, Q, K) meaning (P + Q*sqrt(r))/K, from the prefix ``_rising_prefix(p, q, r)``
+of (P, Q, K) at n = 0, 1, ..., extended in place only as far as a caller
+asks.  Each inequality is decided by one integer ``cmp_surd`` (no intervals,
+no Fractions), which is what lets the tight n = 0 equality pass without an
+equality-resolution dance.
+
+The plan (last 8 keys) and the prefix (last 4 bases) are module-level
+``lru_cache``s keyed on integers only, so a per-n entry point pays for one n,
+not for the whole modulus; they clear with the module's other caches, and
+nothing is stored on a pair or a ``DiscriminantContext``.
 
 Each check runs as one pass over the indices n of a modulus.  The base can
-change only at a divisor of d, so it is built at the first n and at each
-divisor; ``coefficient_bounds_pass`` seeds (P, Q, K) from
+change only at a step of its plan, so it is built at the first n and at each
+step; ``coefficient_bounds_pass`` seeds (P, Q, K) from
 ``rising_factorial_bound`` where the base changes and carries it along n
-between, by the factor (p + 2(n-1), q) and K by 2n.
+between, by the factor (p + 2(n-1), q) and K by 2n, so a pass asks the
+prefix for its seeds only.
 ``explicit_bound_pass`` checks the strict three-way closed-form bound in log
 space, ln|a + b*sqrt(d)| < min(ln t1, ln t2, ln t3), so ln is the one
 interval kernel it needs.  The right side comes from bare integer mantissas,
@@ -76,18 +86,44 @@ from .numtheory import divisors, euler_phi, squarefree_decompose
 from .powersums import DiscriminantContext
 from .qfield import QuadElem, RadicandMismatch, cmp_surd
 
+Triple = tuple[int, int, int]  # (p, q, r) of a doubled growth base or floor p + q*sqrt(r)
 
-def _growth_base(ctx: DiscriminantContext, n: int, p: int, q: int, radicand: int) -> QuadElem:
-    """The larger of the floor (p + q*sqrt(radicand))/2 and phi(f)/2 over the divisors
-    1 < f <= n of d, compared doubled, in integers; a rational base stays in Q(sqrt(d))."""
+
+@lru_cache(maxsize=8)
+def _growth_plan(d: int, p: int, q: int, radicand: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The growth base on the floor (p + q*sqrt(radicand))/2 as a step function of n: steps
+    (first n, p, q, r), each base (p + q*sqrt(r))/2 holding from its first n to the next step's.
+
+    The floor's square part is pulled out once; each divisor 1 < f of d is then one integer
+    ``cmp_surd`` of phi(f) against the doubled base so far, and a winner starts a step at n = f.
+    A rational base stays in Q(sqrt(d))."""
+    s, r = squarefree_decompose(radicand)
+    steps = [(0, p + q * s, 0, d) if r == 1 else (0, p, q * s, r)]
+    for f in divisors(d)[1:]:
+        phi = euler_phi(f)
+        if cmp_surd(*steps[-1][1:], phi) < 0:
+            steps.append((f, phi, 0, steps[-1][3]))
+    return tuple(steps)
+
+
+def _growth_base(ctx: DiscriminantContext, n: int, floor: Triple) -> QuadElem:
+    """The larger of the floor (p + q*sqrt(radicand))/2, given as (p, q, radicand), and phi(f)/2
+    over the divisors 1 < f <= n of d: the step of the cached plan that holds at n."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    s, r = squarefree_decompose(radicand)
-    p, q, r = (p + q * s, 0, ctx.d) if r == 1 else (p, q * s, r)
-    top = max((euler_phi(f) for f in divisors(ctx.d) if 1 < f <= n), default=None)
-    if top is not None and cmp_surd(p, q, r, top) < 0:
-        p, q = top, 0
-    return QuadElem(Fraction(p, 2), Fraction(q, 2), r)
+    for first, p, q, r in reversed(_growth_plan(ctx.d, *floor)):
+        if first <= n:  # the first step starts at n = 0
+            return QuadElem(Fraction(p, 2), Fraction(q, 2), r)
+
+
+def _abs_floor(ctx: DiscriminantContext) -> Triple:
+    """The doubled surd floor |1 + sqrt(D)| of the |a + b*sqrt(D)| bound, which is sqrt(1 + d) when D < 0."""
+    return (1, 1, ctx.d) if ctx.D > 0 else (0, 1, 1 + ctx.d)
+
+
+def _l1_floor(ctx: DiscriminantContext) -> Triple:
+    """The doubled surd floor 1 + sqrt(d) of the L1 bound."""
+    return 1, 1, ctx.d
 
 
 def abs_bound_base(ctx: DiscriminantContext, n: int) -> QuadElem:
@@ -97,12 +133,12 @@ def abs_bound_base(ctx: DiscriminantContext, n: int) -> QuadElem:
     The divisor candidates are those 1 < f <= n, so the base is defined for
     any n >= 0 even though the inequality checks only use n <= d'.
     """
-    return _growth_base(ctx, n, 1, 1, ctx.d) if ctx.D > 0 else _growth_base(ctx, n, 0, 1, 1 + ctx.d)
+    return _growth_base(ctx, n, _abs_floor(ctx))
 
 
 def l1_bound_base(ctx: DiscriminantContext, n: int) -> QuadElem:
     """Base for the L1-norm bound; the surd floor is (1 + sqrt(d))/2."""
-    return _growth_base(ctx, n, 1, 1, ctx.d)
+    return _growth_base(ctx, n, _l1_floor(ctx))
 
 
 def doubled_parts(base: QuadElem) -> tuple[int, int, int]:
@@ -111,6 +147,14 @@ def doubled_parts(base: QuadElem) -> tuple[int, int, int]:
     if 2 % a.denominator or 2 % b.denominator:
         raise ValueError(f"growth base must be (p + q*sqrt(r))/2 with integer p, q, got {base}")
     return a.numerator * (2 // a.denominator), b.numerator * (2 // b.denominator), base.r
+
+
+@lru_cache(maxsize=4)
+def _rising_prefix(p: int, q: int, r: int) -> list[tuple[int, int, int]]:
+    """(P, Q, K) of ``rising_factorial_bound`` at n = 0, 1, ... for the base (p + q*sqrt(r))/2,
+    extended in place only as far as a caller has asked.  Only ``rising_factorial_bound``
+    reads or extends the list, with no lock: kraitchik runs its checks on one thread per process."""
+    return [(2, 0, 1)]
 
 
 def rising_factorial_bound(base: QuadElem, n: int) -> tuple[int, int, int]:
@@ -122,11 +166,12 @@ def rising_factorial_bound(base: QuadElem, n: int) -> tuple[int, int, int]:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     p, q, r = doubled_parts(base)
-    P, Q = 2, 0
-    for i in range(n):
+    prefix = _rising_prefix(p, q, r)
+    for i in range(len(prefix) - 1, n):
+        P, Q, K = prefix[i]
         u = p + 2 * i
-        P, Q = P * u + Q * q * r, P * q + Q * u
-    return P, Q, math.factorial(n) << n
+        prefix.append((P * u + Q * q * r, P * q + Q * u, K * 2 * (i + 1)))
+    return prefix[n]
 
 
 def _ceil_half_surd(p: int, q: int, r: int) -> int:
@@ -162,11 +207,12 @@ def _indices(pair: KraitchikPair, ns: Optional[range], lo: int) -> range:
     return ns
 
 
-def _bases(ctx: DiscriminantContext, ns: range, base_at) -> Iterator[tuple[int, QuadElem, tuple[int, int, int], bool]]:
+def _bases(ctx: DiscriminantContext, ns: range, base_at, floor: Triple) -> Iterator[tuple[int, QuadElem, Triple, bool]]:
     """(n, base, (p, q, r), fresh) for each n of ``ns``: ``base_at(ctx, n)`` is built at the
-    first n and at each divisor of d, the only places it can change, and read there once as
-    the integers of (p + q*sqrt(r))/2; ``fresh`` marks where that triple changed."""
-    stops = set(divisors(ctx.d)) if len(ns) > 1 else ()
+    first n and at each step of the growth plan on ``floor``, the only places it can change,
+    and read there once as the integers of (p + q*sqrt(r))/2; ``fresh`` marks where that
+    triple changed."""
+    stops = {step[0] for step in _growth_plan(ctx.d, *floor)} if len(ns) > 1 else ()
     base = key = None
     for n in ns:
         fresh = False
@@ -177,11 +223,11 @@ def _bases(ctx: DiscriminantContext, ns: range, base_at) -> Iterator[tuple[int, 
         yield n, base, key, fresh
 
 
-def _carried_bounds(ctx: DiscriminantContext, ns: range, base_at) -> Iterator[tuple[int, int, int, int]]:
+def _carried_bounds(ctx: DiscriminantContext, ns: range, base_at, floor: Triple) -> Iterator[tuple[int, int, int, int]]:
     """(r, P, Q, K) of ``rising_factorial_bound(base_at(ctx, n), n)`` for each n of ``ns``:
     seeded where the base changes, then carried along n by the factor (p + 2(n-1), q)
     and K by 2n."""
-    for n, base, (p, q, r), fresh in _bases(ctx, ns, base_at):
+    for n, base, (p, q, r), fresh in _bases(ctx, ns, base_at, floor):
         if fresh:
             P, Q, K = rising_factorial_bound(base, n)
         else:
@@ -218,7 +264,8 @@ def coefficient_bounds_pass(pair: KraitchikPair, ns: Optional[range] = None) -> 
     ctx = pair.ctx
     d = ctx.d
     reports = []
-    abs_bounds, l1_bounds = _carried_bounds(ctx, ns, abs_bound_base), _carried_bounds(ctx, ns, l1_bound_base)
+    abs_bounds = _carried_bounds(ctx, ns, abs_bound_base, _abs_floor(ctx))
+    l1_bounds = _carried_bounds(ctx, ns, l1_bound_base, _l1_floor(ctx))
     for n, (r, P, Q, K), (r1, P1, Q1, K1) in zip(ns, abs_bounds, l1_bounds):
         a_n, b_n = pair.a[n], pair.b_coeff(n)
         if ctx.D > 0:
@@ -366,7 +413,7 @@ def explicit_bound_pass(
     rungs = precision_ladder(max_precision)  # the ceiling is checked here, before any enclosure is built
     coarse = max_precision >= FIRST_RUNG  # the ladder has a rung
     cases, rows = [], []  # rows: (n, index of its first case, or None for an n verified before decide)
-    for n, base, key, fresh in _bases(ctx, ns, abs_bound_base):
+    for n, base, key, fresh in _bases(ctx, ns, abs_bound_base, _abs_floor(ctx)):
         if fresh:
             if cmp_surd(*key, 2) <= 0:  # F = (p + q*sqrt(r))/2 > 1
                 raise ArithmeticError(f"growth base must exceed 1, got {base} at d={d}, n={n}")

@@ -291,10 +291,15 @@ def iv_sub(x, y, prec: int) -> DyadicInterval:
 def mul_mantissas(xl: int, xh: int, yl: int, yh: int, prec: int) -> tuple[int, int]:
     """The mantissas of ``iv_mul``'s enclosure of [xl, xh] * [yl, yh], all over
     2^(prec + GUARD_BITS), for callers that keep enclosures as bare mantissa pairs;
-    at prec = -GUARD_BITS, the least and greatest corner products themselves."""
-    cands = (xl * yl, xl * yh, xh * yl, xh * yh)
+    at prec = -GUARD_BITS, the least and greatest corner products themselves.  When both
+    lower ends are nonnegative those are xl*yl and xh*yh."""
+    if xl >= 0 and yl >= 0:
+        lo, hi = xl * yl, xh * yh
+    else:
+        cands = (xl * yl, xl * yh, xh * yl, xh * yh)
+        lo, hi = min(cands), max(cands)
     g = prec + GUARD_BITS
-    return min(cands) >> g, _ceil_shift(max(cands), g)
+    return lo >> g, _ceil_shift(hi, g)
 
 
 def iv_mul(x, y, prec: int) -> DyadicInterval:

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import math
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -160,6 +161,40 @@ squarefree_radicands = st.integers(min_value=2, max_value=10**4).filter(is_squar
 def test_rising_factorial_matches_the_quadelem_product(p, q, r, n):
     base = QuadElem(F(p, 2), F(q, 2), r)
     assert as_quad(rising_factorial_bound(base, n), r) == oracle_rising_factorial(base, n)
+
+
+def direct_rising_factorial(p, q, r, n):
+    """The product loop over the factors (p + 2i, q)/2, i < n, with K = 2^n * n!."""
+    P, Q = 2, 0
+    for i in range(n):
+        u = p + 2 * i
+        P, Q = P * u + Q * q * r, P * q + Q * u
+    return P, Q, math.factorial(n) << n
+
+
+def test_rising_prefix_gives_the_same_bound_in_any_call_order():
+    # more base triples than the prefix cache holds, interleaved, each asked from a cold cache
+    # at shuffled, then descending, then repeated n: every answer is the direct product loop's
+    rng = random.Random(5)
+    held = bounds._rising_prefix.cache_parameters()["maxsize"]
+    triples = [(rng.randrange(-9, 60), rng.randrange(0, 9), rng.choice([2, 3, 5, 13, 105])) for _ in range(held + 3)]
+    calls = []
+    for triple in triples:
+        ns = list(range(14))
+        rng.shuffle(ns)
+        calls += [(triple, n) for n in ns + sorted(ns, reverse=True) + rng.choices(ns, k=6)]
+    rng.shuffle(calls)
+    bounds._rising_prefix.cache_clear()
+    for (p, q, r), n in calls:
+        assert rising_factorial_bound(QuadElem(F(p, 2), F(q, 2), r), n) == direct_rising_factorial(p, q, r, n)
+    assert bounds._rising_prefix.cache_info().currsize == held
+
+
+def test_every_cache_in_bounds_is_bounded():
+    caches = {name: obj for name, obj in vars(bounds).items()
+              if hasattr(obj, "cache_parameters") and obj.__module__ == bounds.__name__}
+    assert {"_growth_plan", "_rising_prefix"} <= set(caches)
+    assert all(cache.cache_parameters()["maxsize"] is not None for cache in caches.values()), caches
 
 
 def test_rising_factorial_refuses_a_base_off_the_half_integer_grid():
@@ -664,7 +699,10 @@ def test_explicit_pass_decides_every_open_n_in_one_family(monkeypatch):
 def test_growth_bases_reach_cmp_surd_as_integers(monkeypatch, capsys, pairs_149):
     # each growth base is read once as its integers (p, q, r), and the ratio gate x > 2G at
     # x = u/v is u > v*(p + q*sqrt(r)): every exact comparison in bounds, ratio and powersums
-    # takes ints only, through the CLI and through the per-n and per-table entry points
+    # takes ints only, through the CLI and through the per-n and per-table entry points; the
+    # caches are cleared first, so each growth plan is built, and compared, under this test's watch
+    bounds._growth_plan.cache_clear()
+    bounds._rising_prefix.cache_clear()
     callers, non_int_callers = set(), set()
 
     def integer_cmp_surd(*args):
@@ -686,7 +724,7 @@ def test_growth_bases_reach_cmp_surd_as_integers(monkeypatch, capsys, pairs_149)
                     check_explicit_bound(pair, n)
     ratio.ratio_table(pairs_149[7], [F(9, 2), 5, 100])
     assert non_int_callers == set()
-    assert {"_growth_base", "coefficient_bounds_pass", "explicit_bound_pass", "_past_gate", "inside"} <= callers
+    assert {"_growth_plan", "coefficient_bounds_pass", "explicit_bound_pass", "_past_gate", "inside"} <= callers
 
 
 def test_suite_small_range(pairs_149):

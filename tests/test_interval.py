@@ -7,6 +7,8 @@ import interval_oracle
 import mpmath
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from interval_oracle import as_fractions, show
 from mpmath.libmp import to_rational
 from oracles import iv_div
@@ -117,6 +119,19 @@ def test_mul_mantissas_covers_every_sign():
             for g in (0, 2):
                 want = (math.floor(F(min(products), 2**g)), math.ceil(F(max(products), 2**g)))
                 assert interval.mul_mantissas(*a, *b, g - GUARD_BITS) == want, (a, b, g)
+
+
+mantissa_intervals = st.lists(st.integers(min_value=-(2**80), max_value=2**80), min_size=2, max_size=2).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=mantissa_intervals, y=mantissa_intervals, prec=st.sampled_from([-GUARD_BITS, -GUARD_BITS + 1, 0, 64]))
+def test_mul_mantissas_matches_the_four_corners(x, y, prec):
+    # the two-product path for nonnegative lower ends gives what the four corners give, at any sign
+    corners = [a * b for a in x for b in y]
+    g = prec + GUARD_BITS
+    want = (math.floor(F(min(corners), 2**g)), math.ceil(F(max(corners), 2**g)))
+    assert interval.mul_mantissas(*x, *y, prec) == want
 
 
 # exp and powers are the direct forms' kernels in the Fraction-endpoint oracle only
