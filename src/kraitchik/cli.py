@@ -20,6 +20,8 @@ d=<d>`` on stderr, and exits 1.  A ``table`` range or a ``verify --dmax`` whose
 work, the sum of d'^2 over its moduli, exceeds ``MAX_TABLE_WORK`` is a usage
 error.  ``table`` prints its json and csv rows as each one passes the identity
 gate, its text only once every row has.
+
+``main`` parses with one parser per process, built on its first call.
 """
 
 from __future__ import annotations
@@ -392,7 +394,11 @@ def cmd_verify(args) -> int:
     return 2 if UNRESOLVED in verdicts else 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call shares; ``parse_args`` never changes it.
+    The ``cmd_*`` functions, ``_parse_range`` and the defaults are bound when it
+    is built, so one patched later is reached only after ``cache_clear()``."""
     parser = argparse.ArgumentParser(
         prog="kraitchik",
         description="Construct and verify the Gauss-Kraitchik decomposition of cyclotomic polynomials.",

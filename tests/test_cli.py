@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import csv
 import dataclasses
@@ -618,3 +619,66 @@ def test_verify_all_falsified_outranks_unresolved(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "all", "--dmax", "5", "--precision-max", "32")
     assert code == 1
     assert "identity d=5 falsified" in out and "corollary d=5 unresolved" in out
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of one ``main`` call, usage errors and --help included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    # the top parser and its three subparsers, once; a parser per call would make 16
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert outcome(capsys, ["compute", "7", "--format", "json"])[0] == 0
+    assert outcome(capsys, ["verify", "symfunc", "--dmax", "3"])[0] == 0
+    assert outcome(capsys, ["table", "5..13", "--format", "csv"])[0] == 0
+    assert outcome(capsys, ["verify", "all", "--jobs", "0"])[0] == 2
+    assert len(built) == 4
+    # and importing the module builds none
+    probe = "import kraitchik.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "0\n"
+
+
+SHARED_PARSER_COMMANDS = [
+    ["compute", "331"],
+    ["compute", "331", "--format", "json"],
+    ["table", "5..13"],
+    ["verify", "symfunc", "--dmax", "3"],
+    ["verify", "symfunc"],  # its default --dmax must not leak from the call before
+    ["verify", "bounds", "--dmax", "7", "--format", "csv"],
+    ["--help"],
+    ["verify", "--help"],
+    ["table", "5..3"],
+    ["verify", "all", "--jobs", "0"],
+    ["compute", "7001"],
+]
+
+
+def test_a_shared_parser_answers_as_a_fresh_one(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # one help width for both runs
+    fresh = []
+    for argv in SHARED_PARSER_COMMANDS:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(capsys, argv))
+    cli.build_parser.cache_clear()
+    shared = [outcome(capsys, argv) for argv in SHARED_PARSER_COMMANDS]
+    assert cli.build_parser.cache_info().misses == 1
+    for argv, want, got in zip(SHARED_PARSER_COMMANDS, fresh, shared):
+        assert got == want, argv
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 1]
+    assert fresh[3][1] != fresh[4][1]  # m <= 3 against the default m <= 20

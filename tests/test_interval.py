@@ -485,7 +485,7 @@ def _ln_kernel_inputs(bits: int) -> list[Fraction]:
     return sample + [m * F(2) ** k for m in edges for k in (-300, -7, -1, 0, 1, 9, 300)]
 
 
-@pytest.mark.parametrize("bits", [96, 288, 1056])  # the ln of rungs 64, 256 and 1024
+@pytest.mark.parametrize("bits", [96, 160, 288, 544, 1056])  # the ln of rungs 64, 128, 256, 512 and 1024
 def test_ln_kernel_matches_the_untabled_oracle(bits):
     for q in _ln_kernel_inputs(bits):
         lo, hi = interval_oracle._ln_point_bounds(q, bits)
@@ -495,7 +495,7 @@ def test_ln_kernel_matches_the_untabled_oracle(bits):
         assert got == (interval_oracle._floor_scaled(lo, bits), interval_oracle._ceil_scaled(hi, bits)), q
 
 
-@pytest.mark.parametrize("bits", [96, 288, 1056])
+@pytest.mark.parametrize("bits", [96, 160, 288, 544, 1056])
 def test_ln_kernel_rounds_outward_next_to_grid_points(bits):
     # y = N/2^bits on the output grid, with its mantissa in each table interval;
     # q = exp(y)(1 +- ~2^-(bits+200)) puts ln q within a hair of y on either side,
